@@ -57,9 +57,7 @@ from .siegel import (
 class RunConfig:
     """Validated knobs shared by the commands."""
 
-    weight: int | None = None
     bound: int | None = None
-    primes: tuple = ()
     scan_depth: int = 50
     cache_dir: Path | None = None
     output: str = "human"

@@ -48,17 +48,6 @@ class JacobiForm:
             )
         return self.by_disc.get(disc, 0)
 
-    def coeff_disc(self, disc: int):
-        """Coefficient read directly off the discriminant key."""
-        if disc <= 0:
-            return 0
-        if disc > self.max_disc:
-            raise TruncationError(
-                f"discriminant {disc} beyond tabulated range {self.max_disc}",
-                required=disc,
-            )
-        return self.by_disc.get(disc, 0)
-
     def __eq__(self, other):
         if not isinstance(other, JacobiForm):
             return NotImplemented

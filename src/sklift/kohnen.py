@@ -45,10 +45,12 @@ def odd_sigma_series(prec: int) -> QSeries:
     return QSeries(coeffs, prec)
 
 
-def _powers(base: QSeries, exps: list[int]) -> dict[int, QSeries]:
-    out = {}
-    for e in sorted(set(exps)):
-        out[e] = base**e
+def _powers(base: QSeries, start: int, step: int, count: int) -> list[QSeries]:
+    """base**start, base**(start + step), ...: ``count`` powers, each from the one before."""
+    out = [base**start]
+    stride = base**step
+    for _ in range(count - 1):
+        out.append(out[-1] * stride)
     return out
 
 
@@ -60,9 +62,10 @@ def halfint_generators(k: int, prec: int) -> list[QSeries]:
     theta = theta_series(prec)
     f2 = odd_sigma_series(prec)
     bmax = wnum // 4
-    theta_pows = _powers(theta, [wnum - 4 * b for b in range(bmax + 1)])
-    f2_pows = _powers(f2, list(range(bmax + 1)))
-    return [theta_pows[wnum - 4 * b] * f2_pows[b] for b in range(bmax + 1)]
+    # theta_pows[i] = theta**(wnum - 4*bmax + 4*i), f2_pows[b] = f2**b
+    theta_pows = _powers(theta, wnum - 4 * bmax, 4, bmax + 1)
+    f2_pows = _powers(f2, 0, 1, bmax + 1)
+    return [theta_pows[bmax - b] * f2_pows[b] for b in range(bmax + 1)]
 
 
 class HalfIntForm:

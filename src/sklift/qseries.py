@@ -4,7 +4,9 @@ A ``QSeries`` knows the largest exponent to which it is valid and refuses to
 hand out coefficients beyond it.  Binary operations take the minimum of the
 two validity bounds, so a silent loss of precision cannot happen.
 Coefficients are ints, Fractions, or quadratic irrationals; the arithmetic is
-generic over all three.
+generic over all three.  Products of two all-int series, the hot case of the
+lift chain, take one big-integer multiplication by Kronecker substitution;
+every other product runs the term-by-term loop.
 
 ``RatMatrix`` provides the exact row reduction, kernel, and characteristic
 polynomial computations used for basis echelonization and Hecke matrices.
@@ -111,31 +113,27 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.prec, other.prec)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (n + 1)
-        for i in range(min(len(a) - 1, n) + 1):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(min(len(b) - 1, n - i) + 1):
-                bj = b[j]
-                if bj != 0:
-                    out[i + j] += ai * bj
-        return QSeries(out, n)
+        a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
+        if all(type(c) is int for c in a) and all(type(c) is int for c in b):
+            return QSeries(_kronecker(a, b, n), n)
+        return QSeries(_schoolbook(a, b, n), n)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "QSeries":
         if e < 0:
             raise UsageError("negative powers: use inverse() explicitly")
-        out = QSeries.one(self.prec)
+        if e == 0:
+            return QSeries.one(self.prec)
+        out = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if not e:
+                return out
+            base = base * base
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse; requires an invertible constant term."""
@@ -174,6 +172,55 @@ class QSeries:
         shown = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.prec > 5 else ""
         return f"QSeries([{shown}{tail}], prec={self.prec})"
+
+
+def _schoolbook(a: list, b: list, n: int) -> list:
+    """Coefficients 0..n of the product of two coefficient lists, term by term.
+
+    Works for any exact coefficient type; it is the only path for Fraction
+    and QuadExt coefficients and the reference the integer path is tested
+    against.
+    """
+    out = [0] * (n + 1)
+    for i in range(min(len(a) - 1, n) + 1):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j in range(min(len(b) - 1, n - i) + 1):
+            bj = b[j]
+            if bj != 0:
+                out[i + j] += ai * bj
+    return out
+
+
+def _pack(coeffs: list, width: int) -> int:
+    """sum(c * 256**(width*i)) for signed ints c with |c| < 256**width."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in coeffs)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _kronecker(a: list, b: list, n: int) -> list:
+    """Coefficients 0..n of the product of two int lists, by Kronecker substitution.
+
+    Each list becomes one integer with a coefficient per ``width``-byte slot,
+    and a single big-integer product (Karatsuba in C) replaces the quadratic
+    loop.  A product coefficient is a sum of at most min(len) terms, so
+    ``width`` holds max|a| * max|b| * min(len) plus a sign bit.  Adding half
+    a slot to each of slots 0..n makes every slot non-negative, so the slots
+    separate without borrows; masking to n + 1 slots drops the higher ones
+    whatever their signs.
+    """
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    if bound == 0:
+        return [0] * (n + 1)
+    width = (bound.bit_length() + 8) // 8
+    half = bytes(width - 1) + b"\x80"  # 2**(8*width - 1), one slot's worth
+    nbytes = width * (n + 1)
+    biased = _pack(a, width) * _pack(b, width) + int.from_bytes(half * (n + 1), "little")
+    raw = (biased & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little")
+    offset = 1 << (8 * width - 1)
+    return [int.from_bytes(raw[i : i + width], "little") - offset for i in range(0, nbytes, width)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sklift.errors import TruncationError, UsageError
 from sklift.numeric import QuadExt, sqrt_rational
-from sklift.qseries import QSeries, RatMatrix, poly_eval_matrix
+from sklift.qseries import QSeries, RatMatrix, _kronecker, _schoolbook, poly_eval_matrix
 
 small_rationals = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=6
@@ -15,6 +16,27 @@ small_rationals = st.fractions(
 
 def series(draw_prec=6):
     return st.lists(small_rationals, min_size=1, max_size=draw_prec).map(QSeries)
+
+
+# signed integer series: small and beyond 2**256 coefficients, with a
+# validity that truncates or pads the list, and half of them made
+# all-negative
+int_series = st.builds(
+    lambda coeffs, prec, negate: QSeries([-abs(c) for c in coeffs] if negate else coeffs, prec),
+    st.lists(
+        st.one_of(st.integers(-3, 3), st.integers(-(2**300), 2**300)), min_size=1, max_size=16
+    ),
+    st.integers(min_value=0, max_value=20),
+    st.booleans(),
+)
+
+
+def _assert_fast_product_exact(a, b):
+    """The Kronecker path, called directly and through ``*``, equals the schoolbook loop."""
+    n = min(a.prec, b.prec)
+    expected = _schoolbook(a.coeffs, b.coeffs, n)
+    assert _kronecker(a.coeffs[: n + 1], b.coeffs[: n + 1], n) == expected
+    assert (a * b).coeffs == expected
 
 
 class TestQSeries:
@@ -54,6 +76,12 @@ class TestQSeries:
     def test_pow_and_inverse(self):
         s = QSeries([1, 1], 6)
         assert (s**3).coeffs[:4] == [1, 3, 3, 1]
+        for base in (QSeries([2, -1, 0, 3], 9), QSeries([Fraction(1, 2), 1], 9)):
+            product = QSeries.one(9)
+            for e in range(20):
+                if e in (0, 1, 2, 3, 7, 19):
+                    assert base**e == product
+                product = product * base
         inv = s.inverse()
         assert (s * inv).coeffs == [1, 0, 0, 0, 0, 0, 0]
         with pytest.raises(UsageError):
@@ -65,6 +93,36 @@ class TestQSeries:
         sq = s * s
         assert sq.coeffs[1] == 2 * root
         assert sq.coeffs[2] == 5
+        # Fraction times int goes through the generic product, exactly
+        half = QSeries([Fraction(1, 2), 3, 0, -1], 3)
+        ints = QSeries([2, 0, 5, 7], 3)
+        assert (half * ints).coeffs == [1, 6, Fraction(5, 2), Fraction(33, 2)]
+        assert (s * half).coeffs == [Fraction(1, 2), 3 + root / 2, 3 * root, -1]
+
+    @given(int_series, int_series)
+    @example(QSeries([0, 0, 0], 2), QSeries([5, -7], 1))
+    @example(QSeries([-4], 0), QSeries([2**400 + 1], 0))
+    @example(QSeries([1, -1], 1), QSeries([1, 1], 1))  # slot 2 of the product is -1
+    @example(QSeries([-(2**257), -1, -(2**300)], 2), QSeries([-3, -(2**256), -2], 2))
+    @settings(max_examples=500, deadline=None)
+    def test_integer_product_matches_schoolbook(self, a, b):
+        _assert_fast_product_exact(a, b)
+
+    def test_integer_product_seeded_sweep(self):
+        # the same property on 5000 seeded random pairs, cheaper to draw
+        # than through hypothesis
+        rng = random.Random(20090101)
+
+        def draw():
+            negative = rng.random() < 0.5  # all-negative series half the time
+            coeffs = []
+            for _ in range(rng.randint(1, 16)):
+                c = rng.getrandbits(rng.choice((2, 64, 257, 300)))
+                coeffs.append(-c if negative or rng.random() < 0.5 else c)
+            return QSeries(coeffs, rng.randint(0, 20))
+
+        for _ in range(5000):
+            _assert_fast_product_exact(draw(), draw())
 
     @given(series(), series(), series())
     @settings(max_examples=80, deadline=None)

@@ -25,6 +25,18 @@ CACHE_ENV_VAR = "SKLIFT_CACHE_DIR"
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
 
+class OneShotEncoder(json.JSONEncoder):
+    """Encoder for ``json.dump`` that writes the bytes ``json.dumps`` would.
+
+    ``json.dump`` streams through the pure-Python encoder; this one builds
+    the whole document with the C encoder behind ``json.dumps`` and hands
+    it over in a few chunks.
+    """
+
+    def iterencode(self, o, _one_shot=False):
+        return super().iterencode(o, _one_shot=True)
+
+
 def default_cache_dir() -> Path:
     env = os.environ.get(CACHE_ENV_VAR)
     if env:
@@ -49,12 +61,16 @@ class ExpansionCache:
 
     @staticmethod
     def _encode(coeffs) -> list[str]:
-        return [str(Fraction(c)) for c in coeffs]
+        return [str(c) if type(c) is int else str(Fraction(c)) for c in coeffs]
 
     @staticmethod
     def _decode(data) -> list:
         out = []
         for text in data:
+            # plain (optionally negative) digit strings parse the same by int
+            if type(text) is str and text.lstrip("-").isdigit():
+                out.append(int(text))
+                continue
             value = Fraction(text)
             out.append(int(value) if value.denominator == 1 else value)
         return out
@@ -117,7 +133,7 @@ class ExpansionCache:
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
+                json.dump(payload, handle, cls=OneShotEncoder)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):

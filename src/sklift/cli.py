@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cache import ExpansionCache
+from .cache import ExpansionCache, OneShotEncoder
 from .characterize import (
     EigenvalueRecord,
     format_exact,
@@ -213,7 +213,7 @@ def cmd_lift(config: RunConfig, args) -> int:
     table = build_lift(config, args.weight, args.bound, log)
     out_path = args.out or f"sk_lift_w{args.weight}_b{args.bound}.json"
     with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(table.to_json_dict(), handle)
+        json.dump(table.to_json_dict(), handle, cls=OneShotEncoder)
     payload = {
         "table": out_path,
         "weight": table.weight,

@@ -62,10 +62,11 @@ def halfint_generators(k: int, prec: int) -> list[QSeries]:
     theta = theta_series(prec)
     f2 = odd_sigma_series(prec)
     bmax = wnum // 4
-    # theta_pows[i] = theta**(wnum - 4*bmax + 4*i), f2_pows[b] = f2**b
+    # theta_pows[i] = theta**(wnum - 4*bmax + 4*i), f2_pows[b - 1] = f2**b
     theta_pows = _powers(theta, wnum - 4 * bmax, 4, bmax + 1)
-    f2_pows = _powers(f2, 0, 1, bmax + 1)
-    return [theta_pows[bmax - b] * f2_pows[b] for b in range(bmax + 1)]
+    f2_pows = _powers(f2, 1, 1, bmax)
+    mixed = [theta_pows[bmax - b] * f2_pows[b - 1] for b in range(1, bmax + 1)]
+    return [theta_pows[bmax]] + mixed
 
 
 class HalfIntForm:
@@ -159,7 +160,9 @@ def plus_space_basis(
         raise TruncationError(
             f"constraint bound {bound} exceeds series validity {prec}", required=bound
         )
-    gens = halfint_generators(k, prec)
+    # the kernel and the echelon step read coefficients only up to the
+    # constraint window, so the generators are built that far
+    gens = halfint_generators(k, bound)
     positions = [0] + [n for n in range(1, bound + 1) if n % 4 in (1, 2)]
     constraint = RatMatrix([[g.coefficient(n) for g in gens] for n in positions])
     kernel = constraint.kernel()
@@ -186,13 +189,22 @@ def plus_space_basis(
         raise DimensionMismatchError(
             f"plus space at k={k}: echelon pivots escape the constraint window"
         )
+    # generator b is theta**(wnum - 4b) * f2**b, so sum(x_b * generator b) is
+    # theta**(wnum % 4) * Q with Q = sum(x_b * t4**(bmax - b) * f2**b),
+    # t4 = theta**4, evaluated at full validity by Horner in t4:
+    # Q_0 = x_0, Q_j = t4 * Q_(j-1) + x_j * f2**j
+    wnum = 2 * k - 1
+    theta = theta_series(prec)
+    t4 = theta**4
+    tail = theta ** (wnum % 4)
+    f2_pows = _powers(odd_sigma_series(prec), 1, 1, wnum // 4)
     out = []
     for r in range(expected):
         coords = _primitive_row(red.entries[r][bound + 1 :])
-        series = QSeries.zero(prec)
-        for x, g in zip(coords, gens):
-            if x:
-                series = series + x * g
+        acc = coords[0]
+        for x, f2_pow in zip(coords[1:], f2_pows):
+            acc = t4 * acc + x * f2_pow
+        series = tail * acc
         lead = series.coefficient(series.valuation())
         if lead < 0:
             series = -series

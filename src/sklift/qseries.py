@@ -195,6 +195,8 @@ def _schoolbook(a: list, b: list, n: int) -> list:
 
 def _pack(coeffs: list, width: int) -> int:
     """sum(c * 256**(width*i)) for signed ints c with |c| < 256**width."""
+    if min(coeffs) >= 0:
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
     pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in coeffs)
     neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in coeffs)
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")

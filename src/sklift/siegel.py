@@ -157,8 +157,12 @@ class SiegelFourierTable:
                     "schema v1 stores rational coefficients only; "
                     "this table has quadratic-irrational entries"
                 )
-            v = rat(v)
-            entries.append([idx.n, idx.r, idx.m, str(v.numerator), str(v.denominator)])
+            if type(v) is int:
+                num, den = v, 1
+            else:
+                v = rat(v)
+                num, den = v.numerator, v.denominator
+            entries.append([idx.n, idx.r, idx.m, str(num), str(den)])
         return {
             "schema_version": SCHEMA_VERSION,
             "weight": self.weight,
@@ -188,6 +192,11 @@ class SiegelFourierTable:
 # the divisor-sum lift and the coefficient-relation checkers
 # ---------------------------------------------------------------------------
 
+def _divisor_table(bound: int) -> list[list[int]]:
+    """divisors(g) at index g for g = 1..bound: gcd(n, r, m) <= n <= bound on reduced indices."""
+    return [[]] + [divisors(g) for g in range(1, bound + 1)]
+
+
 def maass_lift(phi: JacobiForm, bound: int) -> SiegelFourierTable:
     """Lift an index-1 Jacobi form to a degree-2 table out to ``bound``.
 
@@ -202,11 +211,12 @@ def maass_lift(phi: JacobiForm, bound: int) -> SiegelFourierTable:
             required=needed,
         )
     k = phi.weight
+    divs = _divisor_table(bound)
     entries = {}
     for idx in reduced_indices(bound):
         n, r, m = idx
         acc = 0
-        for d in divisors(math.gcd(math.gcd(n, r), m)):
+        for d in divs[math.gcd(n, r, m)]:
             acc += d ** (k - 1) * phi.coeff(n * m // (d * d), r // d)
         if acc != 0:
             entries[idx] = acc
@@ -239,13 +249,14 @@ def check_maass_space(table: SiegelFourierTable) -> CheckReport:
     the cusp support vanish on both sides).
     """
     k = table.weight
+    divs = _divisor_table(table.bound)
     checked = skipped = 0
     violations = []
     for idx in reduced_indices(table.bound):
         n, r, m = idx
         rhs = 0
         resolvable = True
-        for d in divisors(math.gcd(math.gcd(n, r), m)):
+        for d in divs[math.gcd(n, r, m)]:
             val = table.try_value(n * m // (d * d), r // d, 1)
             if val is None:
                 resolvable = False

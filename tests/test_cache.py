@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,36 @@ class TestExpansionCache:
         coeffs = [Fraction(1), Fraction(-3, 7), Fraction(22, 5)]
         cache.store("kohnen", "probe", 10, 2, coeffs)
         assert cache.fetch("kohnen", "probe", 10, 2) == coeffs
+
+    def test_written_bytes_and_roundtrip(self, cache):
+        coeffs = [0, 1, -24, 2**200, -(3**150), Fraction(-3, 7), Fraction(4, 2), True]
+        cache.store("kohnen", "mixed", 10, 7, coeffs)
+        encoded = ["0", "1", "-24", str(2**200), str(-(3**150)), "-3/7", "2", "1"]
+        expected = {
+            "schema_version": 1, "module": "kohnen", "name": "mixed", "weight": 10,
+            "truncation": 7, "coeffs": encoded,
+        }
+        path = cache.root / "kohnen__mixed__w10__n7__s1.json"
+        assert path.read_text(encoding="utf-8") == json.dumps(expected)
+        got = cache.fetch("kohnen", "mixed", 10, 7)
+        assert got == coeffs
+        assert [type(c) for c in got] == [int] * 5 + [Fraction] + [int] * 2
+
+    def test_decode_matches_fraction_parse(self):
+        # integer strings skip the Fraction parse; everything else, including
+        # forms int() alone would accept differently, goes through it
+        def by_fraction(text):
+            value = Fraction(text)
+            return int(value) if value.denominator == 1 else value
+
+        texts = ["0", "-0", "007", "-12", str(7**300), "3/6", "-4/2", " 12 ", "+5", "1_0", "1.5"]
+        texts += [7, 1.5]  # a hand-edited entry may hold JSON numbers
+        for text in texts:
+            got = ExpansionCache._decode([text])
+            assert got == [by_fraction(text)] and type(got[0]) is type(by_fraction(text)), text
+        for bad in ["--5", "-", "", "1/0x", "12a"]:
+            with pytest.raises((ValueError, ZeroDivisionError)):
+                ExpansionCache._decode([bad])
 
     def test_rewrite_same_data_ok(self, cache):
         cache.store("elliptic", "e4", 4, 2, [1, 240, 2160])

@@ -25,6 +25,14 @@ class TestLift:
         entries = {tuple(e[:3]): e[3:] for e in data["entries"]}
         assert entries[(1, 1, 1)] == ["1", "1"]
 
+    def test_table_bytes_match_json_dumps(self, table10, lift10_b6):
+        from fractions import Fraction
+
+        text = json.dumps(lift10_b6.to_json_dict())
+        assert table10.read_text(encoding="utf-8") == text
+        # integer and Fraction entries serialize alike
+        assert json.dumps(lift10_b6.scaled(Fraction(1)).to_json_dict()) == text
+
     def test_cache_reuse_is_bitwise_identical(self, tmp_path, table10):
         again = tmp_path / "t10_again.json"
         rc = main(

@@ -1,6 +1,7 @@
 import pytest
 
-from sklift.elliptic import eigenform_field_poly, eigenforms
+from sklift import qseries
+from sklift.elliptic import dim_cusp_forms, eigenform_field_poly, eigenforms
 from sklift.errors import (
     DimensionMismatchError,
     NotAnEigenformError,
@@ -10,6 +11,8 @@ from sklift.errors import (
 from sklift.kohnen import (
     PlusSpaceForm,
     _eigenvalue_on,
+    _primitive_row,
+    halfint_generators,
     odd_sigma_series,
     plus_eigenforms,
     plus_hecke,
@@ -19,7 +22,50 @@ from sklift.kohnen import (
     theta_series,
 )
 from sklift.numeric import QuadExt
-from sklift.qseries import QSeries
+from sklift.qseries import QSeries, RatMatrix
+
+
+def _basis_by_generator_sum(k, prec, constraint_bound=None):
+    """Reference plus-space basis: every generator at full validity, summed.
+
+    The library builds the generators only to the constraint window and
+    evaluates the basis forms by Horner; this is the direct construction it
+    replaces, kept as the oracle.
+    """
+    bound = constraint_bound if constraint_bound is not None else 4 * k
+    gens = halfint_generators(k, prec)
+    positions = [0] + [n for n in range(1, bound + 1) if n % 4 in (1, 2)]
+    kernel = RatMatrix([[g.coefficient(n) for g in gens] for n in positions]).kernel()
+    expected = dim_cusp_forms(2 * k - 2)
+    if len(kernel) != expected:
+        raise DimensionMismatchError("kernel dimension")
+    if not kernel:
+        return []
+    rows = []
+    for v in kernel:
+        head = [sum(x * g.coefficient(n) for x, g in zip(v, gens)) for n in range(bound + 1)]
+        rows.append(head + list(v))
+    red, pivots = RatMatrix(rows).rref()
+    if any(pc > bound for pc in pivots[:expected]):
+        raise DimensionMismatchError("pivots escape the window")
+    out = []
+    for r in range(expected):
+        coords = _primitive_row(red.entries[r][bound + 1 :])
+        series = QSeries.zero(prec)
+        for x, g in zip(coords, gens):
+            if x:
+                series = series + x * g
+        if series.coefficient(series.valuation()) < 0:
+            series = -series
+        out.append(PlusSpaceForm(k, series))
+    return out
+
+
+def _outcome(build, *args):
+    try:
+        return [(g.prec, g.series.coeffs) for g in build(*args)]
+    except DimensionMismatchError:
+        return DimensionMismatchError
 
 
 class TestGenerators:
@@ -37,6 +83,23 @@ class TestGenerators:
         assert f2.coefficient(3) == 4
         assert f2.coefficient(2) == 0
         assert f2.coefficient(9) == 13
+
+    def test_monomials_without_products_by_one(self, monkeypatch):
+        products = []
+        kronecker = qseries._kronecker
+
+        def counted(a, b, n):
+            products.append(n)
+            return kronecker(a, b, n)
+
+        monkeypatch.setattr(qseries, "_kronecker", counted)
+        gens = halfint_generators(10, 40)
+        # theta**3 and theta**4 take two products each, theta**7 .. theta**19
+        # four, f2**2 .. f2**4 three, and the four mixed monomials four more
+        assert len(products) == 15
+        monkeypatch.undo()
+        theta, f2 = theta_series(40), odd_sigma_series(40)
+        assert gens == [theta ** (19 - 4 * b) * f2**b for b in range(5)]
 
 
 class TestPlusSpace:
@@ -69,6 +132,25 @@ class TestPlusSpace:
     def test_undersized_constraint_bound_detected(self):
         with pytest.raises(DimensionMismatchError):
             plus_space_basis(10, 80, constraint_bound=2)
+
+    def test_horner_basis_matches_generator_sum(self):
+        # dimensions 0 to 4; the windows 4k and 4k + 7 and two longer ones
+        for k in range(4, 31, 2):
+            for prec in (4 * k, 4 * k + 7, 160, 400):
+                expected = _outcome(_basis_by_generator_sum, k, prec)
+                assert expected is not DimensionMismatchError, (k, prec)
+                assert _outcome(plus_space_basis, k, prec) == expected, (k, prec)
+
+    def test_constraint_bounds_match_generator_sum(self):
+        # every window from empty to the default: the same refusals, and the
+        # same basis wherever one is returned
+        for k, prec in ((10, 80), (16, 90)):
+            refused = 0
+            for bound in range(4 * k + 1):
+                expected = _outcome(_basis_by_generator_sum, k, prec, bound)
+                assert _outcome(plus_space_basis, k, prec, bound) == expected, (k, bound)
+                refused += expected is DimensionMismatchError
+            assert 0 < refused < 4 * k + 1
 
     def test_odd_weight_rejected(self):
         with pytest.raises(UsageError):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sklift.errors import TruncationError, UsageError
 from sklift.numeric import QuadExt, sqrt_rational
-from sklift.qseries import QSeries, RatMatrix, _kronecker, _schoolbook, poly_eval_matrix
+from sklift.qseries import QSeries, RatMatrix, _kronecker, _pack, _schoolbook, poly_eval_matrix
 
 small_rationals = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=6
@@ -123,6 +123,26 @@ class TestQSeries:
 
         for _ in range(5000):
             _assert_fast_product_exact(draw(), draw())
+
+    def test_pack_and_product_by_sign_pattern(self):
+        # all-non-negative lists (theta, f2 and their powers) pack in one
+        # pass, mixed and all-negative lists in two; both feed the product
+        rng = random.Random(1982)
+        lists = [
+            [0], [0, 0, 0], [1, 2, 0, 2], [2**300, 0, 7], [255, 256, 65535],
+            [1, -1], [-5, 0, 3, -(2**257)], [-1], [-3, -(2**64), -2],
+        ]
+        for _ in range(200):
+            length = rng.randint(1, 12)
+            top = rng.choice((3, 2**64, 2**300))
+            lists.append([rng.randint(0, top) for _ in range(length)])
+            lists.append([rng.randint(-top, top) for _ in range(length)])
+        for coeffs in lists:
+            width = (max(map(abs, coeffs)).bit_length() + 8) // 8
+            packed = sum(c * 256 ** (width * i) for i, c in enumerate(coeffs))
+            assert _pack(coeffs, width) == packed
+        for a, b in zip(lists, lists[1:] + lists[:1]):
+            _assert_fast_product_exact(QSeries(a), QSeries(b))
 
     @given(series(), series(), series())
     @settings(max_examples=80, deadline=None)

@@ -31,7 +31,7 @@ from .characterize import (
     positivity_scan,
     theorem41,
 )
-from .elliptic import dim_cusp_forms, eigenforms
+from .elliptic import EllipticEigenform, dim_cusp_forms, eigenforms
 from .errors import (
     EXIT_OK,
     EXIT_USAGE,
@@ -43,7 +43,6 @@ from .errors import (
 from .jacobi import ez_lift
 from .kohnen import PlusSpaceForm, plus_space_basis, shimura_match
 from .numeric import is_prime
-from .qseries import QSeries
 from .siegel import (
     SiegelFourierTable,
     check_maass_p_space,
@@ -53,91 +52,22 @@ from .siegel import (
 )
 
 
+# build_lift reads only a(2) of the elliptic eigenform
+ELLIPTIC_PREC = 16
+
+
 @dataclass
 class RunConfig:
     """Validated knobs shared by the commands."""
 
-    bound: int | None = None
-    scan_depth: int = 50
     cache_dir: Path | None = None
     output: str = "human"
-    constraint_bound: int | None = None
     use_cache: bool = True
 
     def cache(self) -> ExpansionCache | None:
         if not self.use_cache:
             return None
         return ExpansionCache(self.cache_dir)
-
-
-@dataclass
-class BoundPlan:
-    """Truncations the chain needs, derived by walking it backwards."""
-
-    weight: int
-    bound: int
-    elliptic_prec: int
-    halfint_prec: int
-    constraint_bound: int
-    jacobi_disc: int
-
-    def lines(self) -> list[str]:
-        return [
-            f"plan: degree-2 index bound {self.bound} "
-            f"(discriminants to {self.jacobi_disc})",
-            f"plan: half-integral truncation {self.halfint_prec}, "
-            f"plus-space constraint bound {self.constraint_bound}",
-            f"plan: elliptic truncation {self.elliptic_prec}",
-        ]
-
-
-def plan_bounds(weight: int, bound: int, primes=(2,), constraint_bound=None) -> BoundPlan:
-    """Minimal truncations implied by a requested table bound and prime set."""
-    k = weight
-    largest = max(primes) if primes else 2
-    cb = constraint_bound if constraint_bound is not None else 4 * k
-    jacobi_disc = 4 * bound * bound
-    halfint = max(jacobi_disc, cb, 16 * largest * largest)
-    elliptic = max(16, 4 * largest * bound)
-    return BoundPlan(k, bound, elliptic, halfint, cb, jacobi_disc)
-
-
-# ---------------------------------------------------------------------------
-# cached pipeline pieces
-# ---------------------------------------------------------------------------
-
-def _cached_plus_basis(config: RunConfig, k: int, prec: int) -> list[PlusSpaceForm]:
-    cache = config.cache()
-    if cache is None or config.constraint_bound is not None:
-        return plus_space_basis(k, prec, config.constraint_bound)
-    dim = dim_cusp_forms(2 * k - 2)
-    rows = []
-    for i in range(dim):
-        got = cache.fetch("kohnen", f"plus_basis_{i}", k, prec)
-        if got is None:
-            rows = None
-            break
-        rows.append(got)
-    if rows is not None and dim > 0:
-        return [PlusSpaceForm(k, QSeries(row, prec)) for row in rows]
-    basis = plus_space_basis(k, prec)
-    for i, g in enumerate(basis):
-        cache.store("kohnen", f"plus_basis_{i}", k, prec, g.series.coeffs)
-    return basis
-
-
-def _cached_eigenform(config: RunConfig, weight: int, prec: int):
-    cache = config.cache()
-    if cache is not None:
-        got = cache.fetch("elliptic", "eigenform_0", weight, prec)
-        if got is not None:
-            from .elliptic import EllipticEigenform
-
-            return [EllipticEigenform(weight, QSeries(got, prec))]
-    forms = eigenforms(weight, prec)
-    if cache is not None and len(forms) == 1 and forms[0].field_disc is None:
-        cache.store("elliptic", "eigenform_0", weight, prec, forms[0].series.coeffs)
-    return forms
 
 
 def build_lift(config: RunConfig, weight: int, bound: int, log) -> SiegelFourierTable:
@@ -154,13 +84,30 @@ def build_lift(config: RunConfig, weight: int, bound: int, log) -> SiegelFourier
             "table files carry rational data only, so pick a weight with a "
             "one-dimensional input space (10, 12, or 14)"
         )
-    plan = plan_bounds(k, bound, primes=(2,), constraint_bound=config.constraint_bound)
-    for line in plan.lines():
-        log(line)
-    basis = _cached_plus_basis(config, k, plan.halfint_prec)
-    g = basis[0]
-    candidates = _cached_eigenform(config, 2 * k - 2, plan.elliptic_prec)
-    f = shimura_match(g, candidates)
+    jacobi_disc = 4 * bound * bound
+    # at least the plus-space constraint window, and 16 * p**2 at p = 2 for
+    # the square-index operator that matches the two sides
+    halfint_prec = max(jacobi_disc, 4 * k, 64)
+    log(f"plan: degree-2 index bound {bound} (discriminants to {jacobi_disc})")
+    log(f"plan: half-integral truncation {halfint_prec}, plus-space constraint bound {4 * k}")
+    log(f"plan: elliptic truncation {ELLIPTIC_PREC}")
+    cache = config.cache()
+
+    def cached(module, name, form_weight, prec, build):
+        if cache is None:
+            return build(prec)
+        return cache.series(module, name, form_weight, prec, build)
+
+    # both spaces are one-dimensional here, so each side has exactly one form
+    g_series = cached(
+        "kohnen", "plus_basis_0", k, halfint_prec, lambda n: plus_space_basis(k, n)[0].series
+    )
+    g = PlusSpaceForm(k, g_series)
+    w = 2 * k - 2
+    f_series = cached(
+        "elliptic", "eigenform_0", w, ELLIPTIC_PREC, lambda n: eigenforms(w, n)[0].series
+    )
+    f = shimura_match(g, [EllipticEigenform(w, f_series)])
     log(f"matched eigenform of weight {f.weight} with a(2) = {f.a(2)}")
     phi = ez_lift(g)
     table = maass_lift(phi, bound)
@@ -209,6 +156,8 @@ def _load_table(path: str) -> SiegelFourierTable:
 # ---------------------------------------------------------------------------
 
 def cmd_lift(config: RunConfig, args) -> int:
+    if args.bound < 1:
+        raise UsageError("--bound must be at least 1")
     log = (lambda s: None) if config.output != "human" else lambda s: print(s)
     table = build_lift(config, args.weight, args.bound, log)
     out_path = args.out or f"sk_lift_w{args.weight}_b{args.bound}.json"
@@ -322,7 +271,7 @@ def cmd_classify(config: RunConfig, args) -> int:
     records = load_records(args.records)
     if not records:
         raise UsageError(f"{args.records}: no records found")
-    depth = args.scan if args.scan is not None else config.scan_depth
+    depth = args.scan
     results = []
     lines = []
     csv_rows = [
@@ -393,10 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lift.add_argument("--weight", type=int, required=True)
     p_lift.add_argument("--bound", type=int, default=6)
     p_lift.add_argument("--out", type=str, default=None)
-    p_lift.add_argument(
-        "--constraint-bound", type=int, default=None,
-        help="override the plus-space constraint bound (default 4*weight)",
-    )
     p_lift.set_defaults(func=cmd_lift)
 
     p_check = sub.add_parser("check", help="run coefficient-relation checks")
@@ -414,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="classify eigenvalue records")
     p_classify.add_argument("records")
-    p_classify.add_argument("--scan", type=int, default=None)
+    p_classify.add_argument("--scan", type=int, default=50)
     p_classify.set_defaults(func=cmd_classify)
 
     return parser
@@ -431,12 +376,8 @@ def main(argv=None) -> int:
         cache_dir=args.cache_dir,
         output=args.output,
         use_cache=not args.no_cache,
-        constraint_bound=getattr(args, "constraint_bound", None),
-        bound=getattr(args, "bound", None),
     )
     try:
-        if config.bound is not None and config.bound < 1:
-            raise UsageError("--bound must be at least 1")
         return args.func(config, args)
     except NotAnEigenformError as exc:
         print(f"error: {exc} (witness {exc.witness})", file=sys.stderr)

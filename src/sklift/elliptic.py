@@ -19,8 +19,8 @@ from .errors import (
     UnsupportedFieldError,
     UsageError,
 )
-from .numeric import QuadExt, bernoulli_number, is_prime, sigma, sqrt_rational
-from .qseries import QSeries, RatMatrix
+from .numeric import QuadExt, bernoulli_number, divisor_lists, exact_div, is_prime
+from .qseries import QSeries, RatMatrix, eigen_split_2x2, staircase_matrix
 
 
 def dim_modular_forms(weight: int) -> int:
@@ -59,9 +59,6 @@ class EllipticForm:
         """Fourier coefficient at q**n."""
         return self.series.coefficient(n)
 
-    def is_cusp_form(self) -> bool:
-        return self.a(0) == 0
-
     def __eq__(self, other):
         if not isinstance(other, EllipticForm):
             return NotImplemented
@@ -99,7 +96,10 @@ def eisenstein(weight: int, prec: int) -> EllipticForm:
     if weight % 2 or weight < 4:
         raise UsageError(f"no Eisenstein series of weight {weight} here")
     factor = Fraction(-2 * weight) / bernoulli_number(weight)
-    coeffs = [Fraction(1)] + [factor * sigma(weight - 1, n) for n in range(1, prec + 1)]
+    divs = divisor_lists(prec)
+    coeffs = [Fraction(1)] + [
+        factor * sum(d ** (weight - 1) for d in divs[n]) for n in range(1, prec + 1)
+    ]
     ints = [int(c) if c.denominator == 1 else c for c in coeffs]
     return EllipticForm(weight, QSeries(ints, prec))
 
@@ -186,36 +186,7 @@ def hecke_Tp(f: EllipticForm, p: int) -> EllipticForm:
 def hecke_matrix(weight: int, p: int, prec: int) -> RatMatrix:
     """Matrix of T(p) on the echelonized cusp basis, fully verified."""
     basis = cusp_basis(weight, prec)
-    d = len(basis)
-    if d == 0:
-        return RatMatrix([])
-    if prec // p < d:
-        raise TruncationError(
-            f"T({p}) matrix on weight {weight} needs validity >= {p * d}", required=p * d
-        )
-    cols = []
-    for f in basis:
-        tf = hecke_Tp(f, p)
-        # staircase basis: coordinate i is the coefficient at q**(i+1)
-        coords = [tf.a(i + 1) for i in range(d)]
-        recombined = QSeries.zero(tf.prec)
-        for x, b in zip(coords, basis):
-            recombined = recombined + x * b.series.truncate(tf.prec)
-        if recombined != tf.series:
-            raise InconsistencyError(
-                f"T({p}) does not stabilize the computed weight-{weight} cusp basis"
-            )
-        cols.append(coords)
-    return RatMatrix([[cols[j][i] for j in range(d)] for i in range(d)])
-
-
-def _quadratic_roots(c0: Fraction, c1: Fraction):
-    """Roots of x**2 + c1 x + c0, exact; rational pair or conjugate QuadExt pair."""
-    disc = c1 * c1 - 4 * c0
-    if disc < 0:
-        raise UnsupportedFieldError("complex eigenvalues cannot occur for these operators")
-    root = sqrt_rational(disc)
-    return (-c1 + root) / 2, (-c1 - root) / 2
+    return staircase_matrix([f.series for f in basis], [hecke_Tp(f, p).series for f in basis], p)
 
 
 def eigenforms(weight: int, prec: int) -> list[EllipticEigenform]:
@@ -236,24 +207,13 @@ def eigenforms(weight: int, prec: int) -> list[EllipticEigenform]:
             f"weight {weight} has a {d}-dimensional cusp space; "
             "eigenvalue fields beyond degree 2 are not supported"
         )
-    m = hecke_matrix(weight, 2, prec)
-    poly = m.charpoly()
-    lam1, lam2 = _quadratic_roots(poly[0], poly[1])
     out = []
-    m12 = m.entries[0][1]
-    m21 = m.entries[1][0]
-    for lam in (lam1, lam2):
-        if m12 != 0:
-            v = (m12, lam - m.entries[0][0])
-        elif m21 != 0:
-            v = (lam - m.entries[1][1], m21)
-        else:
-            v = (1, 0) if lam == m.entries[0][0] else (0, 1)
-        series = v[0] * basis[0].series + v[1] * basis[1].series
+    for lam, (v0, v1) in eigen_split_2x2(hecke_matrix(weight, 2, prec)):
+        series = v0 * basis[0].series + v1 * basis[1].series
         lead = series.coefficient(1)
         if lead == 0:
             raise InconsistencyError("eigenvector with vanishing leading coefficient")
-        series = series * (1 / lead if isinstance(lead, QuadExt) else Fraction(1) / lead)
+        series = series * exact_div(1, lead)
         disc = lam.d if isinstance(lam, QuadExt) and lam.b != 0 else None
         form = EllipticEigenform(weight, series, field_disc=disc)
         _verify_eigenform(form, 2)
@@ -269,7 +229,3 @@ def _verify_eigenform(f: EllipticEigenform, p: int) -> None:
             f"claimed eigenform of weight {f.weight} is not a T({p}) eigenvector"
         )
 
-
-def eigenform_field_poly(weight: int, prec: int) -> list[Fraction]:
-    """Characteristic polynomial of T(2) on the cusp space (low to high)."""
-    return hecke_matrix(weight, 2, prec).charpoly()

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .errors import TruncationError, UsageError
 from .kohnen import PlusSpaceForm, _plus_supported
-from .qseries import QSeries
 
 
 class JacobiForm:
@@ -81,10 +80,3 @@ def ez_lift(g: PlusSpaceForm) -> JacobiForm:
                 by_disc[disc] = v
     return JacobiForm(g.k, by_disc, g.prec)
 
-
-def plus_form_from_jacobi(phi: JacobiForm) -> PlusSpaceForm:
-    """Read the discriminant-indexed data back as a plus-space expansion."""
-    coeffs = [0] * (phi.max_disc + 1)
-    for disc, v in phi.by_disc.items():
-        coeffs[disc] = v
-    return PlusSpaceForm(phi.weight, QSeries(coeffs, phi.max_disc))

@@ -11,7 +11,6 @@ prime eigenvalues (that matching is how the two sides are glued together).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .elliptic import EllipticEigenform, dim_cusp_forms, eigenforms
 from .errors import (
@@ -22,8 +21,8 @@ from .errors import (
     UnsupportedFieldError,
     UsageError,
 )
-from .numeric import QuadExt, is_prime, kronecker_symbol, sigma, sqrt_rational
-from .qseries import QSeries, RatMatrix
+from .numeric import divisor_lists, exact_div, is_prime, kronecker_symbol
+from .qseries import QSeries, RatMatrix, eigen_split_2x2, staircase_matrix
 
 
 def theta_series(prec: int) -> QSeries:
@@ -39,9 +38,10 @@ def theta_series(prec: int) -> QSeries:
 
 def odd_sigma_series(prec: int) -> QSeries:
     """The weight-2 generator: sum of sigma_1(n) q**n over odd n."""
+    divs = divisor_lists(prec)
     coeffs = [0] * (prec + 1)
     for n in range(1, prec + 1, 2):
-        coeffs[n] = sigma(1, n)
+        coeffs[n] = sum(divs[n])
     return QSeries(coeffs, prec)
 
 
@@ -69,12 +69,21 @@ def halfint_generators(k: int, prec: int) -> list[QSeries]:
     return [theta_pows[bmax]] + mixed
 
 
-class HalfIntForm:
-    """A form of half-integral weight (2k-1)/2 on Gamma0(4)."""
+class PlusSpaceForm:
+    """A cuspidal form of weight (2k-1)/2 on Gamma0(4) in the plus space.
+
+    Its support lies only on exponents 0, 3 mod 4.
+    """
 
     __slots__ = ("k", "series")
 
     def __init__(self, k: int, series: QSeries):
+        bad = [n for n in range(series.prec + 1) if not _plus_supported(n)]
+        for n in bad:
+            if series.coefficient(n) != 0:
+                raise InconsistencyError(
+                    f"plus-space support violated at exponent {n}"
+                )
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "series", series)
 
@@ -85,36 +94,17 @@ class HalfIntForm:
     def prec(self) -> int:
         return self.series.prec
 
-    @property
-    def weight_numerator(self) -> int:
-        return 2 * self.k - 1
-
     def c(self, n: int):
         """Coefficient at q**n."""
         return self.series.coefficient(n)
 
     def __eq__(self, other):
-        if not isinstance(other, HalfIntForm):
+        if not isinstance(other, PlusSpaceForm):
             return NotImplemented
         return self.k == other.k and self.series == other.series
 
     def __hash__(self):
         return hash((self.k, self.series))
-
-
-class PlusSpaceForm(HalfIntForm):
-    """A cuspidal plus-space form: support only on exponents 0, 3 mod 4."""
-
-    __slots__ = ()
-
-    def __init__(self, k: int, series: QSeries):
-        super().__init__(k, series)
-        bad = [n for n in range(series.prec + 1) if not _plus_supported(n)]
-        for n in bad:
-            if series.coefficient(n) != 0:
-                raise InconsistencyError(
-                    f"plus-space support violated at exponent {n}"
-                )
 
     def __repr__(self):
         return f"PlusSpaceForm(k={self.k}, prec={self.prec})"
@@ -247,43 +237,10 @@ def plus_hecke(g: PlusSpaceForm, p: int) -> PlusSpaceForm:
     return PlusSpaceForm(k, QSeries(coeffs, out_prec))
 
 
-def _pivot_positions(basis: list[PlusSpaceForm]) -> list[int]:
-    pivots = []
-    for g in basis:
-        val = g.series.valuation()
-        if val is None:
-            raise UsageError("zero form in plus-space basis")
-        pivots.append(val)
-    if len(set(pivots)) != len(pivots):
-        raise InconsistencyError("plus-space basis is not in staircase form")
-    return pivots
-
-
 def plus_hecke_matrix(basis: list[PlusSpaceForm], p: int) -> RatMatrix:
     """Matrix of the square-index operator at p on a staircase basis, verified."""
-    d = len(basis)
-    pivots = _pivot_positions(basis)
-    cols = []
-    for g in basis:
-        tg = plus_hecke(g, p)
-        if tg.prec < max(pivots):
-            raise TruncationError(
-                f"basis validity too small to express the image at p={p}",
-                required=(p * p) * max(pivots),
-            )
-        coords = []
-        for i, pos in enumerate(pivots):
-            lead = basis[i].c(pos)
-            coords.append(Fraction(tg.c(pos), 1) / lead)
-        recombined = QSeries.zero(tg.prec)
-        for x, b in zip(coords, basis):
-            recombined = recombined + x * b.series.truncate(tg.prec)
-        if recombined != tg.series:
-            raise InconsistencyError(
-                f"square-index operator at {p} does not stabilize the plus space basis"
-            )
-        cols.append(coords)
-    return RatMatrix([[cols[j][i] for j in range(d)] for i in range(d)])
+    images = [plus_hecke(g, p).series for g in basis]
+    return staircase_matrix([g.series for g in basis], images, p * p)
 
 
 def plus_eigenforms(k: int, prec: int, constraint_bound: int | None = None):
@@ -303,26 +260,11 @@ def plus_eigenforms(k: int, prec: int, constraint_bound: int | None = None):
         raise UnsupportedFieldError(
             f"plus space at k={k} has dimension {len(basis)}; fields beyond degree 2 unsupported"
         )
-    m = plus_hecke_matrix(basis, 2)
-    poly = m.charpoly()
-    disc = poly[1] * poly[1] - 4 * poly[0]
-    if disc < 0:
-        raise UnsupportedFieldError("complex eigenvalues cannot occur here")
-    root = sqrt_rational(disc)
     out = []
-    for sign in (1, -1):
-        lam = (-poly[1] + sign * root) / 2
-        if m.entries[0][1] != 0:
-            v = (m.entries[0][1], lam - m.entries[0][0])
-        elif m.entries[1][0] != 0:
-            v = (lam - m.entries[1][1], m.entries[1][0])
-        else:
-            v = (1, 0) if lam == m.entries[0][0] else (0, 1)
-        series = v[0] * basis[0].series + v[1] * basis[1].series
-        val = series.valuation()
-        lead = series.coefficient(val)
-        series = series * (1 / lead if isinstance(lead, QuadExt) else Fraction(1) / lead)
-        form = PlusSpaceForm(k, series)
+    for lam, (v0, v1) in eigen_split_2x2(plus_hecke_matrix(basis, 2)):
+        series = v0 * basis[0].series + v1 * basis[1].series
+        lead = series.coefficient(series.valuation())
+        form = PlusSpaceForm(k, series * exact_div(1, lead))
         check = _eigenvalue_on(form, 2)
         if check != lam:
             raise InconsistencyError("plus-space eigenvector failed verification")
@@ -336,19 +278,13 @@ def _eigenvalue_on(g: PlusSpaceForm, p: int):
     val = g.series.valuation()
     if val is None or val > tg.prec:
         raise NotAnEigenformError("no usable probe coefficient", witness=val)
-    lam = _divide(tg.c(val), g.c(val))
+    lam = exact_div(tg.c(val), g.c(val))
     for n in range(tg.prec + 1):
         if tg.c(n) != lam * g.c(n):
             raise NotAnEigenformError(
                 f"plus-space form is not an eigenform at p={p}", witness=n
             )
     return lam
-
-
-def _divide(a, b):
-    if isinstance(a, QuadExt) or isinstance(b, QuadExt):
-        return a / b
-    return Fraction(a) / Fraction(b)
 
 
 def shimura_match(

@@ -102,17 +102,13 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of ``n >= 1``."""
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
-
-
-def sigma(power: int, n: int) -> int:
-    """Divisor sum sigma_power(n)."""
-    return sum(d**power for d in divisors(n))
+def divisor_lists(n: int) -> list[list[int]]:
+    """Sorted positive divisors of every g = 0..n at index g (none at 0), by a sieve."""
+    lists: list[list[int]] = [[] for _ in range(n + 1)]
+    for d in range(1, n + 1):
+        for multiple in range(d, n + 1, d):
+            lists[multiple].append(d)
+    return lists
 
 
 def squarefree_core(n: int) -> tuple[int, int]:
@@ -213,14 +209,6 @@ class QuadExt:
         raise AttributeError("QuadExt values are immutable")
 
     # -- structure -----------------------------------------------------
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def to_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is irrational")
-        return self.a
 
     def conjugate(self) -> "QuadExt":
         return QuadExt(self.a, -self.b, self.d)
@@ -409,12 +397,6 @@ class HalfPower:
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("HalfPower values are immutable")
 
-    def as_exact(self):
-        """The value as a Fraction (even e) or QuadExt (odd e)."""
-        if self.e % 2 == 0:
-            return fpow(self.p, self.e // 2)
-        return QuadExt(0, fpow(self.p, (self.e - 1) // 2), self.p)
-
     def __repr__(self):
         return f"{self.p}^({self.e}/2)"
 
@@ -431,11 +413,6 @@ def value_sign(x) -> int:
     if isinstance(x, QuadExt):
         return x.sign()
     return _sgn(x)
-
-
-def value_cmp(x, y) -> int:
-    """Sign of ``x - y`` for rational/QuadExt operands of a common field."""
-    return value_sign(x - y)
 
 
 def cmp_sqrt_multiple(x, t, p: int) -> int:
@@ -469,18 +446,18 @@ def cmp_halfpower(x, c, h: HalfPower) -> int:
     if c < 0:
         raise ValueError("the half-power scale must be nonnegative")
     if h.e % 2 == 0:
-        return value_cmp(x, c * fpow(h.p, h.e // 2))
+        return value_sign(x - c * fpow(h.p, h.e // 2))
     return cmp_sqrt_multiple(x, c * fpow(h.p, (h.e - 1) // 2), h.p)
 
 
 def abs_within(x, c, h: HalfPower) -> bool:
-    """Exact test of ``|x| <= c * h``."""
-    c = rat(c)
-    if h.e % 2 == 0:
-        bound = c * fpow(h.p, h.e // 2)
-        return value_cmp(x, bound) <= 0 and value_cmp(-x, bound) <= 0
-    t = c * fpow(h.p, (h.e - 1) // 2)
-    return cmp_sqrt_multiple(x, t, h.p) <= 0 and cmp_sqrt_multiple(-x, t, h.p) <= 0
+    """Exact test of ``|x| <= c * h`` with ``c >= 0``."""
+    return cmp_halfpower(x, c, h) <= 0 and cmp_halfpower(-x, c, h) <= 0
+
+
+def exact_div(a, b):
+    """``a / b`` exactly: a Fraction, or a QuadExt when either operand is one."""
+    return (a if isinstance(a, QuadExt) else Fraction(a)) / b
 
 
 def format_value(x) -> str:

@@ -9,15 +9,18 @@ lift chain, take one big-integer multiplication by Kronecker substitution;
 every other product runs the term-by-term loop.
 
 ``RatMatrix`` provides the exact row reduction, kernel, and characteristic
-polynomial computations used for basis echelonization and Hecke matrices.
+polynomial computations used for basis echelonization and Hecke matrices;
+``staircase_matrix`` and ``eigen_split_2x2`` turn the Hecke images of a
+staircase basis into a verified matrix and split a 2x2 one into eigenvectors,
+for the elliptic and the plus-space side alike.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import TruncationError, UsageError
-from .numeric import QuadExt, rat
+from .errors import InconsistencyError, TruncationError, UnsupportedFieldError, UsageError
+from .numeric import QuadExt, exact_div, rat, sqrt_rational
 
 
 class QSeries:
@@ -122,7 +125,7 @@ class QSeries:
 
     def __pow__(self, e: int) -> "QSeries":
         if e < 0:
-            raise UsageError("negative powers: use inverse() explicitly")
+            raise UsageError("negative powers of a series are not supported")
         if e == 0:
             return QSeries.one(self.prec)
         out = None
@@ -134,21 +137,6 @@ class QSeries:
             if not e:
                 return out
             base = base * base
-
-    def inverse(self) -> "QSeries":
-        """Multiplicative inverse; requires an invertible constant term."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise UsageError("series with zero constant term has no inverse")
-        inv0 = Fraction(1) / c0 if not isinstance(c0, QuadExt) else 1 / c0
-        out = [inv0] + [0] * self.prec
-        for n in range(1, self.prec + 1):
-            acc = 0
-            for i in range(1, n + 1):
-                if self.coeffs[i] != 0 and out[n - i] != 0:
-                    acc += self.coeffs[i] * out[n - i]
-            out[n] = -acc * inv0
-        return QSeries(out, self.prec)
 
     # -- comparison -----------------------------------------------------
 
@@ -352,26 +340,60 @@ class RatMatrix:
             m = m + RatMatrix.identity(n).scale(ck)
         return coeffs
 
-    def solve(self, rhs: list) -> list[Fraction]:
-        """Solve ``self @ x = rhs`` exactly; raises if inconsistent or ambiguous."""
-        aug = RatMatrix([row + [rat(rhs[i])] for i, row in enumerate(self.entries)])
-        red, pivots = aug.rref()
-        if self.cols in pivots:
-            raise UsageError("inconsistent linear system")
-        if len(pivots) < self.cols:
-            raise UsageError("underdetermined linear system")
-        x = [Fraction(0)] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.entries[r][self.cols]
-        return x
+
+def staircase_matrix(basis: list[QSeries], images: list[QSeries], scale: int) -> RatMatrix:
+    """Matrix of a linear map on a staircase basis, verified against every image.
+
+    Each basis series has its own pivot, its valuation, and vanishes at the
+    pivots of the others; ``images[j]`` is the image of ``basis[j]``, valid
+    to 1/``scale`` of the input validity.  The coordinate of an image along
+    a basis series is the ratio of their coefficients at that series' pivot,
+    and each image must equal the recombination of the basis with its
+    coordinates.  Column j of the result holds the coordinates of image j.
+    """
+    pivots = []
+    for b in basis:
+        val = b.valuation()
+        if val is None:
+            raise UsageError("zero series in a staircase basis")
+        pivots.append(val)
+    if len(set(pivots)) != len(pivots):
+        raise InconsistencyError("basis is not in staircase form")
+    last = max(pivots, default=0)
+    cols = []
+    for image in images:
+        if image.prec < last:
+            raise TruncationError(
+                f"an image valid to {image.prec} cannot be read at pivot {last}",
+                required=scale * last,
+            )
+        coords = [exact_div(image.coeffs[pos], b.coeffs[pos]) for pos, b in zip(pivots, basis)]
+        recombined = QSeries.zero(image.prec)
+        for x, b in zip(coords, basis):
+            recombined = recombined + x * b.truncate(image.prec)
+        if recombined != image:
+            raise InconsistencyError("the map does not stabilize the span of the basis")
+        cols.append(coords)
+    return RatMatrix([[col[i] for col in cols] for i in range(len(basis))])
 
 
-def poly_eval_matrix(coeffs: list[Fraction], m: RatMatrix) -> RatMatrix:
-    """Evaluate a polynomial (low-to-high coefficients) at a square matrix."""
-    out = RatMatrix([[0] * m.cols for _ in range(m.rows)])
-    power = RatMatrix.identity(m.rows)
-    for c in coeffs:
-        if c != 0:
-            out = out + power.scale(c)
-        power = power @ m
+def eigen_split_2x2(m: RatMatrix) -> list[tuple]:
+    """Eigenvalues and eigenvectors ``[(lam, (v0, v1))]`` of a 2x2 rational matrix.
+
+    The eigenvalues are the roots ``(-c1 +- sqrt(c1**2 - 4*c0)) / 2`` of the
+    characteristic polynomial, + root first: rational, or a conjugate pair in
+    a real quadratic field.  Complex roots raise ``UnsupportedFieldError``.
+    """
+    (a, b), (c, d) = m.entries
+    c0, c1, _ = m.charpoly()
+    disc = c1 * c1 - 4 * c0
+    if disc < 0:
+        raise UnsupportedFieldError("complex eigenvalues cannot occur for these operators")
+    if b == 0 and c == 0:
+        # diagonal: the larger entry is the + root; a scalar matrix keeps both unit vectors
+        return [(a, (1, 0)), (d, (0, 1))] if a >= d else [(d, (0, 1)), (a, (1, 0))]
+    root = sqrt_rational(disc)
+    out = []
+    for lam in ((-c1 + root) / 2, (-c1 - root) / 2):
+        out.append((lam, (b, lam - a) if b != 0 else (lam - d, c)))
     return out

@@ -25,7 +25,7 @@ from .errors import (
     UsageError,
 )
 from .jacobi import JacobiForm
-from .numeric import QuadExt, divisors, is_prime, rat
+from .numeric import QuadExt, divisor_lists, exact_div, is_prime, rat
 from .qseries import RatMatrix
 
 SCHEMA_VERSION = 1
@@ -41,9 +41,6 @@ class SiegelIndex(NamedTuple):
     @property
     def disc(self) -> int:
         return 4 * self.n * self.m - self.r * self.r
-
-    def reduced(self) -> "SiegelIndex":
-        return SiegelIndex(*reduce_index(self.n, self.r, self.m))
 
 
 def reduce_index(n: int, r: int, m: int) -> tuple[int, int, int]:
@@ -192,11 +189,6 @@ class SiegelFourierTable:
 # the divisor-sum lift and the coefficient-relation checkers
 # ---------------------------------------------------------------------------
 
-def _divisor_table(bound: int) -> list[list[int]]:
-    """divisors(g) at index g for g = 1..bound: gcd(n, r, m) <= n <= bound on reduced indices."""
-    return [[]] + [divisors(g) for g in range(1, bound + 1)]
-
-
 def maass_lift(phi: JacobiForm, bound: int) -> SiegelFourierTable:
     """Lift an index-1 Jacobi form to a degree-2 table out to ``bound``.
 
@@ -211,7 +203,8 @@ def maass_lift(phi: JacobiForm, bound: int) -> SiegelFourierTable:
             required=needed,
         )
     k = phi.weight
-    divs = _divisor_table(bound)
+    # gcd(n, r, m) <= n <= bound on reduced indices
+    divs = divisor_lists(bound)
     entries = {}
     for idx in reduced_indices(bound):
         n, r, m = idx
@@ -249,7 +242,7 @@ def check_maass_space(table: SiegelFourierTable) -> CheckReport:
     the cusp support vanish on both sides).
     """
     k = table.weight
-    divs = _divisor_table(table.bound)
+    divs = divisor_lists(table.bound)
     checked = skipped = 0
     violations = []
     for idx in reduced_indices(table.bound):
@@ -456,12 +449,6 @@ class CosetClass(NamedTuple):
     def det(self) -> int:
         return self.d_a * self.d_d
 
-    def a_block(self, s: int):
-        return (
-            (s // self.d_a, 0),
-            (-(s * self.d_b) // (self.d_a * self.d_d), s // self.d_d),
-        )
-
 
 def _translation_classes(d_a, d_b, d_d):
     """Translation data over one D block: (size, generators, full enumeration basis).
@@ -540,7 +527,7 @@ def coset_classes(p: int, e: int = 1) -> tuple[CosetClass, ...]:
 
 
 class HeckeDoubleCoset:
-    """A complete family of right-coset representatives of one similitude."""
+    """The complete family of right cosets of one similitude, by coset class."""
 
     __slots__ = ("similitude", "classes")
 
@@ -554,110 +541,10 @@ class HeckeDoubleCoset:
     def __len__(self) -> int:
         return sum(c.size for c in self.classes)
 
-    def representatives(self) -> list:
-        """Explicit 4x4 integer matrices, one per right coset."""
-        s = self.similitude
-        reps = []
-        for cls in self.classes:
-            size, orders, gens = _translation_classes(cls.d_a, cls.d_b, cls.d_d)
-            a = cls.a_block(s)
-            offsets = [((0, 0), (0, 0))]
-            for g, o in zip(gens, orders):
-                offsets = [
-                    (
-                        (b[0][0] + c * g[0][0], b[0][1] + c * g[0][1]),
-                        (b[1][0] + c * g[1][0], b[1][1] + c * g[1][1]),
-                    )
-                    for b in offsets
-                    for c in range(o)
-                ]
-            for b in offsets:
-                reps.append(
-                    (
-                        (a[0][0], a[0][1], b[0][0], b[0][1]),
-                        (a[1][0], a[1][1], b[1][0], b[1][1]),
-                        (0, 0, cls.d_a, cls.d_b),
-                        (0, 0, 0, cls.d_d),
-                    )
-                )
-        return reps
-
 
 def coset_decomposition_Tp(p: int) -> HeckeDoubleCoset:
     """Right-coset family of the prime double coset; p**3+p**2+p+1 members."""
     return HeckeDoubleCoset(p, 1)
-
-
-def similitude_of(g) -> int:
-    """The similitude factor of an integral 4x4 symplectic-similitude matrix."""
-    n = 4
-    j = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
-    gt_j_g = [
-        [
-            sum(g[k][i] * sum(j[k][l] * g[l][jx] for l in range(n)) for k in range(n))
-            for jx in range(n)
-        ]
-        for i in range(n)
-    ]
-    lam = None
-    for i in range(n):
-        for jx in range(n):
-            expect = j[i][jx]
-            got = gt_j_g[i][jx]
-            if expect == 0:
-                if got != 0:
-                    raise UsageError("matrix is not a symplectic similitude")
-            else:
-                cand = got // expect
-                if cand * expect != got:
-                    raise UsageError("matrix is not a symplectic similitude")
-                if lam is None:
-                    lam = cand
-                elif lam != cand:
-                    raise UsageError("matrix is not a symplectic similitude")
-    if lam is None or lam <= 0:
-        raise UsageError("degenerate similitude")
-    return lam
-
-
-def _det3(m, rows, cols):
-    (a, b, c), (d, e, f), (g2, h2, i2) = (
-        [m[r][cols[0]], m[r][cols[1]], m[r][cols[2]]] for r in rows
-    )
-    return a * (e * i2 - f * h2) - b * (d * i2 - f * g2) + c * (d * h2 - e * g2)
-
-
-def coset_equivalent(g, h) -> bool:
-    """Whether two similitude matrices generate the same right coset.
-
-    Decided exactly over the integers: g h**(-1) is formed through the
-    adjugate of h and must be integral with trivial similitude.
-    """
-    rows = cols = (0, 1, 2, 3)
-    adj = [
-        [
-            (-1) ** (i + j)
-            * _det3(h, tuple(r for r in rows if r != j), tuple(c for c in cols if c != i))
-            for j in range(4)
-        ]
-        for i in range(4)
-    ]
-    det = sum(h[0][j] * adj[j][0] for j in range(4))
-    if det == 0:
-        return False
-    gamma = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            num = sum(g[i][k] * adj[k][j] for k in range(4))
-            if num % det:
-                return False
-            row.append(num // det)
-        gamma.append(row)
-    try:
-        return similitude_of(gamma) == 1
-    except UsageError:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -665,11 +552,13 @@ def coset_equivalent(g, h) -> bool:
 # ---------------------------------------------------------------------------
 
 def _prime_power(m: int) -> tuple[int, int]:
-    for e in (1, 2):
-        root = round(m ** (1 / e))
-        for cand in (root - 1, root, root + 1):
-            if cand >= 2 and cand**e == m and is_prime(cand):
-                return cand, e
+    """``(p, e)`` with ``m = p**e`` for a prime p and e in {1, 2}, in integers only."""
+    if is_prime(m):
+        return m, 1
+    if m > 0:
+        root = math.isqrt(m)
+        if root * root == m and is_prime(root):
+            return root, 2
     raise UsageError(f"Hecke index {m} is not p or p**2 for a prime p")
 
 
@@ -747,9 +636,7 @@ def hecke_eigenvalue(table: SiegelFourierTable, m: int):
         )
     fval = table.entries[probe]
     tval = transformed.entries.get(probe, 0)
-    mu = tval / fval if isinstance(tval, QuadExt) or isinstance(fval, QuadExt) else Fraction(
-        tval
-    ) / Fraction(fval)
+    mu = exact_div(tval, fval)
     for idx in reduced_indices(transformed.bound):
         if transformed.entries.get(idx, 0) != mu * table.entries.get(idx, 0):
             raise NotAnEigenformError(

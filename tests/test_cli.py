@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from sklift.cache import ExpansionCache
 from sklift.cli import main
+from sklift.elliptic import eigenforms
 
 
 @pytest.fixture
@@ -56,6 +58,39 @@ class TestLift:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "lift" in capsys.readouterr().out
+
+    def test_constraint_bound_flag_removed(self, capsys):
+        assert main(["--no-cache", "lift", "--weight", "10", "--constraint-bound", "40"]) == 2
+        assert "--constraint-bound" in capsys.readouterr().err
+
+    def test_plan_lines(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert main(["--no-cache", "lift", "--weight", "10", "--bound", "2", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == [
+            "plan: degree-2 index bound 2 (discriminants to 16)",
+            "plan: half-integral truncation 64, plus-space constraint bound 40",
+            "plan: elliptic truncation 16",
+        ]
+
+    def test_elliptic_entry_at_larger_truncation_is_served(self, tmp_path, table10):
+        # an elliptic entry stored at 8 * bound, as earlier versions wrote
+        # it, serves the truncation-16 request: no new elliptic entry
+        cache_dir = tmp_path / "old_cache"
+        ExpansionCache(cache_dir).store(
+            "elliptic", "eigenform_0", 18, 48, eigenforms(18, 48)[0].series.coeffs
+        )
+        out = tmp_path / "t.json"
+        assert main(["--cache-dir", str(cache_dir), "lift", "--weight", "10",
+                     "--bound", "6", "--out", str(out)]) == 0
+        assert out.read_text() == table10.read_text()
+        names = sorted(path.name for path in cache_dir.iterdir())
+        assert [n for n in names if n.startswith("elliptic")] == [
+            "elliptic__eigenform_0__w18__n48__s1.json"
+        ]
+        assert [n for n in names if n.startswith("kohnen")] == [
+            "kohnen__plus_basis_0__w10__n144__s1.json"
+        ]
 
     def test_minimal_bound(self, tmp_path, capsys):
         out = tmp_path / "b1.json"
@@ -186,6 +221,13 @@ class TestClassify:
         rc = main(["classify", str(rec_path), "--scan", "5"])
         assert rc == 1
         assert "INCONSISTENT" in capsys.readouterr().out
+
+    def test_default_scan_depth(self, tmp_path, capsys):
+        rec_path = tmp_path / "records.jsonl"
+        rec_path.write_text('{"weight": 10, "p": 2, "mu_p": "240", "mu_p2": "135424"}\n')
+        assert main(["--output", "json", "classify", str(rec_path)]) == 0
+        entry = json.loads(capsys.readouterr().out)["records"][0]
+        assert entry["growth"]["scan_depth"] == 50
 
     def test_malformed_line_numbered(self, tmp_path, capsys):
         rec_path = tmp_path / "records.jsonl"

@@ -13,8 +13,10 @@ from sklift.elliptic import (
     hecke_matrix,
 )
 from sklift.errors import TruncationError, UnsupportedFieldError, UsageError
-from sklift.numeric import QuadExt, divisors
+from sklift.numeric import QuadExt
 from sklift.qseries import QSeries
+
+from oracles import divisors
 
 # level-one cusp dimensions, frozen from the classical formula
 KNOWN_CUSP_DIMS = {

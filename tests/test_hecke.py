@@ -7,13 +7,13 @@ from sklift.siegel import (
     HeckeDoubleCoset,
     coset_classes,
     coset_decomposition_Tp,
-    coset_equivalent,
     hecke_eigenvalue,
     hecke_operator,
     maass_lift,
-    similitude_of,
     smith_normal_form,
 )
+
+from oracles import coset_equivalent, coset_representatives, similitude_of
 
 import random
 
@@ -54,16 +54,16 @@ class TestCosets:
         for p in (2, 3, 5):
             fam = coset_decomposition_Tp(p)
             assert len(fam) == p**3 + p**2 + p + 1, p
-            assert len(fam.representatives()) == len(fam)
+            assert len(coset_representatives(fam)) == len(fam)
 
     def test_similitudes(self):
         for p in (2, 3):
-            for g in coset_decomposition_Tp(p).representatives():
+            for g in coset_representatives(coset_decomposition_Tp(p)):
                 assert similitude_of(g) == p
 
     def test_pairwise_inequivalent(self):
         for p in (2, 3, 5):
-            reps = coset_decomposition_Tp(p).representatives()
+            reps = coset_representatives(coset_decomposition_Tp(p))
             for i in range(len(reps)):
                 for j in range(i + 1, len(reps)):
                     assert not coset_equivalent(reps[i], reps[j]), (p, i, j)
@@ -73,7 +73,7 @@ class TestCosets:
         fam = HeckeDoubleCoset(2, 2)
         p = 2
         assert len(fam) == p**6 + p**5 + 2 * p**4 + 2 * p**3 + p**2 + p + 1
-        for g in fam.representatives():
+        for g in coset_representatives(fam):
             assert similitude_of(g) == 4
 
     def test_prime_square_family_covers_all_three_double_cosets(self):
@@ -97,7 +97,7 @@ class TestCosets:
 
         for p in (2, 3):
             counts = Counter(
-                det_divisors(g) for g in HeckeDoubleCoset(p, 2).representatives()
+                det_divisors(g) for g in coset_representatives(HeckeDoubleCoset(p, 2))
             )
             assert counts == {
                 (1, 1): p**3 * (p**3 + p**2 + p + 1),
@@ -222,10 +222,10 @@ class TestHeckeAction:
             assert mu == 2**15 + 2**14 + lam
 
     def test_bad_index(self, lift10):
-        with pytest.raises(UsageError):
-            hecke_operator(lift10, 6)
-        with pytest.raises(UsageError):
-            hecke_operator(lift10, 8)
+        # decided in integers: a float root of -4 is complex, of 10**400 overflows
+        for m in (-4, 0, 1, 6, 8, 10**400):
+            with pytest.raises(UsageError):
+                hecke_operator(lift10, m)
 
     def test_prime_action_against_closed_form(self, lift10):
         # independent oracle: the classical four-branch coefficient formula

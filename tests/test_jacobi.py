@@ -1,7 +1,9 @@
 import pytest
 
 from sklift.errors import TruncationError, UsageError
-from sklift.jacobi import JacobiForm, plus_form_from_jacobi
+from sklift.jacobi import JacobiForm
+
+from oracles import plus_form_from_jacobi
 
 
 class TestEZLift:

@@ -1,7 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
 from sklift import qseries
-from sklift.elliptic import dim_cusp_forms, eigenform_field_poly, eigenforms
+from sklift.elliptic import dim_cusp_forms, eigenforms, hecke_matrix
 from sklift.errors import (
     DimensionMismatchError,
     NotAnEigenformError,
@@ -190,7 +193,7 @@ class TestPlusHecke:
         # operator on the corresponding integral-weight space
         for k, prec in ((10, 200), (12, 200), (16, 200)):
             plus_poly = plus_hecke_matrix(plus_space_basis(k, prec), 2).charpoly()
-            ell_poly = eigenform_field_poly(2 * k - 2, 24)
+            ell_poly = hecke_matrix(2 * k - 2, 2, 24).charpoly()
             assert plus_poly == ell_poly, k
 
     def test_not_an_eigenform_witness(self):
@@ -222,3 +225,42 @@ class TestShimura:
         g = plus_space_basis(16, 200)[0]
         with pytest.raises(NotAnEigenformError):
             shimura_match(g, eigenforms(30, 24))
+
+
+class TestFrozenEigenforms:
+    """Digests of the coefficient lists as the separate elliptic and
+    plus-space eigen-splits produced them; the shared helpers must
+    reproduce them exactly."""
+
+    ELLIPTIC = {
+        12: "cbca5fcbb520a9824b100d823084b5b82522739e541977a364a8511b583c3719",
+        14: "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        16: "26fea60c36fa94b1ac078f7dd447c95d191a05ac194a4fd90c73603afea3cc46",
+        18: "522fa74f8e7f84aa5e19179f5bd410c56f88b0f7544e647dc038bc979cb2208a",
+        20: "bb58e80f2262dc7ac00267aa618088f62a3b3cb6674c083fa5d547f409e0edb0",
+        22: "c41458c2b45736a4cb7acfc6e551a3b7463f11d4d397caf0ec5c3c6e807a3b68",
+        24: "0a7af919719bd1036255391c127388203a5e9c6b73effcf16f817b8a5d58a030",
+        26: "a629cb4b02f497d25b925a476aadd99c52b98bd450a098309171ac6d111b957a",
+        28: "283fea3a34f6f404237c7d7534d6bf2ceff84353ff97bc8b13286b1ea78365ee",
+        30: "7ded20d2ce0586aff221d11ad22d3564d25fc4699a6c5d99c72d24689d9bb9ee",
+        32: "65b99412045b6f2bcb35b4f69ff30939100d08df6bf0acec4174a223f5d1a1e9",
+        34: "7eddd2110d97910954302ff8e30b7af3254ac774b02ddf9f43d5fb2369609b29",
+    }
+    PLUS = {
+        10: "bab9e3e33bec8530aac8b5a79a4033f46a5d4dc24af2db99bec5fddf37801c64",
+        12: "a289720a256c9a04d9ba3553eaaf3574159bf0049bd149b7288b128e9669d4aa",
+        14: "dd6701425e3494bb6579c2f249e1398fb763b1e720797357aece748d1937cabd",
+        16: "295bc7ca44174b82d62abe1bc1bb57973ca7a9eb86b946df046c22088d606440",
+    }
+
+    @staticmethod
+    def digest(lists):
+        return hashlib.sha256(json.dumps([[str(c) for c in cs] for cs in lists]).encode()).hexdigest()
+
+    def test_elliptic_eigenforms(self):
+        for w, want in self.ELLIPTIC.items():
+            assert self.digest([f.series.coeffs for f in eigenforms(w, 24)]) == want, w
+
+    def test_plus_eigenforms(self):
+        for k, want in self.PLUS.items():
+            assert self.digest([g.series.coeffs for g, _ in plus_eigenforms(k, 200)]) == want, k

@@ -14,16 +14,18 @@ from sklift.numeric import (
     bernoulli_number,
     cmp_halfpower,
     cmp_sqrt_multiple,
-    divisors,
+    divisor_lists,
+    exact_div,
     factorize,
     fpow,
     is_prime,
     kronecker_symbol,
-    sigma,
     sqrt_rational,
     squarefree_core,
     value_sign,
 )
+
+from oracles import divisors, sigma
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -83,6 +85,21 @@ class TestElementary:
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
         assert sigma(1, 6) == 12
         assert sigma(3, 2) == 9
+
+    def test_divisor_sieve_matches_factorization(self):
+        lists = divisor_lists(2000)
+        assert lists[0] == []
+        assert all(lists[n] == divisors(n) for n in range(1, 2001))
+        assert divisor_lists(0) == [[]]
+
+    def test_exact_div(self):
+        assert exact_div(3, 6) == Fraction(1, 2)
+        assert type(exact_div(4, 2)) is Fraction
+        root = QuadExt(1, 1, 5)
+        assert exact_div(root, 2) == QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
+        assert exact_div(4, root) == QuadExt(-1, 1, 5)  # 4 / (1 + sqrt5) = sqrt5 - 1
+        with pytest.raises(ZeroDivisionError):
+            exact_div(1, 0)
 
     def test_squarefree_core(self):
         assert squarefree_core(18) == (3, 2)
@@ -201,6 +218,9 @@ class TestHalfPower:
     def test_abs_within(self):
         assert abs_within(Fraction(-11), 1, HalfPower(2, 7))  # |−11| <= 11.31
         assert not abs_within(Fraction(-12), 1, HalfPower(2, 7))
+        assert abs_within(Fraction(-4), 1, HalfPower(2, 4)) and not abs_within(5, 1, HalfPower(2, 4))
+        with pytest.raises(ValueError):  # the scale is refused as in cmp_halfpower
+            abs_within(0, -1, HalfPower(2, 4))
 
     def test_cmp_sqrt_multiple_signs(self):
         assert cmp_sqrt_multiple(Fraction(0), Fraction(-1), 2) > 0

@@ -5,9 +5,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sklift.errors import TruncationError, UsageError
+from sklift.errors import InconsistencyError, TruncationError, UnsupportedFieldError, UsageError
 from sklift.numeric import QuadExt, sqrt_rational
-from sklift.qseries import QSeries, RatMatrix, _kronecker, _pack, _schoolbook, poly_eval_matrix
+from sklift.qseries import (
+    QSeries,
+    RatMatrix,
+    _kronecker,
+    _pack,
+    _schoolbook,
+    eigen_split_2x2,
+    staircase_matrix,
+)
+
+from oracles import poly_eval_matrix, series_inverse, solve
 
 small_rationals = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=6
@@ -82,10 +92,10 @@ class TestQSeries:
                 if e in (0, 1, 2, 3, 7, 19):
                     assert base**e == product
                 product = product * base
-        inv = s.inverse()
+        inv = series_inverse(s)
         assert (s * inv).coeffs == [1, 0, 0, 0, 0, 0, 0]
         with pytest.raises(UsageError):
-            QSeries([0, 1], 3).inverse()
+            series_inverse(QSeries([0, 1], 3))
 
     def test_quadext_coefficients(self):
         root = QuadExt(0, 1, 5)
@@ -194,10 +204,10 @@ class TestRatMatrix:
 
     def test_solve(self):
         m = RatMatrix([[2, 0], [1, 1], [0, 3]])
-        x = m.solve([4, 5, 9])
+        x = solve(m, [4, 5, 9])
         assert x == [Fraction(2), Fraction(3)]
         with pytest.raises(UsageError):
-            m.solve([4, 5, 10])
+            solve(m, [4, 5, 10])
 
     @given(matrices)
     @settings(max_examples=100, deadline=None)
@@ -218,3 +228,64 @@ class TestRatMatrix:
     @settings(max_examples=60, deadline=None)
     def test_cayley_hamilton(self, m):
         assert poly_eval_matrix(m.charpoly(), m).is_zero()
+
+
+class TestStaircaseMatrix:
+    # pivots 1 and 2, leading coefficients 2 and 1, each zero at the other's pivot
+    BASIS = [QSeries([0, 2, 0, 4]), QSeries([0, 0, 1, 5])]
+
+    def test_coordinates_and_transpose(self):
+        images = [QSeries([0, 6, 1, 17]), QSeries([0, 0, 2, 10])]  # 3 b0 + b1, 2 b1
+        assert staircase_matrix(self.BASIS, images, 2) == RatMatrix([[3, 0], [1, 2]])
+        assert staircase_matrix([], [], 2) == RatMatrix([])
+
+    def test_image_outside_the_span(self):
+        with pytest.raises(InconsistencyError):
+            staircase_matrix(self.BASIS, [QSeries([0, 6, 1, 0]), QSeries([0, 0, 2, 10])], 2)
+
+    def test_short_image(self):
+        with pytest.raises(TruncationError) as info:
+            staircase_matrix(self.BASIS, [QSeries([0, 6]), QSeries([0, 0])], 4)
+        assert info.value.required == 8  # scale 4 times the last pivot 2
+
+    def test_not_a_staircase(self):
+        with pytest.raises(InconsistencyError):
+            staircase_matrix([QSeries([0, 1, 0]), QSeries([0, 1, 1])], [], 1)
+        with pytest.raises(UsageError):
+            staircase_matrix([QSeries([0, 0, 0])], [], 1)
+
+
+class TestEigenSplit:
+    def check(self, entries, want_lams):
+        m = RatMatrix(entries)
+        pairs = eigen_split_2x2(m)
+        assert [lam for lam, _ in pairs] == want_lams
+        (a, b), (c, d) = m.entries
+        for lam, (v0, v1) in pairs:
+            assert v0 != 0 or v1 != 0
+            assert a * v0 + b * v1 == lam * v0 and c * v0 + d * v1 == lam * v1
+        (_, (x0, x1)), (_, (y0, y1)) = pairs
+        assert x0 * y1 - x1 * y0 != 0  # an eigenbasis
+        return pairs
+
+    def test_general_irrational(self):
+        (lam1, _), (lam2, _) = self.check([[1, 2], [3, 4]], [
+            QuadExt(Fraction(5, 2), Fraction(1, 2), 33), QuadExt(Fraction(5, 2), Fraction(-1, 2), 33)
+        ])
+        assert lam1 > lam2
+
+    def test_upper_triangular(self):
+        self.check([[2, 5], [0, -1]], [2, -1])
+        self.check([[-1, 5], [0, 2]], [2, -1])
+
+    def test_lower_triangular(self):
+        self.check([[2, 0], [5, -1]], [2, -1])
+        self.check([[-1, 0], [5, 2]], [2, -1])
+
+    def test_diagonal_and_scalar(self):
+        assert self.check([[1, 0], [0, 4]], [4, 1]) == [(4, (0, 1)), (1, (1, 0))]
+        assert self.check([[3, 0], [0, 3]], [3, 3]) == [(3, (1, 0)), (3, (0, 1))]
+
+    def test_complex_spectrum_refused(self):
+        with pytest.raises(UnsupportedFieldError):
+            eigen_split_2x2(RatMatrix([[0, -1], [1, 0]]))

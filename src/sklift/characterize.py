@@ -179,16 +179,6 @@ class SatakeParams:
     x: object | None
     y: object | None
 
-    def reconstruct(self) -> EigenvalueRecord:
-        """Invert the construction: the (mu_p, mu_p2) this data came from."""
-        k, p = self.weight, self.p
-        w, c = self.trace_scaled, self.pair_product
-        u_sq = p * w * w
-        v = u_sq - c - 2 - Fraction(1, p)
-        mu_p = _simplify(fpow(p, k - 1) * w)
-        mu_p2 = _simplify(fpow(p, 2 * k - 3) * v)
-        return EigenvalueRecord(k, p, mu_p, mu_p2)
-
     def to_json_dict(self) -> dict:
         return {
             "classification": self.classification,

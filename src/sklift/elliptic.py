@@ -185,7 +185,10 @@ def hecke_Tp(f: EllipticForm, p: int) -> EllipticForm:
 
 def hecke_matrix(weight: int, p: int, prec: int) -> RatMatrix:
     """Matrix of T(p) on the echelonized cusp basis, fully verified."""
-    basis = cusp_basis(weight, prec)
+    return _hecke_matrix_on(cusp_basis(weight, prec), p)
+
+
+def _hecke_matrix_on(basis: list[EllipticForm], p: int) -> RatMatrix:
     return staircase_matrix([f.series for f in basis], [hecke_Tp(f, p).series for f in basis], p)
 
 
@@ -208,7 +211,7 @@ def eigenforms(weight: int, prec: int) -> list[EllipticEigenform]:
             "eigenvalue fields beyond degree 2 are not supported"
         )
     out = []
-    for lam, (v0, v1) in eigen_split_2x2(hecke_matrix(weight, 2, prec)):
+    for lam, (v0, v1) in eigen_split_2x2(_hecke_matrix_on(basis, 2)):
         series = v0 * basis[0].series + v1 * basis[1].series
         lead = series.coefficient(1)
         if lead == 0:

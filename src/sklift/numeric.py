@@ -213,9 +213,6 @@ class QuadExt:
     def conjugate(self) -> "QuadExt":
         return QuadExt(self.a, -self.b, self.d)
 
-    def norm(self) -> Fraction:
-        return self.a * self.a - self.b * self.b * self.d
-
     # -- coercion ------------------------------------------------------
 
     def _coerce(self, other):

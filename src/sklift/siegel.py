@@ -94,36 +94,31 @@ class SiegelFourierTable:
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("tables are immutable; build a new one")
 
+    def _lookup(self, n: int, r: int, m: int):
+        """``(A(n, r, m), reduced key)``; the value is None beyond the bound.
+
+        Off the cusp support the value is 0 and the key None.
+        """
+        if n <= 0 or m <= 0 or 4 * n * m - r * r <= 0:
+            return 0, None
+        key = reduce_index(n, r, m)
+        if key[2] > self.bound:
+            return None, key
+        return self.entries.get(key, 0), key
+
     def value(self, n: int, r: int, m: int):
         """A(n, r, m); zero outside the cusp support, error beyond the bound."""
-        if n <= 0 or m <= 0 or 4 * n * m - r * r <= 0:
-            return 0
-        idx = SiegelIndex(*reduce_index(n, r, m))
-        if idx.m > self.bound:
+        val, key = self._lookup(n, r, m)
+        if val is None:
             raise TruncationError(
-                f"index {(n, r, m)} reduces to {tuple(idx)} beyond bound {self.bound}",
-                required=idx.m,
+                f"index {(n, r, m)} reduces to {key} beyond bound {self.bound}",
+                required=key[2],
             )
-        return self.entries.get(idx, 0)
+        return val
 
     def try_value(self, n: int, r: int, m: int):
         """Like ``value`` but returns None when the index is beyond the bound."""
-        try:
-            return self.value(n, r, m)
-        except TruncationError:
-            return None
-
-    def scaled(self, factor) -> "SiegelFourierTable":
-        return SiegelFourierTable(
-            self.weight, self.bound, {k: v * factor for k, v in self.entries.items()}
-        )
-
-    def perturbed(self, index, delta) -> "SiegelFourierTable":
-        """A copy with one reduced coefficient shifted by ``delta``."""
-        idx = SiegelIndex(*reduce_index(*index))
-        entries = dict(self.entries)
-        entries[idx] = entries.get(idx, 0) + delta
-        return SiegelFourierTable(self.weight, self.bound, entries)
+        return self._lookup(n, r, m)[0]
 
     def __eq__(self, other):
         if not isinstance(other, SiegelFourierTable):

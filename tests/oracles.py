@@ -1,20 +1,30 @@
 """Reference code that only the tests call.
 
 Slow or independent implementations the tests compare the library against,
-and the explicit coset matrices that pin the Hecke operators' coset classes.
+the table edits the tests build bad input with, and the explicit coset
+matrices that pin the Hecke operators' coset classes.
 None of it is on the lift chain.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from sklift.errors import UsageError
+from sklift.characterize import EigenvalueRecord, SatakeParams, _simplify
+from sklift.errors import TruncationError, UsageError
 from sklift.jacobi import JacobiForm
 from sklift.kohnen import PlusSpaceForm
-from sklift.numeric import QuadExt, factorize, rat
+from sklift.numeric import QuadExt, factorize, fpow, is_prime, rat
 from sklift.qseries import QSeries, RatMatrix
-from sklift.siegel import HeckeDoubleCoset, _translation_classes
+from sklift.siegel import (
+    CheckReport,
+    HeckeDoubleCoset,
+    SiegelFourierTable,
+    SiegelIndex,
+    _translation_classes,
+    reduce_index,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -32,6 +42,11 @@ def divisors(n: int) -> list[int]:
 def sigma(power: int, n: int) -> int:
     """Divisor sum sigma_power(n)."""
     return sum(d**power for d in divisors(n))
+
+
+def norm(x: QuadExt) -> Fraction:
+    """The field norm a**2 - d * b**2 of ``x = a + b*sqrt(d)``."""
+    return x.a * x.a - x.b * x.b * x.d
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +104,93 @@ def plus_form_from_jacobi(phi: JacobiForm) -> PlusSpaceForm:
     for disc, v in phi.by_disc.items():
         coeffs[disc] = v
     return PlusSpaceForm(phi.weight, QSeries(coeffs, phi.max_disc))
+
+
+# ---------------------------------------------------------------------------
+# Siegel tables: edits and the lookup by exception
+# ---------------------------------------------------------------------------
+
+def scaled(table: SiegelFourierTable, factor) -> SiegelFourierTable:
+    """A copy with every coefficient multiplied by ``factor``."""
+    return SiegelFourierTable(
+        table.weight, table.bound, {k: v * factor for k, v in table.entries.items()}
+    )
+
+
+def perturbed(table: SiegelFourierTable, index, delta) -> SiegelFourierTable:
+    """A copy with one reduced coefficient shifted by ``delta``."""
+    idx = SiegelIndex(*reduce_index(*index))
+    entries = dict(table.entries)
+    entries[idx] = entries.get(idx, 0) + delta
+    return SiegelFourierTable(table.weight, table.bound, entries)
+
+
+def value(table: SiegelFourierTable, n: int, r: int, m: int):
+    """A(n, r, m); zero outside the cusp support, error beyond the bound."""
+    if n <= 0 or m <= 0 or 4 * n * m - r * r <= 0:
+        return 0
+    idx = SiegelIndex(*reduce_index(n, r, m))
+    if idx.m > table.bound:
+        raise TruncationError(
+            f"index {(n, r, m)} reduces to {tuple(idx)} beyond bound {table.bound}",
+            required=idx.m,
+        )
+    return table.entries.get(idx, 0)
+
+
+def try_value(table: SiegelFourierTable, n: int, r: int, m: int):
+    """``value``, with None for an index beyond the bound."""
+    try:
+        return value(table, n, r, m)
+    except TruncationError:
+        return None
+
+
+def check_maass_p_space(table: SiegelFourierTable, p: int) -> CheckReport:
+    """The single-prime relation checker, each lookup through ``try_value`` above."""
+    if not is_prime(p):
+        raise UsageError(f"{p} is not prime")
+    k = table.weight
+    pk = p ** (k - 1)
+    top = p * table.bound
+    checked = skipped = 0
+    violations = []
+    for n in range(1, top + 1):
+        for m in range(1, top + 1):
+            rmax = math.isqrt(4 * n * m * p)
+            for r in range(rmax + 1):
+                t1 = try_value(table, n * p, r, m)
+                t4 = try_value(table, n, r, m * p)
+                t2 = 0
+                if n % p == 0 and r % p == 0:
+                    t2 = try_value(table, n // p, r // p, m)
+                t3 = 0
+                if r % p == 0 and m % p == 0:
+                    t3 = try_value(table, n, r // p, m // p)
+                if t1 is None or t2 is None or t3 is None or t4 is None:
+                    skipped += 1
+                    continue
+                checked += 1
+                lhs = t1 + pk * t2
+                rhs = pk * t3 + t4
+                if lhs != rhs:
+                    violations.append(((n, r, m), lhs, rhs))
+    return CheckReport("maass-p", p, table.bound, checked, skipped, tuple(violations))
+
+
+# ---------------------------------------------------------------------------
+# classification
+# ---------------------------------------------------------------------------
+
+def reconstruct(sp: SatakeParams) -> EigenvalueRecord:
+    """Invert the construction: the (mu_p, mu_p2) the Satake data came from."""
+    k, p = sp.weight, sp.p
+    w, c = sp.trace_scaled, sp.pair_product
+    u_sq = p * w * w
+    v = u_sq - c - 2 - Fraction(1, p)
+    mu_p = _simplify(fpow(p, k - 1) * w)
+    mu_p2 = _simplify(fpow(p, 2 * k - 3) * v)
+    return EigenvalueRecord(k, p, mu_p, mu_p2)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ from sklift.siegel import (
     hecke_eigenvalue,
 )
 
+from oracles import perturbed
+
 
 def report(n, text):
     print(f"ACCEPTANCE {n}: PASS - {text}")
@@ -144,7 +146,7 @@ def test_criterion_7_structural_invariants():
 
 
 def test_criterion_8_negative_controls(lift10_b6):
-    bad = lift10_b6.perturbed((2, 2, 2), 1)
+    bad = perturbed(lift10_b6, (2, 2, 2), 1)
     rep = check_maass_space(bad)
     assert not rep.ok
     assert [v[0] for v in rep.violations] == [(2, 2, 2)]

@@ -27,7 +27,7 @@ from sklift.errors import UsageError
 from sklift.numeric import QuadExt, value_sign
 from sklift.qseries import QSeries
 
-from oracles import series_inverse
+from oracles import reconstruct, scaled, series_inverse
 
 SK10 = EigenvalueRecord(10, 2, 240, 135424)
 
@@ -82,7 +82,7 @@ class TestSolveSatake:
             else:
                 rec = record_from_pair(k, p, random_trace(rng, -5, 5), random_trace(rng, -5, 5))
             sp = solve_satake(rec)
-            back = sp.reconstruct()
+            back = reconstruct(sp)
             assert value_sign(back.mu_p - rec.mu_p) == 0
             assert value_sign(back.mu_p2 - rec.mu_p2) == 0
 
@@ -159,9 +159,9 @@ class TestTheorem41:
         # eigenvalues are ratios, so rescaling the table cannot move the verdict
         from sklift.siegel import hecke_eigenvalue
 
-        scaled = lift10.scaled(Fraction(355, 113))
+        rescaled = scaled(lift10, Fraction(355, 113))
         rec = EigenvalueRecord(
-            10, 2, hecke_eigenvalue(scaled, 2), hecke_eigenvalue(scaled, 4)
+            10, 2, hecke_eigenvalue(rescaled, 2), hecke_eigenvalue(rescaled, 4)
         )
         assert rec == SK10
         assert theorem41(rec).verdict == SK_TYPE

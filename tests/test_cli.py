@@ -6,6 +6,8 @@ from sklift.cache import ExpansionCache
 from sklift.cli import main
 from sklift.elliptic import eigenforms
 
+from oracles import scaled
+
 
 @pytest.fixture
 def table10(tmp_path):
@@ -33,7 +35,7 @@ class TestLift:
         text = json.dumps(lift10_b6.to_json_dict())
         assert table10.read_text(encoding="utf-8") == text
         # integer and Fraction entries serialize alike
-        assert json.dumps(lift10_b6.scaled(Fraction(1)).to_json_dict()) == text
+        assert json.dumps(scaled(lift10_b6, Fraction(1)).to_json_dict()) == text
 
     def test_cache_reuse_is_bitwise_identical(self, tmp_path, table10):
         again = tmp_path / "t10_again.json"

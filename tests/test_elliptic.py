@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from sklift import elliptic
 from sklift.elliptic import (
     cusp_basis,
     delta,
@@ -153,3 +154,14 @@ class TestEigenforms:
 
     def test_empty_space(self):
         assert eigenforms(14, 16) == []
+
+    def test_two_dimensional_space_builds_one_basis(self, monkeypatch):
+        calls = []
+
+        def counted(weight, prec):
+            calls.append((weight, prec))
+            return cusp_basis(weight, prec)
+
+        monkeypatch.setattr(elliptic, "cusp_basis", counted)
+        assert len(eigenforms(24, 200)) == 2
+        assert calls == [(24, 200)]

@@ -13,7 +13,13 @@ from sklift.siegel import (
     smith_normal_form,
 )
 
-from oracles import coset_equivalent, coset_representatives, similitude_of
+from oracles import (
+    coset_equivalent,
+    coset_representatives,
+    perturbed,
+    scaled,
+    similitude_of,
+)
 
 import random
 
@@ -174,18 +180,18 @@ class TestHeckeAction:
             hecke_eigenvalue(zero, 2)
 
     def test_eigenvalue_scaling_invariance(self, lift10):
-        scaled = lift10.scaled(Fraction(-7, 13))
-        assert hecke_eigenvalue(scaled, 2) == 240
-        assert hecke_eigenvalue(scaled, 4) == 135424
+        rescaled = scaled(lift10, Fraction(-7, 13))
+        assert hecke_eigenvalue(rescaled, 2) == 240
+        assert hecke_eigenvalue(rescaled, 4) == 135424
 
     def test_perturbed_table_not_eigenform(self, lift10):
-        bad = lift10.perturbed((1, 1, 1), 1)
+        bad = perturbed(lift10, (1, 1, 1), 1)
         with pytest.raises(NotAnEigenformError) as err:
             hecke_eigenvalue(bad, 2)
         assert err.value.witness is not None
 
     def test_operators_commute_on_non_eigenform(self, lift10):
-        bad = lift10.perturbed((1, 0, 1), 3)
+        bad = perturbed(lift10, (1, 0, 1), 3)
         ab = hecke_operator(hecke_operator(bad, 4), 2)
         ba = hecke_operator(hecke_operator(bad, 2), 4)
         assert ab == ba
@@ -264,5 +270,5 @@ class TestHeckeAction:
                     for idx in reduced_indices(2 * p)
                 },
             )
-            for table in (lift10, lift10.perturbed((1, 1, 1), 5), random_table):
+            for table in (lift10, perturbed(lift10, (1, 1, 1), 5), random_table):
                 assert hecke_operator(table, p) == closed_form(table, p), p

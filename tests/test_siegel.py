@@ -16,6 +16,9 @@ from sklift.siegel import (
     reduced_indices,
 )
 
+import oracles
+from oracles import perturbed, scaled
+
 
 def unimodular_image(n, r, m, u):
     a, b, c, d = u
@@ -109,6 +112,64 @@ class TestTable:
             SiegelFourierTable.from_json_dict({"schema_version": 99})
 
 
+def outcome(lookup, *args):
+    """What a lookup did: its value and type, or its exception's type, text and ``required``."""
+    try:
+        got = lookup(*args)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc), getattr(exc, "required", None))
+    return ("returned", type(got), got)
+
+
+any_triples = st.tuples(*(
+    st.one_of(st.integers(min_value=-30, max_value=30), st.integers(min_value=-10**9, max_value=10**9))
+    for _ in range(3)
+))
+
+
+class TestLookupOracle:
+    """The arithmetic lookup against the raise-and-catch one it replaced."""
+
+    EXAMPLES = [
+        (1, 1, 1), (2, 1, 1), (1, -1, 1), (1, 5, 1), (-1, 0, -1), (0, 0, 3), (1, 2, 1),
+        (1, 0, 7), (7, 0, 7), (3, 7, 6), (6, -6, 6), (6, 0, 7), (10, 3, -4),
+    ]
+
+    @staticmethod
+    def assert_agree(table, t):
+        assert outcome(table.value, *t) == outcome(oracles.value, table, *t), t
+        assert outcome(table.try_value, *t) == outcome(oracles.try_value, table, *t), t
+
+    def test_examples(self, lift10_b6):
+        for t in self.EXAMPLES:
+            self.assert_agree(lift10_b6, t)
+        with pytest.raises(TruncationError) as err:
+            lift10_b6.value(7, 0, 7)
+        assert str(err.value) == "index (7, 0, 7) reduces to (7, 0, 7) beyond bound 6"
+        assert err.value.required == 7
+
+    @given(any_triples, st.sampled_from([Fraction(1), Fraction(-7, 3)]))
+    @settings(max_examples=400, deadline=None)
+    def test_any_triple(self, lift10_b6, t, factor):
+        self.assert_agree(scaled(lift10_b6, factor), t)
+
+    @pytest.mark.parametrize("bound", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("bad", [False, True], ids=["clean", "perturbed"])
+    def test_p_space_reports(self, jacobi10, bound, bad):
+        table = maass_lift(jacobi10, bound)
+        if bad:
+            table = perturbed(perturbed(table, (1, 1, 1), 1), (2, 1, bound), Fraction(1, 3))
+        violations = []
+        for p in (2, 3, 5):
+            got, want = check_maass_p_space(table, p), oracles.check_maass_p_space(table, p)
+            assert (got.kind, got.p, got.bound) == (want.kind, want.p, want.bound)
+            assert got.checked == want.checked, p
+            assert got.skipped == want.skipped, p
+            assert got.violations == want.violations, p
+            violations += got.violations
+        assert bool(violations) == bad
+
+
 class TestMaassLift:
     def test_single_divisor_cases(self, lift10, jacobi10):
         assert lift10.value(1, 1, 1) == jacobi10.coeff(1, 1)
@@ -142,7 +203,7 @@ class TestMaassSpaceCheck:
         assert rep.ok
 
     def test_perturbation_gives_exact_violation_set(self, lift10):
-        bad = lift10.perturbed((2, 2, 2), 1)
+        bad = perturbed(lift10, (2, 2, 2), 1)
         rep = check_maass_space(bad)
         assert [v[0] for v in rep.violations] == [(2, 2, 2)]
         idx, lhs, rhs = rep.violations[0]
@@ -168,17 +229,17 @@ class TestMaassPSpaceCheck:
     def test_reduction_symmetric_instance(self, lift10):
         # the (1,1,1) instance at p=2 compares two lookups that reduce to the
         # same class, so it can never fire, even on a perturbed table
-        bad = lift10.perturbed((1, 1, 2), 7)
+        bad = perturbed(lift10, (1, 1, 2), 7)
         rep = check_maass_p_space(bad, 2)
         assert ((1, 1, 1)) not in [v[0] for v in rep.violations]
 
     def test_maass_violation_implies_p_space_violation(self, lift10_b6):
-        bad = lift10_b6.perturbed((1, 1, 1), 1)
+        bad = perturbed(lift10_b6, (1, 1, 1), 1)
         assert not check_maass_space(bad).ok
         hits = [p for p in (2, 3, 5) if not check_maass_p_space(bad, p).ok]
         assert hits, "no single-prime relation caught the perturbation"
 
     def test_scaling_invariance_of_checks(self, lift10_b6):
-        scaled = lift10_b6.scaled(Fraction(7, 3))
-        assert check_maass_space(scaled).ok
-        assert check_maass_p_space(scaled, 2).ok
+        rescaled = scaled(lift10_b6, Fraction(7, 3))
+        assert check_maass_space(rescaled).ok
+        assert check_maass_p_space(rescaled, 2).ok

@@ -99,23 +99,29 @@ def parse_exact(text) -> Fraction:
 
 def load_records(path) -> list[EigenvalueRecord]:
     """Read newline-delimited JSON records; errors carry the line number."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read records file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"records file {path} is not UTF-8: {exc}") from exc
     records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                rec = EigenvalueRecord(
-                    weight=int(data["weight"]),
-                    p=int(data["p"]),
-                    mu_p=parse_exact(data["mu_p"]),
-                    mu_p2=parse_exact(data["mu_p2"]),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise UsageError(f"{path}:{lineno}: bad record ({exc})") from exc
-            records.append(rec)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            data = json.loads(line)
+            rec = EigenvalueRecord(
+                weight=int(data["weight"]),
+                p=int(data["p"]),
+                mu_p=parse_exact(data["mu_p"]),
+                mu_p2=parse_exact(data["mu_p2"]),
+            )
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"{path}:{lineno}: bad record ({exc})") from exc
+        records.append(rec)
     return records
 
 

@@ -10,7 +10,8 @@ classify  run the single-prime criteria, spectral solve, growth and sign
           scans over an eigenvalue-record file
 
 Exit codes: 0 success, 1 violations/eigenform failures found, 2 usage or
-input errors, 3 internal inconsistency (an exact cross-check failed).
+input errors (malformed or unreadable input files and unwritable outputs
+included), 3 internal inconsistency (an exact cross-check failed).
 """
 
 from __future__ import annotations
@@ -146,9 +147,28 @@ def _load_table(path: str) -> SiegelFourierTable:
             data = json.load(handle)
     except OSError as exc:
         raise UsageError(f"cannot read table file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"table file {path} is not UTF-8: {exc}") from exc
+    except ValueError as exc:  # bad JSON, or an integer past the digit limit
         raise UsageError(f"table file {path} is not valid JSON: {exc}") from exc
-    return SiegelFourierTable.from_json_dict(data)
+    try:
+        return SiegelFourierTable.from_json_dict(data)
+    except UsageError as exc:
+        raise UsageError(f"table file {path}: {exc}") from exc
+
+
+def _check_out_dir(path: str) -> None:
+    """Refuse an output path in a missing directory before any work is done."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise UsageError(f"cannot write {path}: no directory {parent}")
+
+
+def _open_out(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +178,11 @@ def _load_table(path: str) -> SiegelFourierTable:
 def cmd_lift(config: RunConfig, args) -> int:
     if args.bound < 1:
         raise UsageError("--bound must be at least 1")
+    out_path = args.out or f"sk_lift_w{args.weight}_b{args.bound}.json"
+    _check_out_dir(out_path)
     log = (lambda s: None) if config.output != "human" else lambda s: print(s)
     table = build_lift(config, args.weight, args.bound, log)
-    out_path = args.out or f"sk_lift_w{args.weight}_b{args.bound}.json"
-    with open(out_path, "w", encoding="utf-8") as handle:
+    with _open_out(out_path) as handle:
         json.dump(table.to_json_dict(), handle, cls=OneShotEncoder)
     payload = {
         "table": out_path,
@@ -239,6 +260,8 @@ def _parse_primes(text: str) -> tuple:
 def cmd_eigen(config: RunConfig, args) -> int:
     table = _load_table(args.table)
     primes = _parse_primes(args.primes)
+    if args.out:
+        _check_out_dir(args.out)
     need = max(p * p for p in primes)
     if table.bound < need:
         raise UsageError(
@@ -258,7 +281,7 @@ def cmd_eigen(config: RunConfig, args) -> int:
         )
         csv_rows.append([rec.weight, rec.p, format_exact(rec.mu_p), format_exact(rec.mu_p2)])
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with _open_out(args.out) as handle:
             for rec in records:
                 handle.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
         lines.append(f"wrote {args.out}")

@@ -4,8 +4,11 @@ A table stores coefficients at canonically reduced index triples (n, r, m)
 with 0 <= r <= n <= m; lookups at arbitrary triples route through binary
 form reduction.  On top of the tables this module provides the divisor-sum
 lift from index-1 Jacobi forms, the two coefficient-relation checkers, and
-the similitude-p / similitude-p**2 Hecke operators realized through explicit
-right-coset families acting by index remapping with exact character sums.
+the similitude-p / similitude-p**2 Hecke operators.  The operators sum over
+classes of block upper-triangular right cosets, one class per lower-right
+block D = [[d_a, d_b], [0, d_d]], acting by index remapping; a class's size,
+d_a * d_d * gcd(d_a, d_b, d_d), and the test for its character being trivial
+at a source index are closed forms in D.
 
 Operator normalization is the one pinned by the eigenvalue contract: on a
 lifted form the prime eigenvalue equals p**(k-1) + p**(k-2) + a(p), with
@@ -26,7 +29,6 @@ from .errors import (
 )
 from .jacobi import JacobiForm
 from .numeric import QuadExt, divisor_lists, exact_div, is_prime, rat
-from .qseries import RatMatrix
 
 SCHEMA_VERSION = 1
 
@@ -78,6 +80,8 @@ class SiegelFourierTable:
     __slots__ = ("weight", "bound", "entries")
 
     def __init__(self, weight: int, bound: int, entries: dict):
+        if weight < 1:
+            raise UsageError(f"table weight {weight} is below 1")
         clean = {}
         for key, value in entries.items():
             idx = SiegelIndex(*key)
@@ -164,7 +168,9 @@ class SiegelFourierTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SiegelFourierTable":
-        if not isinstance(data, dict) or data.get("schema_version") != SCHEMA_VERSION:
+        if not isinstance(data, dict):
+            raise UsageError(f"a table is a JSON object, not a {type(data).__name__}")
+        if data.get("schema_version") != SCHEMA_VERSION:
             raise UsageError(
                 f"unsupported table schema {data.get('schema_version')!r}; "
                 f"expected {SCHEMA_VERSION}"
@@ -175,7 +181,7 @@ class SiegelFourierTable:
             entries = {}
             for n, r, m, num, den in data["entries"]:
                 entries[(int(n), int(r), int(m))] = Fraction(int(num), int(den))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"malformed table file: {exc}") from exc
         return cls(weight, bound, entries)
 
@@ -302,185 +308,31 @@ def check_maass_p_space(table: SiegelFourierTable, p: int) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# integer lattice utilities (for the coset families)
-# ---------------------------------------------------------------------------
-
-def smith_normal_form(mat):
-    """Exact Smith form of a small integer matrix: S = U @ mat @ V.
-
-    Returns ``(S, U, V)`` with U, V unimodular and S diagonal with the
-    divisibility chain.
-    """
-    a = [row[:] for row in mat]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def row_sub(i, j, c):
-        a[i] = [x - c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - c * y for x, y in zip(u[i], u[j])]
-
-    def col_sub(i, j, c):
-        for row in a:
-            row[i] -= c * row[j]
-        for row in v:
-            row[i] -= c * row[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(nr, nc):
-        # move a minimal nonzero entry of the trailing block to (t, t)
-        pivot = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    row_sub(i, t, a[i][t] // a[t][t])
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    col_sub(j, t, a[t][j] // a[t][t])
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-        # pull any non-multiple of the pivot into its row, then redo
-        offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_sub(t, offender, -1)
-            continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return a, u, v
-
-
-def _int_inverse(mat):
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(mat)
-    red, pivots = RatMatrix(
-        [row + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
-    ).rref()
-    if pivots != tuple(range(n)):
-        raise InconsistencyError("matrix is not invertible")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = red.entries[i][n + j]
-            if x.denominator != 1:
-                raise InconsistencyError("matrix is not unimodular")
-            row.append(int(x))
-        out.append(row)
-    return out
-
-
-def _solve_integer(columns, target):
-    """Solve sum(x_j * columns[j]) = target over the integers."""
-    rows = len(columns[0])
-    mat = [[col[i] for col in columns] for i in range(rows)]
-    s, u, v = smith_normal_form(mat)
-    uv = [sum(u[i][j] * target[j] for j in range(rows)) for i in range(rows)]
-    ncols = len(columns)
-    y = [0] * ncols
-    for i in range(rows):
-        sii = s[i][i] if i < ncols else 0
-        if sii:
-            if uv[i] % sii:
-                raise InconsistencyError("no integral solution")
-            y[i] = uv[i] // sii
-        elif uv[i]:
-            raise InconsistencyError("no integral solution")
-    return [sum(v[i][j] * y[j] for j in range(ncols)) for i in range(ncols)]
-
-
-# ---------------------------------------------------------------------------
 # right-coset families for the similitude operators
 # ---------------------------------------------------------------------------
 
 class CosetClass(NamedTuple):
-    """All right cosets sharing one lower-right block ``D`` in normal form.
+    """All right cosets sharing one lower-right block D = [[d_a, d_b], [0, d_d]].
 
-    ``size`` is the number of translation classes over ``D``;
-    ``char_gens`` generate the finite translation group, so a character is
-    trivial exactly when it is integral on each generator.
+    Their upper blocks are the integral B with D^T B symmetric, taken modulo
+    the translates S D by integral symmetric S; ``size`` counts them.
     """
 
     d_a: int
     d_b: int
     d_d: int
     size: int
-    char_gens: tuple  # 2x2 integer matrices
 
     @property
     def det(self) -> int:
         return self.d_a * self.d_d
 
 
-def _translation_classes(d_a, d_b, d_d):
-    """Translation data over one D block: (size, generators, full enumeration basis).
-
-    The admissible upper blocks form a rank-3 lattice (one symmetry
-    constraint) containing the translates S*D; the quotient is computed by
-    exact Smith reduction.
-    """
-    # solution lattice of  d_a*B12 - d_b*B11 - d_d*B21 = 0,
-    # coordinates (B11, B12, B21, B22)
-    s, u, v = smith_normal_form([[-d_b, d_a, -d_d, 0]])
-    basis = [[v[i][j] for i in range(4)] for j in range(1, 4)]  # columns 1..3 of V
-    # translates S*D for the three symmetric generators
-    translates = [
-        [d_a, d_b, 0, 0],
-        [0, d_d, d_a, d_b],
-        [0, 0, 0, d_d],
-    ]
-    rel = [_solve_integer(basis, t) for t in translates]
-    rel_mat = [[rel[j][i] for j in range(3)] for i in range(3)]
-    s2, u2, v2 = smith_normal_form(rel_mat)
-    orders = [abs(s2[i][i]) for i in range(3)]
-    if 0 in orders:
-        raise InconsistencyError("translation quotient is not finite")
-    uinv = _int_inverse(u2)
-    gens = []
-    for j in range(3):
-        vec = [
-            sum(basis[i][coord] * uinv[i][j] for i in range(3)) for coord in range(4)
-        ]
-        gens.append(((vec[0], vec[1]), (vec[2], vec[3])))
-    size = orders[0] * orders[1] * orders[2]
-    return size, tuple(orders), tuple(gens)
-
-
 def _coset_classes(p: int, e: int) -> tuple[CosetClass, ...]:
-    """Normal-form classes for similitude p**e, e in {1, 2}."""
+    """Normal-form classes for similitude p**e, e in {1, 2}.
+
+    A class has d_a * d_d * gcd(d_a, d_b, d_d) cosets (see ``_character_trivial``).
+    """
     s = p**e
     classes = []
     for i in range(e + 1):
@@ -490,13 +342,9 @@ def _coset_classes(p: int, e: int) -> tuple[CosetClass, ...]:
             for d_b in range(d_d):
                 if (s * d_b) % (d_a * d_d):
                     continue
-                size, orders, gens = _translation_classes(d_a, d_b, d_d)
-                live = tuple(g for g, o in zip(gens, orders) if o > 1)
-                classes.append(CosetClass(d_a, d_b, d_d, size, live))
+                size = d_a * d_d * math.gcd(d_a, d_b, d_d)
+                classes.append(CosetClass(d_a, d_b, d_d, size))
     return tuple(classes)
-
-
-_CLASS_CACHE: dict[tuple[int, int], tuple[CosetClass, ...]] = {}
 
 
 def coset_classes(p: int, e: int = 1) -> tuple[CosetClass, ...]:
@@ -504,21 +352,18 @@ def coset_classes(p: int, e: int = 1) -> tuple[CosetClass, ...]:
         raise UsageError(f"{p} is not prime")
     if e not in (1, 2):
         raise UsageError("only similitudes p and p**2 are implemented")
-    key = (p, e)
-    if key not in _CLASS_CACHE:
-        classes = _coset_classes(p, e)
-        total = sum(c.size for c in classes)
-        expected = (
-            p**3 + p**2 + p + 1
-            if e == 1
-            else p**6 + p**5 + 2 * p**4 + 2 * p**3 + p**2 + p + 1
+    classes = _coset_classes(p, e)
+    total = sum(c.size for c in classes)
+    expected = (
+        p**3 + p**2 + p + 1
+        if e == 1
+        else p**6 + p**5 + 2 * p**4 + 2 * p**3 + p**2 + p + 1
+    )
+    if total != expected:
+        raise InconsistencyError(
+            f"coset family for p={p}, e={e} has {total} members, expected {expected}"
         )
-        if total != expected:
-            raise InconsistencyError(
-                f"coset family for p={p}, e={e} has {total} members, expected {expected}"
-            )
-        _CLASS_CACHE[key] = classes
-    return _CLASS_CACHE[key]
+    return classes
 
 
 class HeckeDoubleCoset:
@@ -557,13 +402,39 @@ def _prime_power(m: int) -> tuple[int, int]:
     raise UsageError(f"Hecke index {m} is not p or p**2 for a prime p")
 
 
+def _character_trivial(cls: CosetClass, tn: int, tr: int, tm: int) -> bool:
+    """Whether B -> e(tr(T B D^-1)) is trivial on the cosets of ``cls``.
+
+    T = [[tn, tr/2], [tr/2, tm]] and g = gcd(d_a, d_b, d_d).  In coordinates
+    (x, y, z) = (B11, B21, B22) the symmetry of D^T B reads
+    d_a B12 = d_b x + d_d y, so the admissible B form the lattice
+    d_b x + d_d y = 0 (mod d_a), of index d_a / g in Z^3; the translates S D
+    form a sublattice of determinant d_a**2 d_d, which leaves d_a d_d g cosets.
+    On B the phase is
+
+        tr(T B D^-1) = (tn d_d x + (tr d_d - tm d_b) y + tm d_a z) / (d_a d_d).
+
+    z is free, so the character needs d_d | tm; then, with
+    rho = tr - (tm / d_d) d_b, the phase is (tn x + rho y) / d_a mod 1.  That
+    vanishes on the kernel of (x, y) -> d_b x + d_d y mod d_a exactly when
+    (tn, rho) lies in the cyclic group (d_b, d_d) generates mod d_a, that is
+    g | tn, g | rho and tn d_d = rho d_b (mod d_a g).
+    """
+    da, db, dd = cls.d_a, cls.d_b, cls.d_d
+    if tm % dd:
+        return False
+    g = math.gcd(da, db, dd)
+    rho = tr - (tm // dd) * db
+    return tn % g == 0 and rho % g == 0 and (tn * dd - rho * db) % (da * g) == 0
+
+
 def hecke_operator(table: SiegelFourierTable, m: int) -> SiegelFourierTable:
     """Apply the full similitude-m Hecke operator (m = p or p**2).
 
     The output table is valid to bound // m; every coefficient is an exact
     finite sum of table values weighted by powers of p, with congruence
-    conditions expressed through exact character sums over the translation
-    groups of the coset classes.
+    conditions expressed through the characters of the coset classes, each
+    tested in closed form by ``_character_trivial``.
     """
     p, e = _prime_power(m)
     s = m
@@ -589,24 +460,11 @@ def hecke_operator(table: SiegelFourierTable, m: int) -> SiegelFourierTable:
             tn, tr, tm = q1 // s, q12 // s, q2 // s
             if tn <= 0 or 4 * tn * tm - tr * tr <= 0:
                 continue
-            # character triviality on the translation group
-            det = cls.det
-            trivial = True
-            for gen in cls.char_gens:
-                # X = gen * adj(D); phase = tr(T X) / det
-                x11 = gen[0][0] * dd
-                x12 = -gen[0][0] * db + gen[0][1] * da
-                x21 = gen[1][0] * dd
-                x22 = -gen[1][0] * db + gen[1][1] * da
-                num = 2 * tn * x11 + tr * (x12 + x21) + 2 * tm * x22
-                if num % (2 * det):
-                    trivial = False
-                    break
-            if not trivial:
+            if not _character_trivial(cls, tn, tr, tm):
                 continue
             val = table.value(tn, tr, tm)
             if val != 0:
-                acc += Fraction(cls.size, det**k) * val
+                acc += Fraction(cls.size, cls.det**k) * val
         if acc != 0:
             entries[idx] = gamma * acc
     return SiegelFourierTable(k, out_bound, entries)

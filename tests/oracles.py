@@ -1,8 +1,9 @@
 """Reference code that only the tests call.
 
 Slow or independent implementations the tests compare the library against,
-the table edits the tests build bad input with, and the explicit coset
-matrices that pin the Hecke operators' coset classes.
+the table edits the tests build bad input with, the Smith-form coset algebra
+the Hecke operators' closed-form class sizes and character test replaced, and
+the explicit coset matrices that pin the coset classes.
 None of it is on the lift chain.
 """
 
@@ -10,9 +11,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from sklift.characterize import EigenvalueRecord, SatakeParams, _simplify
-from sklift.errors import TruncationError, UsageError
+from sklift.errors import InconsistencyError, TruncationError, UsageError
 from sklift.jacobi import JacobiForm
 from sklift.kohnen import PlusSpaceForm
 from sklift.numeric import QuadExt, factorize, fpow, is_prime, rat
@@ -22,8 +24,9 @@ from sklift.siegel import (
     HeckeDoubleCoset,
     SiegelFourierTable,
     SiegelIndex,
-    _translation_classes,
+    _prime_power,
     reduce_index,
+    reduced_indices,
 )
 
 
@@ -194,6 +197,247 @@ def reconstruct(sp: SatakeParams) -> EigenvalueRecord:
 
 
 # ---------------------------------------------------------------------------
+# coset classes by Smith reduction: the path the closed forms replaced
+# ---------------------------------------------------------------------------
+
+def smith_normal_form(mat):
+    """Exact Smith form of a small integer matrix: S = U @ mat @ V.
+
+    Returns ``(S, U, V)`` with U, V unimodular and S diagonal with the
+    divisibility chain.
+    """
+    a = [row[:] for row in mat]
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def row_sub(i, j, c):
+        a[i] = [x - c * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - c * y for x, y in zip(u[i], u[j])]
+
+    def col_sub(i, j, c):
+        for row in a:
+            row[i] -= c * row[j]
+        for row in v:
+            row[i] -= c * row[j]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < min(nr, nc):
+        # move a minimal nonzero entry of the trailing block to (t, t)
+        pivot = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, nr):
+                if a[i][t]:
+                    row_sub(i, t, a[i][t] // a[t][t])
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, nc):
+                if a[t][j]:
+                    col_sub(j, t, a[t][j] // a[t][t])
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+        # pull any non-multiple of the pivot into its row, then redo
+        offender = None
+        for i in range(t + 1, nr):
+            for j in range(t + 1, nc):
+                if a[i][j] % a[t][t]:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_sub(t, offender, -1)
+            continue
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return a, u, v
+
+
+def _int_inverse(mat):
+    """Exact inverse of a unimodular integer matrix."""
+    n = len(mat)
+    red, pivots = RatMatrix(
+        [row + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    ).rref()
+    if pivots != tuple(range(n)):
+        raise InconsistencyError("matrix is not invertible")
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            x = red.entries[i][n + j]
+            if x.denominator != 1:
+                raise InconsistencyError("matrix is not unimodular")
+            row.append(int(x))
+        out.append(row)
+    return out
+
+
+def _solve_integer(columns, target):
+    """Solve sum(x_j * columns[j]) = target over the integers."""
+    rows = len(columns[0])
+    mat = [[col[i] for col in columns] for i in range(rows)]
+    s, u, v = smith_normal_form(mat)
+    uv = [sum(u[i][j] * target[j] for j in range(rows)) for i in range(rows)]
+    ncols = len(columns)
+    y = [0] * ncols
+    for i in range(rows):
+        sii = s[i][i] if i < ncols else 0
+        if sii:
+            if uv[i] % sii:
+                raise InconsistencyError("no integral solution")
+            y[i] = uv[i] // sii
+        elif uv[i]:
+            raise InconsistencyError("no integral solution")
+    return [sum(v[i][j] * y[j] for j in range(ncols)) for i in range(ncols)]
+
+
+def translation_classes(d_a, d_b, d_d):
+    """Translation data over one D block: (size, generators, full enumeration basis).
+
+    The admissible upper blocks form a rank-3 lattice (one symmetry
+    constraint) containing the translates S*D; the quotient is computed by
+    exact Smith reduction.
+    """
+    # solution lattice of  d_a*B12 - d_b*B11 - d_d*B21 = 0,
+    # coordinates (B11, B12, B21, B22)
+    s, u, v = smith_normal_form([[-d_b, d_a, -d_d, 0]])
+    basis = [[v[i][j] for i in range(4)] for j in range(1, 4)]  # columns 1..3 of V
+    # translates S*D for the three symmetric generators
+    translates = [
+        [d_a, d_b, 0, 0],
+        [0, d_d, d_a, d_b],
+        [0, 0, 0, d_d],
+    ]
+    rel = [_solve_integer(basis, t) for t in translates]
+    rel_mat = [[rel[j][i] for j in range(3)] for i in range(3)]
+    s2, u2, v2 = smith_normal_form(rel_mat)
+    orders = [abs(s2[i][i]) for i in range(3)]
+    if 0 in orders:
+        raise InconsistencyError("translation quotient is not finite")
+    uinv = _int_inverse(u2)
+    gens = []
+    for j in range(3):
+        vec = [
+            sum(basis[i][coord] * uinv[i][j] for i in range(3)) for coord in range(4)
+        ]
+        gens.append(((vec[0], vec[1]), (vec[2], vec[3])))
+    size = orders[0] * orders[1] * orders[2]
+    return size, tuple(orders), tuple(gens)
+
+
+class GeneratorClass(NamedTuple):
+    """A coset class with the generators of its finite translation group.
+
+    A character is trivial exactly when it is integral on each generator.
+    """
+
+    d_a: int
+    d_b: int
+    d_d: int
+    size: int
+    char_gens: tuple  # 2x2 integer matrices
+
+    @property
+    def det(self) -> int:
+        return self.d_a * self.d_d
+
+
+def generator_classes(p: int, e: int) -> tuple[GeneratorClass, ...]:
+    """The coset classes of similitude p**e by Smith reduction, in the library's order."""
+    s = p**e
+    classes = []
+    for i in range(e + 1):
+        d_a = p**i
+        for j in range(e + 1):
+            d_d = p**j
+            for d_b in range(d_d):
+                if (s * d_b) % (d_a * d_d):
+                    continue
+                size, orders, gens = translation_classes(d_a, d_b, d_d)
+                live = tuple(g for g, o in zip(gens, orders) if o > 1)
+                classes.append(GeneratorClass(d_a, d_b, d_d, size, live))
+    return tuple(classes)
+
+
+def generator_test(cls: GeneratorClass, tn: int, tr: int, tm: int) -> bool:
+    """Whether the character at T = (tn, tr, tm) is trivial on every generator of ``cls``."""
+    da, db, dd = cls.d_a, cls.d_b, cls.d_d
+    det = cls.det
+    for gen in cls.char_gens:
+        # X = gen * adj(D); phase = tr(T X) / det
+        x11 = gen[0][0] * dd
+        x12 = -gen[0][0] * db + gen[0][1] * da
+        x21 = gen[1][0] * dd
+        x22 = -gen[1][0] * db + gen[1][1] * da
+        num = 2 * tn * x11 + tr * (x12 + x21) + 2 * tm * x22
+        if num % (2 * det):
+            return False
+    return True
+
+
+def hecke_operator_oracle(table: SiegelFourierTable, m: int) -> SiegelFourierTable:
+    """The similitude-m operator on the Smith-form classes and the generator test."""
+    p, e = _prime_power(m)
+    s = m
+    out_bound = table.bound // s
+    if out_bound < 1:
+        raise TruncationError(
+            f"similitude-{m} operator needs table bound >= {m}", required=m
+        )
+    k = table.weight
+    classes = generator_classes(p, e)
+    gamma = Fraction(s) ** (2 * k - 3)
+    entries = {}
+    for idx in reduced_indices(out_bound):
+        n, r, mm = idx
+        acc = 0
+        for cls in classes:
+            da, db, dd = cls.d_a, cls.d_b, cls.d_d
+            q1 = n * da * da + r * da * db + mm * db * db
+            q12 = dd * (da * r + 2 * db * mm)
+            q2 = mm * dd * dd
+            if q1 % s or q12 % s or q2 % s:
+                continue
+            tn, tr, tm = q1 // s, q12 // s, q2 // s
+            if tn <= 0 or 4 * tn * tm - tr * tr <= 0:
+                continue
+            if not generator_test(cls, tn, tr, tm):
+                continue
+            val = table.value(tn, tr, tm)
+            if val != 0:
+                acc += Fraction(cls.size, cls.det**k) * val
+        if acc != 0:
+            entries[idx] = gamma * acc
+    return SiegelFourierTable(k, out_bound, entries)
+
+
+# ---------------------------------------------------------------------------
 # explicit coset matrices
 # ---------------------------------------------------------------------------
 
@@ -202,7 +446,7 @@ def coset_representatives(family: HeckeDoubleCoset) -> list:
     s = family.similitude
     reps = []
     for cls in family.classes:
-        size, orders, gens = _translation_classes(cls.d_a, cls.d_b, cls.d_d)
+        size, orders, gens = translation_classes(cls.d_a, cls.d_b, cls.d_d)
         a = (
             (s // cls.d_a, 0),
             (-(s * cls.d_b) // (cls.d_a * cls.d_d), s // cls.d_d),

@@ -242,3 +242,84 @@ class TestClassify:
         rec_path = tmp_path / "records.jsonl"
         rec_path.write_text('{"weight": 10, "p": 2, "mu_p": 240.5, "mu_p2": "1"}\n')
         assert main(["classify", str(rec_path)]) == 2
+
+
+class TestUnreadableFiles:
+    """Malformed or unreadable inputs and unwritable outputs exit 2 with the file named."""
+
+    def run(self, argv, capsys):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        self.out = captured.out
+        return rc, captured.err
+
+    def test_table_not_an_object(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[]")
+        rc, err = self.run(["check", str(bad), "--maass"], capsys)
+        assert rc == 2 and str(bad) in err and "not a list" in err
+
+    def test_zero_denominator(self, table10, tmp_path, capsys):
+        data = json.loads(table10.read_text())
+        data["entries"][0][4] = "0"
+        bad = tmp_path / "zero.json"
+        bad.write_text(json.dumps(data))
+        rc, err = self.run(["check", str(bad), "--maass"], capsys)
+        assert rc == 2 and str(bad) in err
+
+    def test_table_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"weight": "\xe9"}')
+        rc, err = self.run(["eigen", str(bad), "--primes", "2"], capsys)
+        assert rc == 2 and str(bad) in err and "UTF-8" in err
+
+    def test_integer_past_digit_limit(self, tmp_path, capsys):
+        bad = tmp_path / "digits.json"
+        bad.write_text('{"schema_version": 1, "weight": 1' + "0" * 5000 + "}")
+        rc, err = self.run(["check", str(bad), "--maass"], capsys)
+        assert rc == 2 and str(bad) in err
+
+    def test_records_missing_or_not_utf8(self, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        rc, err = self.run(["classify", str(missing)], capsys)
+        assert rc == 2 and str(missing) in err
+        bad = tmp_path / "latin1.jsonl"
+        bad.write_bytes(b'{"weight": 10, "p": 2, "mu_p": "\xe9", "mu_p2": "1"}\n')
+        rc, err = self.run(["classify", str(bad)], capsys)
+        assert rc == 2 and str(bad) in err and "UTF-8" in err
+
+    def test_out_into_missing_directory(self, table10, tmp_path, capsys):
+        out = tmp_path / "no" / "t.json"
+        rc, err = self.run(["--no-cache", "lift", "--weight", "10", "--bound", "2",
+                            "--out", str(out)], capsys)
+        # refused before the plan lines, so before the lift is built
+        assert rc == 2 and str(out) in err and self.out == ""
+        rc, err = self.run(["eigen", str(table10), "--primes", "2", "--out", str(out)], capsys)
+        assert rc == 2 and str(out) in err and self.out == ""
+        assert not out.parent.exists()
+
+    def test_out_is_a_directory(self, table10, tmp_path, capsys):
+        rc, err = self.run(["eigen", str(table10), "--primes", "2", "--out", str(tmp_path)], capsys)
+        assert rc == 2 and f"cannot write {tmp_path}" in err
+
+
+class TestTableWeight:
+    def write(self, table10, tmp_path, weight):
+        data = json.loads(table10.read_text())
+        data["weight"] = weight
+        path = tmp_path / f"w{weight}.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    def test_weight_zero_refused(self, table10, tmp_path, capsys):
+        # d ** (k - 1) at k = 0 would put the float 0.5 in an exact report
+        rc = main(["check", str(self.write(table10, tmp_path, 0)), "--maass"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "weight 0 is below 1" in captured.err
+
+    def test_negative_weight_refused(self, table10, tmp_path, capsys):
+        rc = main(["eigen", str(self.write(table10, tmp_path, -2)), "--primes", "2"])
+        assert rc == 2
+        assert "weight -2 is below 1" in capsys.readouterr().err

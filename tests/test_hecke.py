@@ -5,20 +5,24 @@ import pytest
 from sklift.errors import NotAnEigenformError, TruncationError, UsageError
 from sklift.siegel import (
     HeckeDoubleCoset,
+    _character_trivial,
     coset_classes,
     coset_decomposition_Tp,
     hecke_eigenvalue,
     hecke_operator,
     maass_lift,
-    smith_normal_form,
 )
 
 from oracles import (
     coset_equivalent,
     coset_representatives,
+    generator_classes,
+    generator_test,
+    hecke_operator_oracle,
     perturbed,
     scaled,
     similitude_of,
+    smith_normal_form,
 )
 
 import random
@@ -272,3 +276,96 @@ class TestHeckeAction:
             )
             for table in (lift10, perturbed(lift10, (1, 1, 1), 5), random_table):
                 assert hecke_operator(table, p) == closed_form(table, p), p
+
+
+class TestClosedFormsAgainstSmithOracle:
+    """Class sizes and the character test in closed form against the Smith reduction."""
+
+    def test_classes_field_for_field(self):
+        for p in (2, 3, 5, 7, 11, 13):
+            for e in (1, 2):
+                oracle = [tuple(c)[:4] for c in generator_classes(p, e)]
+                assert [tuple(c) for c in coset_classes(p, e)] == oracle, (p, e)
+
+    def test_character_test_on_full_grid(self):
+        for p in (2, 3):
+            top = 2 * p * p
+            for e in (1, 2):
+                pairs = list(zip(coset_classes(p, e), generator_classes(p, e)))
+                for tn in range(1, top + 1):
+                    for tm in range(1, top + 1):
+                        for tr in range(-top, top + 1):
+                            for cls, ocls in pairs:
+                                assert _character_trivial(cls, tn, tr, tm) == generator_test(
+                                    ocls, tn, tr, tm
+                                ), (p, e, tuple(cls), (tn, tr, tm))
+
+    def test_character_test_on_seeded_sample(self):
+        rng = random.Random(6)
+        for p in (5, 7, 11, 13):
+            top = 2 * p**4
+            for e in (1, 2):
+                pairs = list(zip(coset_classes(p, e), generator_classes(p, e)))
+                for _ in range(400):
+                    # half the draws on multiples of p**2, where the characters differ
+                    step = p * p if rng.random() < 0.5 else 1
+                    tn = step * rng.randint(1, top // step)
+                    tm = step * rng.randint(1, top // step)
+                    tr = step * rng.randint(-top // step, top // step)
+                    for cls, ocls in pairs:
+                        assert _character_trivial(cls, tn, tr, tm) == generator_test(
+                            ocls, tn, tr, tm
+                        ), (p, e, tuple(cls), (tn, tr, tm))
+
+
+def operator_outcome(operator, table, m):
+    try:
+        return operator(table, m)
+    except TruncationError as exc:
+        return ("raised", str(exc), exc.required)
+
+
+@pytest.fixture(scope="module")
+def lift10_b12():
+    from sklift.jacobi import ez_lift
+    from sklift.kohnen import plus_space_basis
+
+    return maass_lift(ez_lift(plus_space_basis(10, 4 * 12 * 12)[0]), 12)
+
+
+class TestOperatorAgainstSmithOracle:
+    def test_tables_equal(self, lift10):
+        from sklift.siegel import SiegelFourierTable, reduced_indices
+
+        rng = random.Random(61)
+        for m in (2, 3, 4, 9, 5, 25):
+            bound = min(2 * m, 25)
+            random_table = SiegelFourierTable(
+                10, bound, {idx: rng.randint(-9, 9) for idx in reduced_indices(bound)}
+            )
+            for table in (lift10, perturbed(lift10, (1, 1, 2), 7), random_table):
+                got = operator_outcome(hecke_operator, table, m)
+                assert got == operator_outcome(hecke_operator_oracle, table, m), m
+
+    def test_same_lookups_in_same_order(self, monkeypatch, lift10_b12, jacobi12):
+        # the benchmark counts these lookups as siegel.hecke_lookups
+        from sklift.siegel import SiegelFourierTable
+
+        calls = []
+        value = SiegelFourierTable.value
+
+        def recording(self, *index):
+            calls.append(index)
+            return value(self, *index)
+
+        monkeypatch.setattr(SiegelFourierTable, "value", recording)
+        bad12 = perturbed(maass_lift(jacobi12, 8), (1, 1, 2), 1)
+        for table in (lift10_b12, bad12):
+            for m in (2, 3, 4, 9):
+                calls.clear()
+                got = operator_outcome(hecke_operator, table, m)
+                seen = list(calls)
+                calls.clear()
+                assert got == operator_outcome(hecke_operator_oracle, table, m), m
+                assert seen == calls, (table.weight, m)
+                assert seen or table.bound < m

@@ -110,6 +110,17 @@ class TestTable:
     def test_bad_schema_rejected(self):
         with pytest.raises(UsageError):
             SiegelFourierTable.from_json_dict({"schema_version": 99})
+        with pytest.raises(UsageError, match="not a list"):
+            SiegelFourierTable.from_json_dict([])
+        with pytest.raises(UsageError, match="malformed"):
+            SiegelFourierTable.from_json_dict(
+                {"schema_version": 1, "weight": 10, "bound": 1, "entries": [[1, 1, 1, "1", "0"]]}
+            )
+
+    def test_weight_below_one_rejected(self):
+        for weight in (0, -2):
+            with pytest.raises(UsageError, match="below 1"):
+                SiegelFourierTable(weight, 4, {})
 
 
 def outcome(lookup, *args):

@@ -28,6 +28,7 @@ from .numeric import (
     fpow,
     is_prime,
     rat,
+    sqrt_if_square,
     sqrt_rational,
     value_sign,
 )
@@ -82,7 +83,7 @@ def _as_value(x):
 def format_exact(x) -> str:
     if isinstance(x, QuadExt):
         raise UsageError("record files carry rational values only")
-    return str(rat(x))
+    return format_value(x)
 
 
 def parse_exact(text) -> Fraction:
@@ -226,45 +227,33 @@ def solve_satake(rec: EigenvalueRecord) -> SatakeParams:
         )
         classification = RAMANUJAN_TYPE if (real_pair and inside) else NEITHER_TYPE
 
-    x, y = _explicit_pair(p, w, c, disc, classification)
+    x, y = _explicit_pair(p, w, disc, classification)
     return SatakeParams(k, p, w, c, disc, classification, x, y)
 
 
-def _explicit_pair(p, w, c, disc, classification):
-    """Exact x, y when they live in one quadratic field; (None, None) otherwise."""
-    in_sqrt_p = not isinstance(w, QuadExt) or w.d == p
+def _explicit_pair(p, w, disc, classification):
+    """Exact x, y = (u +- sqrt(disc)) / 2 with u = w*sqrt(p); (None, None) when not found.
+
+    For rational u the root may lie in any real quadratic field, found by
+    ``sqrt_rational``.  For irrational u the pair lies in Q(sqrt p), so the
+    root must be rational or a rational multiple of sqrt(p): disc or p*disc
+    is then a rational square.
+    """
+    u = None if isinstance(w, QuadExt) and w.d != p else _simplify(w * QuadExt(0, 1, p))
     if classification == SK_TYPE:
         x = sk_trace(p)
-        if in_sqrt_p:
-            u = w * QuadExt(0, 1, p)
-            return x, _simplify(u - x)
-        return x, None
-    if isinstance(disc, QuadExt) and disc.b != 0:
+        return x, None if u is None else _simplify(u - x)
+    if u is None or isinstance(disc, QuadExt) or disc < 0:
         return None, None
-    disc = disc.a if isinstance(disc, QuadExt) else disc
-    if disc < 0 or not in_sqrt_p:
+    if isinstance(u, QuadExt):
+        root = sqrt_if_square(disc)
+        if root is None and (s := sqrt_if_square(p * disc)) is not None:
+            root = QuadExt(0, s / p, p)
+    else:
+        root = sqrt_rational(disc)
+    if root is None:
         return None, None
-    u = _simplify((w if isinstance(w, QuadExt) else QuadExt(0, w, p)) * QuadExt(0, 1, p))
-    root = sqrt_rational(disc)
-    if not isinstance(u, QuadExt):  # trace sum is rational
-        if not isinstance(root, QuadExt):
-            return _simplify((u + root) / 2), _simplify((u - root) / 2)
-        return (
-            _simplify(QuadExt(u / 2, root.b / 2, root.d)),
-            _simplify(QuadExt(u / 2, -root.b / 2, root.d)),
-        )
-    # trace sum is a pure rational multiple of sqrt(p)
-    if not isinstance(root, QuadExt):
-        return (
-            _simplify(QuadExt(root / 2, u.b / 2, p)),
-            _simplify(QuadExt(-root / 2, u.b / 2, p)),
-        )
-    if root.d == p:
-        return (
-            _simplify(QuadExt(0, (u.b + root.b) / 2, p)),
-            _simplify(QuadExt(0, (u.b - root.b) / 2, p)),
-        )
-    return None, None
+    return _simplify((u + root) / 2), _simplify((u - root) / 2)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .jacobi import ez_lift
 from .kohnen import PlusSpaceForm, plus_space_basis, shimura_match
-from .numeric import is_prime
+from .numeric import format_value, is_prime
 from .siegel import (
     SiegelFourierTable,
     check_maass_p_space,
@@ -225,7 +225,7 @@ def cmd_check(config: RunConfig, args) -> int:
             f"violations={len(rep.violations)}"
         )
         for idx, lhs, rhs in rep.violations[:20]:
-            lines.append(f"  violated at {idx}: lhs={lhs} rhs={rhs}")
+            lines.append(f"  violated at {idx}: lhs={format_value(lhs)} rhs={format_value(rhs)}")
         payload["reports"].append(
             {
                 "kind": rep.kind,
@@ -233,7 +233,7 @@ def cmd_check(config: RunConfig, args) -> int:
                 "checked": rep.checked,
                 "skipped": rep.skipped,
                 "violations": [
-                    {"index": list(idx), "lhs": str(lhs), "rhs": str(rhs)}
+                    {"index": list(idx), "lhs": format_value(lhs), "rhs": format_value(rhs)}
                     for idx, lhs, rhs in rep.violations
                 ],
             }

@@ -15,9 +15,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import UsageError
+
 Rational = Fraction
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# squarefree_core trial-divides below this and factors nothing further
+TRIAL_LIMIT = 10_000
 
 
 def rat(x) -> Fraction:
@@ -58,50 +63,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    x, c = 2, 1
-    while True:
-        y, d = x, 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-        x, c = 2, c + 1
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of ``n >= 1`` as a dict prime -> exponent."""
-    if n < 1:
-        raise ValueError("factorize expects a positive integer")
-    out: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    q = 7
-    while q * q <= n and q < 10_000:
-        while n % q == 0:
-            out[q] = out.get(q, 0) + 1
-            n //= q
-        q += 2
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.extend((d, m // d))
-    return out
-
-
 def divisor_lists(n: int) -> list[list[int]]:
     """Sorted positive divisors of every g = 0..n at index g (none at 0), by a sieve."""
     lists: list[list[int]] = [[] for _ in range(n + 1)]
@@ -111,16 +72,35 @@ def divisor_lists(n: int) -> list[list[int]]:
     return lists
 
 
-def squarefree_core(n: int) -> tuple[int, int]:
-    """Write ``n = s*s*d`` with ``d`` squarefree; returns ``(s, d)``."""
+def squarefree_core(n: int) -> tuple[int, int] | None:
+    """Write ``n = s*s*d`` with ``d`` squarefree; returns ``(s, d)``, or None.
+
+    Trial division below ``TRIAL_LIMIT`` leaves a cofactor whose prime
+    factors are all at least ``TRIAL_LIMIT``.  A square cofactor joins ``s``.
+    Otherwise it is squarefree when it is prime, or when it is below
+    ``TRIAL_LIMIT**3`` and so has at most two prime factors.  Any other
+    cofactor would need factoring, and the result is None: the core is not
+    certified.
+    """
     if n < 1:
         raise ValueError("squarefree_core expects a positive integer")
     s, d = 1, 1
-    for p, e in factorize(n).items():
-        s *= p ** (e // 2)
+    q = 2
+    while q < TRIAL_LIMIT and q * q <= n:
+        e = 0
+        while n % q == 0:
+            n //= q
+            e += 1
+        s *= q ** (e // 2)
         if e % 2:
-            d *= p
-    return s, d
+            d *= q
+        q += 1 if q == 2 else 2
+    root = math.isqrt(n)
+    if root * root == n:
+        return s * root, d
+    if n < TRIAL_LIMIT**3 or is_prime(n):
+        return s, d * n
+    return None
 
 
 def bernoulli_number(n: int) -> Fraction:
@@ -174,8 +154,10 @@ def _check_squarefree(d: int) -> int:
         return d
     if d < 2:
         raise ValueError("the adjoined radicand must be a squarefree integer >= 2")
-    _, core = squarefree_core(d)
-    if core != d:
+    core = squarefree_core(d)
+    if core is None:
+        raise ValueError(f"cannot certify that {d} is squarefree by trial division")
+    if core[1] != d:
         raise ValueError(f"{d} is not squarefree")
     _SQUAREFREE_SEEN.add(d)
     return d
@@ -362,14 +344,28 @@ class QuadExt:
         return f"{self.a} {op} {abs(self.b)}*sqrt({self.d})"
 
 
+def sqrt_if_square(x: Fraction) -> Fraction | None:
+    """The rational square root of ``x >= 0``, or None when ``x`` is not a rational square."""
+    num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    if num * num == x.numerator and den * den == x.denominator:
+        return Fraction(num, den)
+    return None
+
+
 def sqrt_rational(x: Fraction):
-    """Exact square root of a nonnegative rational: Fraction or QuadExt."""
+    """Exact square root of a nonnegative rational: Fraction, QuadExt, or None.
+
+    None when ``squarefree_core`` cannot certify the radicand's squarefree part.
+    """
     x = rat(x)
     if x < 0:
         raise ValueError("sqrt of a negative rational is not real")
     if x == 0:
         return Fraction(0)
-    s, d = squarefree_core(x.numerator * x.denominator)
+    core = squarefree_core(x.numerator * x.denominator)
+    if core is None:
+        return None
+    s, d = core
     root = Fraction(s, x.denominator)
     if d == 1:
         return root
@@ -458,7 +454,8 @@ def exact_div(a, b):
 
 
 def format_value(x) -> str:
-    """Readable exact rendering of a Fraction or QuadExt."""
-    if isinstance(x, QuadExt):
-        return repr(x)
-    return str(rat(x))
+    """Readable exact rendering of a Fraction or QuadExt; ``UsageError`` past Python's digit limit."""
+    try:
+        return repr(x) if isinstance(x, QuadExt) else str(rat(x))
+    except ValueError as exc:
+        raise UsageError("an exact value has more digits than Python converts to text") from exc

@@ -382,7 +382,8 @@ def eigen_split_2x2(m: RatMatrix) -> list[tuple]:
 
     The eigenvalues are the roots ``(-c1 +- sqrt(c1**2 - 4*c0)) / 2`` of the
     characteristic polynomial, + root first: rational, or a conjugate pair in
-    a real quadratic field.  Complex roots raise ``UnsupportedFieldError``.
+    a real quadratic field.  Complex roots, and a discriminant whose
+    squarefree part trial division cannot certify, raise ``UnsupportedFieldError``.
     """
     (a, b), (c, d) = m.entries
     c0, c1, _ = m.charpoly()
@@ -393,6 +394,10 @@ def eigen_split_2x2(m: RatMatrix) -> list[tuple]:
         # diagonal: the larger entry is the + root; a scalar matrix keeps both unit vectors
         return [(a, (1, 0)), (d, (0, 1))] if a >= d else [(d, (0, 1)), (a, (1, 0))]
     root = sqrt_rational(disc)
+    if root is None:
+        raise UnsupportedFieldError(
+            "cannot certify the squarefree part of the discriminant by trial division"
+        )
     out = []
     for lam in ((-c1 + root) / 2, (-c1 - root) / 2):
         out.append((lam, (b, lam - a) if b != 0 else (lam - d, c)))

@@ -17,7 +17,7 @@ from sklift.characterize import EigenvalueRecord, SatakeParams, _simplify
 from sklift.errors import InconsistencyError, TruncationError, UsageError
 from sklift.jacobi import JacobiForm
 from sklift.kohnen import PlusSpaceForm
-from sklift.numeric import QuadExt, factorize, fpow, is_prime, rat
+from sklift.numeric import QuadExt, fpow, is_prime, rat
 from sklift.qseries import QSeries, RatMatrix
 from sklift.siegel import (
     CheckReport,
@@ -33,6 +33,22 @@ from sklift.siegel import (
 # ---------------------------------------------------------------------------
 # number theory
 # ---------------------------------------------------------------------------
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of ``n >= 1`` as a dict prime -> exponent, by trial division."""
+    if n < 1:
+        raise ValueError("factorize expects a positive integer")
+    out: dict[int, int] = {}
+    q = 2
+    while q * q <= n:
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+        q += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
 
 def divisors(n: int) -> list[int]:
     """Sorted positive divisors of ``n >= 1``, from the factorization."""
@@ -194,6 +210,19 @@ def reconstruct(sp: SatakeParams) -> EigenvalueRecord:
     mu_p = _simplify(fpow(p, k - 1) * w)
     mu_p2 = _simplify(fpow(p, 2 * k - 3) * v)
     return EigenvalueRecord(k, p, mu_p, mu_p2)
+
+
+# two 20-digit primes: trial division below 10**4 cannot resolve 2*P*Q
+HOSTILE_P = 10_000_000_000_000_000_051
+HOSTILE_Q = 30_000_000_000_000_000_041
+
+
+def record_with_discriminant(weight: int, p: int, mu_p, disc) -> EigenvalueRecord:
+    """The record with prime eigenvalue ``mu_p`` whose spectral pair has (x - y)**2 = ``disc``."""
+    u_sq = p * (rat(mu_p) / fpow(p, weight - 1)) ** 2
+    c = (u_sq - disc) / 4
+    mu_p2 = fpow(p, 2 * weight - 3) * (u_sq - c - 2 - Fraction(1, p))
+    return EigenvalueRecord(weight, p, mu_p, mu_p2)
 
 
 # ---------------------------------------------------------------------------

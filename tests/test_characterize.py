@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sklift.characterize import (
     COND_EIGENVALUE_IDENTITY,
@@ -27,7 +29,14 @@ from sklift.errors import UsageError
 from sklift.numeric import QuadExt, value_sign
 from sklift.qseries import QSeries
 
-from oracles import reconstruct, scaled, series_inverse
+from oracles import (
+    HOSTILE_P,
+    HOSTILE_Q,
+    reconstruct,
+    record_with_discriminant,
+    scaled,
+    series_inverse,
+)
 
 SK10 = EigenvalueRecord(10, 2, 240, 135424)
 
@@ -92,6 +101,59 @@ class TestSolveSatake:
             x, y = random_trace(rng), random_trace(rng)
             sp = solve_satake(record_from_pair(12, 3, x, y))
             assert {sp.x, sp.y} == {x, y}
+
+    def test_rational_trace_records_recover_pair(self):
+        # rational mu(p): x + y = w*sqrt(p) is irrational, and x - y is
+        # rational (s != 0) or a rational multiple of sqrt(p)
+        cases = [
+            (10, 2, Fraction(1, 2), Fraction(1, 4)),
+            (12, 3, Fraction(-5, 6), Fraction(1, 3)),
+            (10, 5, Fraction(1), Fraction(-1, 5)),
+            (14, 7, Fraction(1, 4), Fraction(3, 7)),
+        ]
+        for k, p, s, t in cases:
+            x, y = s + QuadExt(0, t, p), -s + QuadExt(0, t, p)
+            rec = record_from_pair(k, p, x, y)
+            assert not isinstance(rec.mu_p, QuadExt) and not isinstance(rec.mu_p2, QuadExt)
+            sp = solve_satake(rec)
+            assert (sp.x, sp.y) == ((x, y) if s > 0 else (y, x)), (k, p)
+        x, y = QuadExt(0, Fraction(1, 2), 2), QuadExt(0, Fraction(-1, 4), 2)
+        sp = solve_satake(record_from_pair(10, 2, x, y))
+        assert (sp.x, sp.y) == (x, y)
+
+    def test_trace_with_rational_part(self):
+        x = QuadExt(1, Fraction(1, 4), 2)
+        y = QuadExt(Fraction(1, 2), Fraction(1, 4), 2)
+        sp = solve_satake(record_from_pair(10, 2, x, y))
+        assert (sp.x, sp.y) == (x, y)
+
+    @given(
+        st.sampled_from([10, 12]),
+        st.sampled_from([2, 3, 5]),
+        st.integers(-4000, 4000),
+        st.integers(-4000, 4000),
+        st.fractions(min_value=-2, max_value=2, max_denominator=12),
+        st.fractions(min_value=-1, max_value=1, max_denominator=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_explicit_pair_solves_its_quadratic(self, k, p, a, b, s, t):
+        # file-shaped records: integers on the eigenvalue scale, and pairs
+        # s +- t*sqrt(p), both with rational mu(p) and mu(p**2)
+        scale = p ** (k - 2)
+        pair = (s + QuadExt(0, t, p), -s + QuadExt(0, t, p))
+        paired = solve_satake(record_from_pair(k, p, *pair))
+        assert {paired.x, paired.y} == set(pair)
+        for sp in (solve_satake(EigenvalueRecord(k, p, a * scale, b * scale * scale)), paired):
+            if sp.x is not None:
+                assert sp.x + sp.y == sp.trace_scaled * QuadExt(0, 1, p)
+                assert sp.x * sp.y == sp.pair_product
+
+    def test_uncertified_discriminant_leaves_pair_null(self):
+        disc = 2 * HOSTILE_P * HOSTILE_Q
+        for mu_p in (0, 1):
+            sp = solve_satake(record_with_discriminant(10, 2, mu_p, disc))
+            assert sp.discriminant == disc
+            assert sp.x is None and sp.y is None
 
     def test_quadratic_field_record(self):
         # records whose eigenvalues live in a quadratic field classify too

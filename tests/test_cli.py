@@ -1,12 +1,15 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
 from sklift.cache import ExpansionCache
+from sklift.characterize import EigenvalueRecord
 from sklift.cli import main
 from sklift.elliptic import eigenforms
 
-from oracles import scaled
+from oracles import HOSTILE_P, HOSTILE_Q, record_with_discriminant, scaled
 
 
 @pytest.fixture
@@ -243,6 +246,32 @@ class TestClassify:
         rec_path.write_text('{"weight": 10, "p": 2, "mu_p": 240.5, "mu_p2": "1"}\n')
         assert main(["classify", str(rec_path)]) == 2
 
+    @pytest.mark.parametrize("rec", [
+        record_with_discriminant(10, 2, 0, 2 * HOSTILE_P * HOSTILE_Q),
+        record_with_discriminant(10, 2, 1, 2 * HOSTILE_P * HOSTILE_Q),
+        EigenvalueRecord(500, 2, 1, 1),
+    ], ids=["mu0-2PQ", "mu1-2PQ", "weight500"])
+    def test_hostile_spectral_pairs_finish(self, tmp_path, rec):
+        # each ran an unbounded factorization; run in a child process so a
+        # regression fails on the 5 s timeout instead of hanging the suite
+        rec_path = tmp_path / "records.jsonl"
+        rec_path.write_text(json.dumps(rec.to_json_dict()) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "sklift.cli", "--output", "json", "classify", str(rec_path)],
+            capture_output=True, text=True, timeout=5,
+        )
+        assert proc.returncode in (0, 1), proc.stderr
+        satake = json.loads(proc.stdout)["records"][0]["satake"]
+        assert satake["x"] is None and satake["y"] is None
+
+    def test_value_past_digit_limit_exits_2(self, tmp_path, capsys):
+        rec_path = tmp_path / "records.jsonl"
+        rec_path.write_text('{"weight": 200000, "p": 2, "mu_p": "1", "mu_p2": "1"}\n')
+        rc = main(["classify", str(rec_path), "--scan", "5"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "more digits than Python converts" in captured.err
+
 
 class TestUnreadableFiles:
     """Malformed or unreadable inputs and unwritable outputs exit 2 with the file named."""
@@ -323,3 +352,11 @@ class TestTableWeight:
         rc = main(["eigen", str(self.write(table10, tmp_path, -2)), "--primes", "2"])
         assert rc == 2
         assert "weight -2 is below 1" in capsys.readouterr().err
+
+    def test_violation_past_digit_limit_exits_2(self, table10, tmp_path, capsys):
+        # at weight 200000 the relation's sides have more digits than
+        # Python converts to text
+        rc = main(["check", str(self.write(table10, tmp_path, 200000)), "--maass"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "more digits than Python converts" in captured.err

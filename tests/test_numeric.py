@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sklift.numeric import (
+    TRIAL_LIMIT,
     HalfPower,
     QuadExt,
     abs_within,
@@ -16,16 +17,16 @@ from sklift.numeric import (
     cmp_sqrt_multiple,
     divisor_lists,
     exact_div,
-    factorize,
     fpow,
     is_prime,
     kronecker_symbol,
+    sqrt_if_square,
     sqrt_rational,
     squarefree_core,
     value_sign,
 )
 
-from oracles import divisors, norm, sigma
+from oracles import HOSTILE_P, HOSTILE_Q, divisors, factorize, norm, sigma
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -118,6 +119,63 @@ class TestElementary:
         assert sqrt_rational(Fraction(0)) == 0
         with pytest.raises(ValueError):
             sqrt_rational(Fraction(-1))
+
+
+SMALL_PRIMES = [q for q in range(2, 60) if is_prime(q)]
+# primes just above the trial-division limit: two of them stay below
+# TRIAL_LIMIT**3, three never do
+NEAR_LIMIT_PRIMES = [q for q in range(TRIAL_LIMIT, TRIAL_LIMIT + 400) if is_prime(q)]
+
+
+def core_from_factorization(n):
+    f = factorize(n)
+    return (
+        math.prod(q ** (e // 2) for q, e in f.items()),
+        math.prod(q for q, e in f.items() if e % 2),
+    )
+
+
+class TestSquarefreeCore:
+    @given(
+        st.lists(st.sampled_from(SMALL_PRIMES), max_size=12),
+        st.lists(st.sampled_from(NEAR_LIMIT_PRIMES), max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_against_factorization(self, small, large):
+        # a cofactor of one prime, a prime square or two primes is certified;
+        # three primes past the limit are not, without factoring
+        n = math.prod(small) * math.prod(large)
+        core = squarefree_core(n)
+        if len(large) == 3:
+            assert core is None
+        else:
+            assert core == core_from_factorization(n)
+
+    @given(
+        st.lists(st.sampled_from(SMALL_PRIMES), max_size=8),
+        st.integers(min_value=1, max_value=10**9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_cofactors_below_the_cube_are_certified(self, small, m):
+        n = math.prod(small) * m
+        assert squarefree_core(n) == core_from_factorization(n)
+
+    def test_large_prime_and_prime_square(self):
+        assert squarefree_core(6 * HOSTILE_P) == (1, 6 * HOSTILE_P)
+        assert squarefree_core(12 * HOSTILE_P**2) == (2 * HOSTILE_P, 3)
+
+    def test_two_large_primes_uncertified(self):
+        n = 2 * HOSTILE_P * HOSTILE_Q
+        assert squarefree_core(n) is None
+        assert sqrt_rational(Fraction(n, 9)) is None
+        with pytest.raises(ValueError, match="cannot certify"):
+            QuadExt(0, 1, n)
+
+    def test_sqrt_if_square(self):
+        assert sqrt_if_square(Fraction(49, 4 * HOSTILE_P**2)) == Fraction(7, 2 * HOSTILE_P)
+        assert sqrt_if_square(Fraction(0)) == 0
+        assert sqrt_if_square(Fraction(2 * HOSTILE_P * HOSTILE_Q)) is None
+        assert sqrt_if_square(Fraction(1, 2)) is None
 
 
 quad_elems = st.builds(

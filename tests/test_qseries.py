@@ -17,7 +17,7 @@ from sklift.qseries import (
     staircase_matrix,
 )
 
-from oracles import poly_eval_matrix, series_inverse, solve
+from oracles import HOSTILE_P, HOSTILE_Q, poly_eval_matrix, series_inverse, solve
 
 small_rationals = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=6
@@ -289,3 +289,8 @@ class TestEigenSplit:
     def test_complex_spectrum_refused(self):
         with pytest.raises(UnsupportedFieldError):
             eigen_split_2x2(RatMatrix([[0, -1], [1, 0]]))
+
+    def test_uncertified_discriminant_refused(self):
+        # discriminant 8*P*Q: its squarefree part needs factoring P*Q
+        with pytest.raises(UnsupportedFieldError, match="cannot certify"):
+            eigen_split_2x2(RatMatrix([[0, 1], [2 * HOSTILE_P * HOSTILE_Q, 0]]))

@@ -20,9 +20,8 @@ from fractions import Fraction
 
 from .errors import InconsistencyError, UsageError
 from .numeric import (
-    HalfPower,
+    PRIME_TEST_BITS,
     QuadExt,
-    abs_within,
     cmp_sqrt_multiple,
     format_value,
     fpow,
@@ -60,6 +59,8 @@ class EigenvalueRecord:
     def __post_init__(self):
         if self.weight % 2 or self.weight < 10:
             raise UsageError(f"weight must be even and >= 10, got {self.weight}")
+        if self.p.bit_length() > PRIME_TEST_BITS:
+            raise UsageError(f"p has {self.p.bit_length()} bits; primes are tested up to {PRIME_TEST_BITS}")
         if not is_prime(self.p):
             raise UsageError(f"{self.p} is not prime")
         object.__setattr__(self, "mu_p", _simplify(_as_value(self.mu_p)))
@@ -401,22 +402,29 @@ class GrowthReport:
         }
 
 
-def growth_check(rec: EigenvalueRecord, rmax: int) -> GrowthReport:
-    """Exact scan of |mu(p**r)| against both growth bounds for r <= rmax."""
-    k, p = rec.weight, rec.p
-    seq = mu_sequence(rec, rmax)
+def growth_check(rec: EigenvalueRecord, seq: list) -> GrowthReport:
+    """Exact scan of ``seq`` = mu(p**r), r = 0..len(seq)-1, against both growth bounds.
+
+    |mu| <= c p**(r(2k-3)/2) with c >= 0 is tested as mu**2 <= c**2 p**(r(2k-3)),
+    which is exact for mu in any real quadratic field.
+    """
+    p = rec.p
+    step = p ** (2 * rec.weight - 3)
+    scale = 1
     first_sharp = first_weak = None
     for r, mu in enumerate(seq):
-        h = HalfPower(p, r * (2 * k - 3))
+        if r:
+            scale *= step
+        mu_sq = mu * mu
         sharp = Fraction(math.comb(r + 3, 3)) + Fraction(math.comb(r + 1, 3), p)
         weak = Fraction(3, 2) * math.comb(r + 3, 3)
-        if first_sharp is None and not abs_within(mu, sharp, h):
+        if first_sharp is None and value_sign(mu_sq - sharp * sharp * scale) > 0:
             first_sharp = r
-        if first_weak is None and not abs_within(mu, weak, h):
+        if first_weak is None and value_sign(mu_sq - weak * weak * scale) > 0:
             first_weak = r
         if first_sharp is not None and first_weak is not None:
             break
-    return GrowthReport(rmax, first_sharp, first_weak)
+    return GrowthReport(len(seq) - 1, first_sharp, first_weak)
 
 
 @dataclass(frozen=True)
@@ -437,9 +445,8 @@ class PositivityReport:
         }
 
 
-def positivity_scan(rec: EigenvalueRecord, rmax: int) -> PositivityReport:
-    """Exact signs of the prime-power eigenvalue sequence."""
-    seq = mu_sequence(rec, rmax)
+def positivity_scan(seq: list) -> PositivityReport:
+    """Exact signs of the prime-power eigenvalue sequence ``seq`` = mu(p**r)."""
     signs = tuple(value_sign(mu) for mu in seq)
     changes = []
     last = 0
@@ -449,4 +456,4 @@ def positivity_scan(rec: EigenvalueRecord, rmax: int) -> PositivityReport:
         if last and s != last:
             changes.append(r)
         last = s
-    return PositivityReport(rmax, signs, all(s > 0 for s in signs), tuple(changes))
+    return PositivityReport(len(seq) - 1, signs, all(s > 0 for s in signs), tuple(changes))

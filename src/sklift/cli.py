@@ -9,9 +9,10 @@ eigen     extract prime and prime-square eigenvalues from a table file
 classify  run the single-prime criteria, spectral solve, growth and sign
           scans over an eigenvalue-record file
 
-Exit codes: 0 success, 1 violations/eigenform failures found, 2 usage or
-input errors (malformed or unreadable input files and unwritable outputs
-included), 3 internal inconsistency (an exact cross-check failed).
+Exit codes: 0 success, 1 violations/eigenform failures found or a closed
+output pipe, 2 usage or input errors (malformed or unreadable input files and
+unwritable outputs included), 3 internal inconsistency (an exact cross-check
+failed).
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import characterize
 from .cache import ExpansionCache, OneShotEncoder
 from .characterize import (
     EigenvalueRecord,
@@ -304,8 +307,10 @@ def cmd_classify(config: RunConfig, args) -> int:
     any_inconsistent = False
     for rec in records:
         cert = theorem41(rec)
-        growth = growth_check(rec, depth)
-        signs = positivity_scan(rec, depth)
+        # through the module, so that a wrapper installed on it sees the call
+        seq = characterize.mu_sequence(rec, depth)
+        growth = growth_check(rec, seq)
+        signs = positivity_scan(seq)
         entry = cert.to_json_dict()
         entry["growth"] = growth.to_json_dict()
         entry["positivity"] = signs.to_json_dict()
@@ -401,7 +406,13 @@ def main(argv=None) -> int:
         use_cache=not args.no_cache,
     )
     try:
-        return args.func(config, args)
+        code = args.func(config, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe; send the exit-time flush to devnull so it cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except NotAnEigenformError as exc:
         print(f"error: {exc} (witness {exc.witness})", file=sys.stderr)
         return exc.exit_code

@@ -23,6 +23,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # squarefree_core trial-divides below this and factors nothing further
 TRIAL_LIMIT = 10_000
+# squarefree_core runs no primality test on a cofactor longer than this
+PRIME_TEST_BITS = 2048
 
 
 def rat(x) -> Fraction:
@@ -77,10 +79,10 @@ def squarefree_core(n: int) -> tuple[int, int] | None:
 
     Trial division below ``TRIAL_LIMIT`` leaves a cofactor whose prime
     factors are all at least ``TRIAL_LIMIT``.  A square cofactor joins ``s``.
-    Otherwise it is squarefree when it is prime, or when it is below
-    ``TRIAL_LIMIT**3`` and so has at most two prime factors.  Any other
-    cofactor would need factoring, and the result is None: the core is not
-    certified.
+    Otherwise it is squarefree when it is below ``TRIAL_LIMIT**3`` and so has
+    at most two prime factors, or when it is prime; primality is tested only
+    up to ``PRIME_TEST_BITS`` bits.  Any other cofactor would need factoring
+    or a longer test, and the result is None: the core is not certified.
     """
     if n < 1:
         raise ValueError("squarefree_core expects a positive integer")
@@ -98,7 +100,7 @@ def squarefree_core(n: int) -> tuple[int, int] | None:
     root = math.isqrt(n)
     if root * root == n:
         return s * root, d
-    if n < TRIAL_LIMIT**3 or is_prime(n):
+    if n < TRIAL_LIMIT**3 or (n.bit_length() <= PRIME_TEST_BITS and is_prime(n)):
         return s, d * n
     return None
 
@@ -441,11 +443,6 @@ def cmp_halfpower(x, c, h: HalfPower) -> int:
     if h.e % 2 == 0:
         return value_sign(x - c * fpow(h.p, h.e // 2))
     return cmp_sqrt_multiple(x, c * fpow(h.p, (h.e - 1) // 2), h.p)
-
-
-def abs_within(x, c, h: HalfPower) -> bool:
-    """Exact test of ``|x| <= c * h`` with ``c >= 0``."""
-    return cmp_halfpower(x, c, h) <= 0 and cmp_halfpower(-x, c, h) <= 0
 
 
 def exact_div(a, b):

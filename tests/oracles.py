@@ -1,7 +1,8 @@
 """Reference code that only the tests call.
 
 Slow or independent implementations the tests compare the library against,
-the table edits the tests build bad input with, the Smith-form coset algebra
+the table edits the tests build bad input with, the half-power bound test the
+squared growth test replaced, the Smith-form coset algebra
 the Hecke operators' closed-form class sizes and character test replaced, and
 the explicit coset matrices that pin the coset classes.
 None of it is on the lift chain.
@@ -13,11 +14,11 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from sklift.characterize import EigenvalueRecord, SatakeParams, _simplify
+from sklift.characterize import EigenvalueRecord, GrowthReport, SatakeParams, _simplify
 from sklift.errors import InconsistencyError, TruncationError, UsageError
 from sklift.jacobi import JacobiForm
 from sklift.kohnen import PlusSpaceForm
-from sklift.numeric import QuadExt, fpow, is_prime, rat
+from sklift.numeric import HalfPower, QuadExt, cmp_halfpower, fpow, is_prime, rat
 from sklift.qseries import QSeries, RatMatrix
 from sklift.siegel import (
     CheckReport,
@@ -210,6 +211,26 @@ def reconstruct(sp: SatakeParams) -> EigenvalueRecord:
     mu_p = _simplify(fpow(p, k - 1) * w)
     mu_p2 = _simplify(fpow(p, 2 * k - 3) * v)
     return EigenvalueRecord(k, p, mu_p, mu_p2)
+
+
+def abs_within(x, c, h: HalfPower) -> bool:
+    """Exact test of ``|x| <= c * h`` with ``c >= 0``, by two half-power comparisons."""
+    return cmp_halfpower(x, c, h) <= 0 and cmp_halfpower(-x, c, h) <= 0
+
+
+def growth_by_half_powers(rec: EigenvalueRecord, seq: list) -> GrowthReport:
+    """``growth_check`` as it was before the bounds were compared squared."""
+    k, p = rec.weight, rec.p
+    first_sharp = first_weak = None
+    for r, mu in enumerate(seq):
+        h = HalfPower(p, r * (2 * k - 3))
+        sharp = Fraction(math.comb(r + 3, 3)) + Fraction(math.comb(r + 1, 3), p)
+        weak = Fraction(3, 2) * math.comb(r + 3, 3)
+        if first_sharp is None and not abs_within(mu, sharp, h):
+            first_sharp = r
+        if first_weak is None and not abs_within(mu, weak, h):
+            first_weak = r
+    return GrowthReport(len(seq) - 1, first_sharp, first_weak)
 
 
 # two 20-digit primes: trial division below 10**4 cannot resolve 2*P*Q

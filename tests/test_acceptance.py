@@ -119,10 +119,11 @@ def test_criterion_6_growth_dichotomy():
         p = rng.choice([2, 3])
         x = Fraction(rng.randint(-24, 24), 12)
         y = Fraction(rng.randint(-24, 24), 12)
-        rep = growth_check(record_from_pair(k, p, x, y), 100)
+        rec = record_from_pair(k, p, x, y)
+        rep = growth_check(rec, mu_sequence(rec, 100))
         assert rep.ok
     sk = EigenvalueRecord(10, 2, 240, 135424)
-    rep = growth_check(sk, 40)
+    rep = growth_check(sk, mu_sequence(sk, 40))
     # frozen regression constant, confirmed independently by power-series
     # inversion of the degree-4 local factor
     assert rep.first_weak_violation == 27

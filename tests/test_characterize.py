@@ -32,6 +32,7 @@ from sklift.qseries import QSeries
 from oracles import (
     HOSTILE_P,
     HOSTILE_Q,
+    growth_by_half_powers,
     reconstruct,
     record_with_discriminant,
     scaled,
@@ -44,6 +45,31 @@ SK10 = EigenvalueRecord(10, 2, 240, 135424)
 def random_trace(rng, lo=-2, hi=2):
     num = rng.randint(lo * 12, hi * 12)
     return Fraction(num, 12)
+
+
+traces = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@st.composite
+def growth_records(draw):
+    """Lifted, unimodular-shaped, arbitrary and hostile records."""
+    k = draw(st.sampled_from([10, 12, 14, 20]))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    kind = draw(st.sampled_from(["lifted", "lifted-field", "pair", "arbitrary", "hostile"]))
+    if kind == "lifted":
+        return record_from_pair(k, p, sk_trace(p), draw(traces) + QuadExt(0, draw(traces), p))
+    if kind == "lifted-field":
+        # eigenvalues in a quadratic field other than Q(sqrt p)
+        d = draw(st.sampled_from([5, 13, 51349]))
+        return sk_record(k, p, QuadExt(draw(st.integers(-10**4, 10**4)), draw(st.integers(1, 99)), d))
+    if kind == "pair":
+        x = draw(traces) + QuadExt(0, draw(traces), p)
+        y = draw(traces) + QuadExt(0, draw(traces), p)
+        return record_from_pair(k, p, x, y)
+    if kind == "arbitrary":
+        a, b = draw(st.integers(-4000, 4000)), draw(st.integers(-4000, 4000))
+        return EigenvalueRecord(k, p, a * p ** (k - 2), b * p ** (2 * k - 4))
+    return record_with_discriminant(k, p, draw(st.integers(-4000, 4000)), 2 * HOSTILE_P * HOSTILE_Q)
 
 
 class TestSolveSatake:
@@ -295,36 +321,42 @@ class TestGrowthAndSigns:
             k = rng.choice([10, 12])
             p = rng.choice([2, 3])
             rec = record_from_pair(k, p, random_trace(rng), random_trace(rng))
-            rep = growth_check(rec, 100)
+            rep = growth_check(rec, mu_sequence(rec, 100))
             assert rep.ok, (k, p)
 
     def test_sk_record_weak_bound_fails_at_27(self):
         # frozen regression constant, confirmed by the series-inversion oracle
-        rep = growth_check(SK10, 40)
+        rep = growth_check(SK10, mu_sequence(SK10, 40))
         assert rep.first_weak_violation == 27
         assert rep.first_sharp_violation == 27
 
+    @given(growth_records(), st.integers(0, 60))
+    @settings(max_examples=150, deadline=None)
+    def test_squared_bounds_match_half_power_oracle(self, rec, depth):
+        seq = mu_sequence(rec, depth)
+        assert growth_check(rec, seq) == growth_by_half_powers(rec, seq)
+
     def test_growth_r0_holds(self):
-        rep = growth_check(SK10, 0)
+        rep = growth_check(SK10, mu_sequence(SK10, 0))
         assert rep.ok
 
     def test_sk_positivity(self):
-        rep = positivity_scan(SK10, 50)
+        rep = positivity_scan(mu_sequence(SK10, 50))
         assert rep.all_positive
         assert rep.sign_changes == ()
 
     def test_zero_trace_record_alternates(self):
         k, p = 10, 2
         rec = EigenvalueRecord(k, p, 0, -2 * p ** (2 * k - 3) - p ** (2 * k - 4))
-        rep = positivity_scan(rec, 40)
+        rep = positivity_scan(mu_sequence(rec, 40))
         assert not rep.all_positive
         assert rep.signs[0] == 1 and rep.signs[2] == -1 and rep.signs[4] == 1
         assert len(rep.sign_changes) >= 18
         # normalized size stays within the cubic envelope on the window
-        assert growth_check(rec, 100).ok
+        assert growth_check(rec, mu_sequence(rec, 100)).ok
 
     def test_scan_depth_zero(self):
-        rep = positivity_scan(SK10, 0)
+        rep = positivity_scan(mu_sequence(SK10, 0))
         assert rep.signs == (1,)
         assert rep.all_positive
 
@@ -363,3 +395,5 @@ class TestRecordIO:
             EigenvalueRecord(11, 2, 1, 1)
         with pytest.raises(UsageError):
             EigenvalueRecord(10, 4, 1, 1)
+        with pytest.raises(UsageError, match="2203 bits"):
+            EigenvalueRecord(10, 2**2203 - 1, 1, 1)

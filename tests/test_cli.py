@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from sklift import characterize
 from sklift.cache import ExpansionCache
 from sklift.characterize import EigenvalueRecord
 from sklift.cli import main
@@ -263,6 +264,57 @@ class TestClassify:
         assert proc.returncode in (0, 1), proc.stderr
         satake = json.loads(proc.stdout)["records"][0]["satake"]
         assert satake["x"] is None and satake["y"] is None
+
+    @pytest.mark.parametrize("weight, p, code", [
+        (4000, 2, 0), (20000, 2, 2), (10, 2**2203 - 1, 2),
+    ], ids=["weight4000", "weight20000", "p2203bits"])
+    def test_long_primality_tests_refused(self, tmp_path, weight, p, code):
+        # the squarefree part of a mu(p) = 0 record's discriminant grows with the
+        # weight; no primality test runs past PRIME_TEST_BITS
+        rec_path = tmp_path / "records.jsonl"
+        rec_path.write_text(json.dumps({"weight": weight, "p": p, "mu_p": "0", "mu_p2": "1"}) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "sklift.cli", "classify", str(rec_path), "--scan", "2"],
+            capture_output=True, text=True, timeout=5,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_one_sequence_per_record(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = characterize.mu_sequence
+        monkeypatch.setattr(characterize, "mu_sequence", lambda *a: calls.append(a) or real(*a))
+        rec_path = tmp_path / "records.jsonl"
+        rec_path.write_text(
+            '{"weight": 10, "p": 2, "mu_p": "240", "mu_p2": "135424"}\n'
+            '{"weight": 12, "p": 3, "mu_p": "0", "mu_p2": "1"}\n'
+            '{"weight": 10, "p": 5, "mu_p": "7", "mu_p2": "-3"}\n'
+        )
+        assert main(["--output", "json", "classify", str(rec_path), "--scan", "30"]) == 0
+        assert len(calls) == 3
+        entries = json.loads(capsys.readouterr().out)["records"]
+        assert [e["growth"]["scan_depth"] for e in entries] == [30, 30, 30]
+        assert [len(e["positivity"]["signs"]) for e in entries] == [31, 31, 31]
+
+    def test_closed_output_pipe_is_quiet(self, tmp_path):
+        # about 320 KiB of JSON, far past a 64 KiB pipe buffer, so the child is
+        # still writing when the reader closes after one line
+        rec_path = tmp_path / "records.jsonl"
+        rec_path.write_text('{"weight": 10, "p": 2, "mu_p": "240", "mu_p2": "135424"}\n' * 100)
+        with open(tmp_path / "err.txt", "w+") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "sklift.cli", "--output", "json", "classify",
+                 str(rec_path), "--scan", "200"],
+                stdout=subprocess.PIPE, stderr=err,
+            )
+            try:
+                assert proc.stdout.readline() == b"{\n"
+                proc.stdout.close()
+                assert proc.wait(timeout=30) == 1
+            finally:
+                proc.kill()
+            err.seek(0)
+            assert err.read() == ""
 
     def test_value_past_digit_limit_exits_2(self, tmp_path, capsys):
         rec_path = tmp_path / "records.jsonl"

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sklift.numeric import (
+    PRIME_TEST_BITS,
     TRIAL_LIMIT,
     HalfPower,
     QuadExt,
-    abs_within,
     bernoulli_number,
     cmp_halfpower,
     cmp_sqrt_multiple,
@@ -26,7 +26,7 @@ from sklift.numeric import (
     value_sign,
 )
 
-from oracles import HOSTILE_P, HOSTILE_Q, divisors, factorize, norm, sigma
+from oracles import HOSTILE_P, HOSTILE_Q, abs_within, divisors, factorize, norm, sigma
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -163,6 +163,13 @@ class TestSquarefreeCore:
     def test_large_prime_and_prime_square(self):
         assert squarefree_core(6 * HOSTILE_P) == (1, 6 * HOSTILE_P)
         assert squarefree_core(12 * HOSTILE_P**2) == (2 * HOSTILE_P, 3)
+
+    def test_primality_tested_only_up_to_the_bit_cap(self):
+        # two Mersenne primes, one each side of PRIME_TEST_BITS
+        assert PRIME_TEST_BITS == 2048
+        m1279, m2203 = 2**1279 - 1, 2**2203 - 1
+        assert squarefree_core(6 * m1279) == (1, 6 * m1279)
+        assert squarefree_core(6 * m2203) is None
 
     def test_two_large_primes_uncertified(self):
         n = 2 * HOSTILE_P * HOSTILE_Q

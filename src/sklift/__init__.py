@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .numeric import HalfPower, QuadExt, Rational, cmp_halfpower, kronecker_symbol
+from .numeric import QuadExt, Rational, kronecker_symbol
 from .qseries import QSeries, RatMatrix
 from .elliptic import (
     EllipticEigenform,

@@ -22,10 +22,10 @@ from .errors import InconsistencyError, UsageError
 from .numeric import (
     PRIME_TEST_BITS,
     QuadExt,
-    cmp_sqrt_multiple,
     format_value,
     fpow,
     is_prime,
+    json_int,
     rat,
     sqrt_if_square,
     sqrt_rational,
@@ -88,19 +88,21 @@ def format_exact(x) -> str:
 
 
 def parse_exact(text) -> Fraction:
-    """Parse a decimal/fraction string; floats are rejected to stay exact."""
-    if isinstance(text, int):
-        return Fraction(text)
+    """Parse an integer or a decimal/fraction string; floats and booleans are refused."""
     if isinstance(text, str):
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"not an exact rational: {text!r}") from exc
-    raise UsageError(f"exact values must be integers or strings, got {type(text).__name__}")
+    return Fraction(json_int(text, "an exact value"))
 
 
 def load_records(path) -> list[EigenvalueRecord]:
-    """Read newline-delimited JSON records; errors carry the line number."""
+    """Read newline-delimited JSON records; errors carry the line number and the field.
+
+    ``weight`` and ``p`` are JSON integers or strings of one; ``mu_p`` and
+    ``mu_p2`` are JSON integers or exact decimal/fraction strings.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -115,13 +117,12 @@ def load_records(path) -> list[EigenvalueRecord]:
             continue
         try:
             data = json.loads(line)
-            rec = EigenvalueRecord(
-                weight=int(data["weight"]),
-                p=int(data["p"]),
-                mu_p=parse_exact(data["mu_p"]),
-                mu_p2=parse_exact(data["mu_p2"]),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            fields = {name: json_int(data[name], name) for name in ("weight", "p")}
+            for name in ("mu_p", "mu_p2"):
+                text = data[name]
+                fields[name] = parse_exact(text if isinstance(text, str) else json_int(text, name))
+            rec = EigenvalueRecord(**fields)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, UsageError) as exc:
             raise UsageError(f"{path}:{lineno}: bad record ({exc})") from exc
         records.append(rec)
     return records
@@ -221,10 +222,11 @@ def solve_satake(rec: EigenvalueRecord) -> SatakeParams:
         classification = SK_TYPE
     else:
         real_pair = value_sign(disc) >= 0
+        # 4 + c >= 2|w|sqrt(p), that is, 4 + c >= 0 and (4 + c)**2 >= 4 p w**2
         inside = (
             value_sign(16 - u_sq) >= 0
-            and cmp_sqrt_multiple(4 + c, 2 * w, p) >= 0
-            and cmp_sqrt_multiple(4 + c, -2 * w, p) >= 0
+            and value_sign(4 + c) >= 0
+            and value_sign((4 + c) ** 2 - 4 * u_sq) >= 0
         )
         classification = RAMANUJAN_TYPE if (real_pair and inside) else NEITHER_TYPE
 
@@ -297,14 +299,16 @@ def theorem41(rec: EigenvalueRecord) -> Theorem41Certificate:
     """
     k, p = rec.weight, rec.p
     fired = []
-    cond_ii = cmp_sqrt_multiple(rec.mu_p, 4 * fpow(p, k - 2), p) > 0
+    mu_sq = rec.mu_p * rec.mu_p
+    # mu(p) > 4 p**(k-2) sqrt(p), that is, mu(p) > 0 and mu(p)**2 > 16 p**(2k-3)
+    cond_ii = value_sign(rec.mu_p) > 0 and value_sign(mu_sq - 16 * fpow(p, 2 * k - 3)) > 0
     if cond_ii:
         fired.append(COND_PRIME_THRESHOLD)
     cond_iv = value_sign(rec.mu_p2 - 10 * fpow(p, 2 * k - 3)) > 0
     if cond_iv:
         fired.append(COND_PRIME_SQUARE_THRESHOLD)
     t = p ** (k - 1) + p ** (k - 2)
-    identity_gap = rec.mu_p * rec.mu_p - t * rec.mu_p + fpow(p, 2 * k - 2) - rec.mu_p2
+    identity_gap = mu_sq - t * rec.mu_p + fpow(p, 2 * k - 2) - rec.mu_p2
     cond_vii = value_sign(identity_gap) == 0
     if cond_vii:
         fired.append(COND_EIGENVALUE_IDENTITY)

@@ -2,10 +2,9 @@
 
 Rationals are ``fractions.Fraction`` (always in lowest terms, positive
 denominator).  On top of that this module provides real quadratic
-irrationals ``a + b*sqrt(d)``, exact half-integral prime powers ``p**(e/2)``,
-sign/ordering decisions for expressions involving a single square root
-(resolved by sign splitting and squaring, never by floating point), and the
-elementary number-theoretic functions the rest of the package needs.
+irrationals ``a + b*sqrt(d)`` with exact signs (resolved by sign splitting
+and squaring, never by floating point), and the elementary number-theoretic
+functions the rest of the package needs.
 
 All values are immutable and all functions are pure.
 """
@@ -19,7 +18,9 @@ from .errors import UsageError
 
 Rational = Fraction
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of _SMALL_PRIMES as bases
+PSI_13 = 3317044064679887385961981
 
 # squarefree_core trial-divides below this and factors nothing further
 TRIAL_LIMIT = 10_000
@@ -36,12 +37,35 @@ def rat(x) -> Fraction:
     return Fraction(x)
 
 
+def json_int(value, field: str) -> int:
+    """An integer read from a JSON file: a JSON integer or a string of one.
+
+    Floats and booleans are refused with ``UsageError`` naming ``field``,
+    where ``int()`` would truncate 10.9 to 10 and read ``true`` as 1.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise UsageError(f"{field} must be an integer, got {type(value).__name__} {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # elementary number theory
 # ---------------------------------------------------------------------------
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond any input used here."""
+    """Primality of ``n``: Miller-Rabin to the prime bases 2..41, then strong Lucas.
+
+    The strong tests to the thirteen bases 2..41 decide every ``n`` below
+    psi_13 = 3317044064679887385961981 (Sorenson and Webster, 2017).  From
+    psi_13 on, ``n`` must also pass a strong Lucas test with Selfridge's
+    parameters, which with base 2 is the Baillie-PSW test: no composite is
+    known to pass it, though none is proven not to.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -62,7 +86,46 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < PSI_13 or _strong_lucas_probable_prime(n)
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of an odd ``n > 41`` with Selfridge's parameters P = 1, Q = (1 - D)/4.
+
+    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D|n) = -1.
+    Writing n + 1 = d * 2**s with d odd, ``n`` passes when U_d = 0 or
+    V_(d * 2**r) = 0 mod n for some r < s.
+    """
+    root = math.isqrt(n)
+    if root * root == n:  # no D has (D|n) = -1
+        return False
+    D = 5
+    while (j := kronecker_symbol(D, n)) != -1:
+        if j == 0:  # |D| < n shares a factor with n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k, Q**k mod n for k = 1, then the binary digits of d from the top
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            # U_(k+1) = (U_k + V_k)/2 and V_(k+1) = (D U_k + V_k)/2 mod the odd n
+            u, v = u + v, D * u + v
+            u, v = (u + n * (u % 2)) // 2 % n, (v + n * (v % 2)) // 2 % n
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False
 
 
 def divisor_lists(n: int) -> list[list[int]]:
@@ -375,26 +438,8 @@ def sqrt_rational(x: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# exact comparisons against c * p**(e/2)
+# exact values
 # ---------------------------------------------------------------------------
-
-class HalfPower:
-    """``p**(e/2)`` exactly, for a prime ``p`` and an integer exponent numerator ``e``."""
-
-    __slots__ = ("p", "e")
-
-    def __init__(self, p: int, e: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "e", int(e))
-
-    def __setattr__(self, *args):  # pragma: no cover - immutability guard
-        raise AttributeError("HalfPower values are immutable")
-
-    def __repr__(self):
-        return f"{self.p}^({self.e}/2)"
-
 
 def fpow(base: int, e: int) -> Fraction:
     """Exact integer power with negative exponents allowed."""
@@ -408,41 +453,6 @@ def value_sign(x) -> int:
     if isinstance(x, QuadExt):
         return x.sign()
     return _sgn(x)
-
-
-def cmp_sqrt_multiple(x, t, p: int) -> int:
-    """Sign of ``x - t*sqrt(p)`` with ``t`` of any sign, exactly.
-
-    ``x`` and ``t`` may be rational or live in a common real quadratic field;
-    when that field is the one generated by sqrt(p) the difference is formed
-    directly, otherwise the comparison is resolved by sign analysis followed
-    by squaring.
-    """
-    def _in_sqrt_p_field(v):
-        return not isinstance(v, QuadExt) or v.b == 0 or v.d == p
-
-    if _in_sqrt_p_field(x) and _in_sqrt_p_field(t):
-        diff = x - t * QuadExt(0, 1, p)
-        return value_sign(diff)
-    sx = value_sign(x)
-    st = value_sign(t)
-    if st == 0:
-        return sx
-    if sx == 0:
-        return -st
-    if sx != st:
-        return sx
-    return value_sign(x * x - t * t * p) * sx
-
-
-def cmp_halfpower(x, c, h: HalfPower) -> int:
-    """Ordering of ``x`` versus ``c * h`` with ``c >= 0``: returns -1, 0 or 1."""
-    c = rat(c)
-    if c < 0:
-        raise ValueError("the half-power scale must be nonnegative")
-    if h.e % 2 == 0:
-        return value_sign(x - c * fpow(h.p, h.e // 2))
-    return cmp_sqrt_multiple(x, c * fpow(h.p, (h.e - 1) // 2), h.p)
 
 
 def exact_div(a, b):

@@ -8,8 +8,8 @@ generic over all three.  Products of two all-int series, the hot case of the
 lift chain, take one big-integer multiplication by Kronecker substitution;
 every other product runs the term-by-term loop.
 
-``RatMatrix`` provides the exact row reduction, kernel, and characteristic
-polynomial computations used for basis echelonization and Hecke matrices;
+``RatMatrix`` provides the exact row reduction and kernel used for basis
+echelonization and Hecke matrices;
 ``staircase_matrix`` and ``eigen_split_2x2`` turn the Hecke images of a
 staircase basis into a verified matrix and split a 2x2 one into eigenvectors,
 for the elliptic and the plus-space side alike.
@@ -233,10 +233,6 @@ class RatMatrix:
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("RatMatrix values are immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):
             return NotImplemented
@@ -247,41 +243,6 @@ class RatMatrix:
 
     def __repr__(self):
         return f"RatMatrix({self.entries!r})"
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise UsageError("matrix dimensions do not match")
-        return RatMatrix(
-            [
-                [
-                    sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise UsageError("matrix dimensions do not match")
-        return RatMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def scale(self, c) -> "RatMatrix":
-        c = rat(c)
-        return RatMatrix([[x * c for x in row] for row in self.entries])
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise UsageError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
 
     # -- elimination -----------------------------------------------------
 
@@ -307,9 +268,6 @@ class RatMatrix:
                 break
         return RatMatrix(m), tuple(pivots)
 
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
     def kernel(self) -> list[list[Fraction]]:
         """Exact basis of the right kernel (one vector per free column)."""
         red, pivots = self.rref()
@@ -324,21 +282,6 @@ class RatMatrix:
                 v[pc] = -red.entries[r][free]
             basis.append(v)
         return basis
-
-    def charpoly(self) -> list[Fraction]:
-        """Monic characteristic polynomial det(xI - M), coefficients low to high."""
-        if self.rows != self.cols:
-            raise UsageError("characteristic polynomial of a non-square matrix")
-        n = self.rows
-        coeffs = [Fraction(0)] * (n + 1)
-        coeffs[n] = Fraction(1)
-        m = RatMatrix.identity(n)
-        for k in range(1, n + 1):
-            m = self @ m
-            ck = -m.trace() / k
-            coeffs[n - k] = ck
-            m = m + RatMatrix.identity(n).scale(ck)
-        return coeffs
 
 
 def staircase_matrix(basis: list[QSeries], images: list[QSeries], scale: int) -> RatMatrix:
@@ -386,7 +329,7 @@ def eigen_split_2x2(m: RatMatrix) -> list[tuple]:
     squarefree part trial division cannot certify, raise ``UnsupportedFieldError``.
     """
     (a, b), (c, d) = m.entries
-    c0, c1, _ = m.charpoly()
+    c0, c1 = a * d - b * c, -(a + d)
     disc = c1 * c1 - 4 * c0
     if disc < 0:
         raise UnsupportedFieldError("complex eigenvalues cannot occur for these operators")

@@ -28,7 +28,7 @@ from .errors import (
     UsageError,
 )
 from .jacobi import JacobiForm
-from .numeric import QuadExt, divisor_lists, exact_div, is_prime, rat
+from .numeric import QuadExt, divisor_lists, exact_div, is_prime, json_int, rat
 
 SCHEMA_VERSION = 1
 
@@ -176,11 +176,12 @@ class SiegelFourierTable:
                 f"expected {SCHEMA_VERSION}"
             )
         try:
-            weight = int(data["weight"])
-            bound = int(data["bound"])
+            weight = json_int(data["weight"], "weight")
+            bound = json_int(data["bound"], "bound")
             entries = {}
             for n, r, m, num, den in data["entries"]:
-                entries[(int(n), int(r), int(m))] = Fraction(int(num), int(den))
+                index = tuple(json_int(x, "an entry index") for x in (n, r, m))
+                entries[index] = Fraction(json_int(num, "a numerator"), json_int(den, "a denominator"))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"malformed table file: {exc}") from exc
         return cls(weight, bound, entries)

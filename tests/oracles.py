@@ -1,8 +1,9 @@
 """Reference code that only the tests call.
 
 Slow or independent implementations the tests compare the library against,
-the table edits the tests build bad input with, the half-power bound test the
-squared growth test replaced, the Smith-form coset algebra
+the table edits the tests build bad input with, the comparisons with multiples
+of sqrt(p) that the squared threshold and growth tests replaced, the general
+characteristic polynomial the 2x2 closed form replaced, the Smith-form coset algebra
 the Hecke operators' closed-form class sizes and character test replaced, and
 the explicit coset matrices that pin the coset classes.
 None of it is on the lift chain.
@@ -14,11 +15,24 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from sklift.characterize import EigenvalueRecord, GrowthReport, SatakeParams, _simplify
+from sklift.characterize import (
+    COND_EIGENVALUE_IDENTITY,
+    COND_PRIME_SQUARE_THRESHOLD,
+    COND_PRIME_THRESHOLD,
+    NEITHER_TYPE,
+    RAMANUJAN_TYPE,
+    SK_TYPE,
+    EigenvalueRecord,
+    GrowthReport,
+    SatakeParams,
+    Theorem41Certificate,
+    _explicit_pair,
+    _simplify,
+)
 from sklift.errors import InconsistencyError, TruncationError, UsageError
 from sklift.jacobi import JacobiForm
 from sklift.kohnen import PlusSpaceForm
-from sklift.numeric import HalfPower, QuadExt, cmp_halfpower, fpow, is_prime, rat
+from sklift.numeric import QuadExt, fpow, is_prime, rat, value_sign
 from sklift.qseries import QSeries, RatMatrix
 from sklift.siegel import (
     CheckReport,
@@ -103,14 +117,64 @@ def solve(m: RatMatrix, rhs: list) -> list[Fraction]:
     return x
 
 
+def identity(n: int) -> RatMatrix:
+    return RatMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    if a.cols != b.rows:
+        raise UsageError("matrix dimensions do not match")
+    return RatMatrix(
+        [
+            [sum(a.entries[i][k] * b.entries[k][j] for k in range(a.cols)) for j in range(b.cols)]
+            for i in range(a.rows)
+        ]
+    )
+
+
+def add(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise UsageError("matrix dimensions do not match")
+    return RatMatrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)])
+
+
+def scale(m: RatMatrix, c) -> RatMatrix:
+    c = rat(c)
+    return RatMatrix([[x * c for x in row] for row in m.entries])
+
+
+def rank(m: RatMatrix) -> int:
+    return len(m.rref()[1])
+
+
+def is_zero(m: RatMatrix) -> bool:
+    return all(x == 0 for row in m.entries for x in row)
+
+
+def charpoly(m: RatMatrix) -> list[Fraction]:
+    """Monic characteristic polynomial det(xI - M), coefficients low to high, by Faddeev-LeVerrier."""
+    if m.rows != m.cols:
+        raise UsageError("characteristic polynomial of a non-square matrix")
+    n = m.rows
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    power = identity(n)
+    for k in range(1, n + 1):
+        power = matmul(m, power)
+        ck = -sum((power.entries[i][i] for i in range(n)), Fraction(0)) / k
+        coeffs[n - k] = ck
+        power = add(power, scale(identity(n), ck))
+    return coeffs
+
+
 def poly_eval_matrix(coeffs: list[Fraction], m: RatMatrix) -> RatMatrix:
     """Evaluate a polynomial (low-to-high coefficients) at a square matrix."""
     out = RatMatrix([[0] * m.cols for _ in range(m.rows)])
-    power = RatMatrix.identity(m.rows)
+    power = identity(m.rows)
     for c in coeffs:
         if c != 0:
-            out = out + power.scale(c)
-        power = power @ m
+            out = add(out, scale(power, c))
+        power = matmul(power, m)
     return out
 
 
@@ -213,9 +277,45 @@ def reconstruct(sp: SatakeParams) -> EigenvalueRecord:
     return EigenvalueRecord(k, p, mu_p, mu_p2)
 
 
-def abs_within(x, c, h: HalfPower) -> bool:
-    """Exact test of ``|x| <= c * h`` with ``c >= 0``, by two half-power comparisons."""
-    return cmp_halfpower(x, c, h) <= 0 and cmp_halfpower(-x, c, h) <= 0
+def cmp_sqrt_multiple(x, t, p: int) -> int:
+    """Sign of ``x - t*sqrt(p)`` with ``t`` of any sign, exactly.
+
+    ``x`` and ``t`` may be rational or live in a common real quadratic field;
+    when that field is the one generated by sqrt(p) the difference is formed
+    directly, otherwise the comparison is resolved by sign analysis followed
+    by squaring.
+    """
+    def _in_sqrt_p_field(v):
+        return not isinstance(v, QuadExt) or v.b == 0 or v.d == p
+
+    if _in_sqrt_p_field(x) and _in_sqrt_p_field(t):
+        return value_sign(x - t * QuadExt(0, 1, p))
+    sx = value_sign(x)
+    st = value_sign(t)
+    if st == 0:
+        return sx
+    if sx == 0:
+        return -st
+    if sx != st:
+        return sx
+    return value_sign(x * x - t * t * p) * sx
+
+
+def cmp_halfpower(x, c, p: int, e: int) -> int:
+    """Ordering of ``x`` versus ``c * p**(e/2)`` for a prime ``p`` and ``c >= 0``: -1, 0 or 1."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    c = rat(c)
+    if c < 0:
+        raise ValueError("the half-power scale must be nonnegative")
+    if e % 2 == 0:
+        return value_sign(x - c * fpow(p, e // 2))
+    return cmp_sqrt_multiple(x, c * fpow(p, (e - 1) // 2), p)
+
+
+def abs_within(x, c, p: int, e: int) -> bool:
+    """Exact test of ``|x| <= c * p**(e/2)`` with ``c >= 0``, by two half-power comparisons."""
+    return cmp_halfpower(x, c, p, e) <= 0 and cmp_halfpower(-x, c, p, e) <= 0
 
 
 def growth_by_half_powers(rec: EigenvalueRecord, seq: list) -> GrowthReport:
@@ -223,14 +323,56 @@ def growth_by_half_powers(rec: EigenvalueRecord, seq: list) -> GrowthReport:
     k, p = rec.weight, rec.p
     first_sharp = first_weak = None
     for r, mu in enumerate(seq):
-        h = HalfPower(p, r * (2 * k - 3))
+        e = r * (2 * k - 3)
         sharp = Fraction(math.comb(r + 3, 3)) + Fraction(math.comb(r + 1, 3), p)
         weak = Fraction(3, 2) * math.comb(r + 3, 3)
-        if first_sharp is None and not abs_within(mu, sharp, h):
+        if first_sharp is None and not abs_within(mu, sharp, p, e):
             first_sharp = r
-        if first_weak is None and not abs_within(mu, weak, h):
+        if first_weak is None and not abs_within(mu, weak, p, e):
             first_weak = r
     return GrowthReport(len(seq) - 1, first_sharp, first_weak)
+
+
+def satake_by_sqrt_multiples(rec: EigenvalueRecord) -> SatakeParams:
+    """``solve_satake`` as it was before the unimodular window was compared squared."""
+    k, p = rec.weight, rec.p
+    w = _simplify(rec.mu_p / fpow(p, k - 1))
+    v = _simplify(rec.mu_p2 / fpow(p, 2 * k - 3))
+    u_sq = _simplify(p * w * w)
+    c = _simplify(u_sq - v - 2 - Fraction(1, p))
+    disc = _simplify(u_sq - 4 * c)
+    if value_sign(_simplify(Fraction((p + 1) ** 2, p) - (p + 1) * w + c)) == 0:
+        classification = SK_TYPE
+    else:
+        real_pair = value_sign(disc) >= 0
+        inside = (
+            value_sign(16 - u_sq) >= 0
+            and cmp_sqrt_multiple(4 + c, 2 * w, p) >= 0
+            and cmp_sqrt_multiple(4 + c, -2 * w, p) >= 0
+        )
+        classification = RAMANUJAN_TYPE if (real_pair and inside) else NEITHER_TYPE
+    x, y = _explicit_pair(p, w, disc, classification)
+    return SatakeParams(k, p, w, c, disc, classification, x, y)
+
+
+def theorem41_by_sqrt_multiples(rec: EigenvalueRecord) -> Theorem41Certificate:
+    """``theorem41`` as it was before mu(p) > 4 p**(k-3/2) was compared squared."""
+    k, p = rec.weight, rec.p
+    fired = []
+    cond_ii = cmp_sqrt_multiple(rec.mu_p, 4 * fpow(p, k - 2), p) > 0
+    if cond_ii:
+        fired.append(COND_PRIME_THRESHOLD)
+    cond_iv = value_sign(rec.mu_p2 - 10 * fpow(p, 2 * k - 3)) > 0
+    if cond_iv:
+        fired.append(COND_PRIME_SQUARE_THRESHOLD)
+    t = p ** (k - 1) + p ** (k - 2)
+    gap = rec.mu_p * rec.mu_p - t * rec.mu_p + fpow(p, 2 * k - 2) - rec.mu_p2
+    cond_vii = value_sign(gap) == 0
+    if cond_vii:
+        fired.append(COND_EIGENVALUE_IDENTITY)
+    verdict = SK_TYPE if cond_vii else f"not-{SK_TYPE}"
+    inconsistent = (cond_ii or cond_iv) and not cond_vii
+    return Theorem41Certificate(rec, verdict, tuple(fired), inconsistent, satake_by_sqrt_multiples(rec))
 
 
 # two 20-digit primes: trial division below 10**4 cannot resolve 2*P*Q

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sklift.characterize import (
@@ -37,6 +37,7 @@ from oracles import (
     record_with_discriminant,
     scaled,
     series_inverse,
+    theorem41_by_sqrt_multiples,
 )
 
 SK10 = EigenvalueRecord(10, 2, 240, 135424)
@@ -52,16 +53,18 @@ traces = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 
 @st.composite
 def growth_records(draw):
-    """Lifted, unimodular-shaped, arbitrary and hostile records."""
+    """Lifted, paired, arbitrary and hostile records."""
     k = draw(st.sampled_from([10, 12, 14, 20]))
     p = draw(st.sampled_from([2, 3, 5, 7]))
-    kind = draw(st.sampled_from(["lifted", "lifted-field", "pair", "arbitrary", "hostile"]))
+    kind = draw(st.sampled_from(["lifted", "lifted-field", "rational-pair", "pair", "arbitrary", "hostile"]))
     if kind == "lifted":
         return record_from_pair(k, p, sk_trace(p), draw(traces) + QuadExt(0, draw(traces), p))
     if kind == "lifted-field":
         # eigenvalues in a quadratic field other than Q(sqrt p)
         d = draw(st.sampled_from([5, 13, 51349]))
         return sk_record(k, p, QuadExt(draw(st.integers(-10**4, 10**4)), draw(st.integers(1, 99)), d))
+    if kind == "rational-pair":
+        return record_from_pair(k, p, draw(traces), draw(traces))
     if kind == "pair":
         x = draw(traces) + QuadExt(0, draw(traces), p)
         y = draw(traces) + QuadExt(0, draw(traces), p)
@@ -193,6 +196,19 @@ class TestSolveSatake:
 
 
 class TestTheorem41:
+    @given(growth_records())
+    # thresholds met exactly: mu(p) = 4 p**(k-3/2), and a trace at the window's edge
+    @example(record_from_pair(10, 2, 2, 2))
+    @example(record_from_pair(12, 3, Fraction(1, 2), -2))
+    @example(record_from_pair(14, 5, 2, QuadExt(0, Fraction(1, 3), 5)))
+    @settings(max_examples=200, deadline=None)
+    def test_squared_thresholds_match_sqrt_multiple_oracle(self, rec):
+        got = theorem41(rec).to_json_dict()
+        want = theorem41_by_sqrt_multiples(rec).to_json_dict()
+        assert got.keys() == want.keys()
+        for field in want:
+            assert got[field] == want[field], field
+
     def test_sk_at_2_only_identity_fires(self):
         cert = theorem41(SK10)
         assert cert.verdict == SK_TYPE

@@ -247,6 +247,31 @@ class TestClassify:
         rec_path.write_text('{"weight": 10, "p": 2, "mu_p": 240.5, "mu_p2": "1"}\n')
         assert main(["classify", str(rec_path)]) == 2
 
+    @pytest.mark.parametrize("line, field", [
+        ('{"weight": 10.9, "p": 2.7, "mu_p": "240", "mu_p2": "135424"}', "weight"),
+        ('{"weight": 10, "p": 2.7, "mu_p": "240", "mu_p2": "135424"}', "p"),
+        ('{"weight": 10, "p": 2, "mu_p": true, "mu_p2": "1"}', "mu_p"),
+        ('{"weight": 10, "p": 2, "mu_p": "240", "mu_p2": false}', "mu_p2"),
+    ], ids=["float-weight", "float-p", "true", "false"])
+    def test_json_numbers_must_be_integers(self, tmp_path, capsys, line, field):
+        rec_path = tmp_path / "records.jsonl"
+        rec_path.write_text(line + "\n")
+        assert main(["classify", str(rec_path)]) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+        # integers and strings of them are read as before
+        rec_path.write_text('{"weight": "10", "p": "2", "mu_p": 240, "mu_p2": "135424"}\n')
+        assert main(["classify", str(rec_path)]) == 0
+
+    @pytest.mark.parametrize("p", [
+        318665857834031151167461,  # 399165290221 * 798330580441
+        3317044064679887385961981,  # 1287836182261 * 2575672364521
+    ], ids=["psi12", "psi13"])
+    def test_strong_pseudoprime_p_refused(self, tmp_path, capsys, p):
+        rec_path = tmp_path / "records.jsonl"
+        rec_path.write_text(json.dumps({"weight": 10, "p": p, "mu_p": "1", "mu_p2": "1"}) + "\n")
+        assert main(["classify", str(rec_path)]) == 2
+        assert "is not prime" in capsys.readouterr().err
+
     @pytest.mark.parametrize("rec", [
         record_with_discriminant(10, 2, 0, 2 * HOSTILE_P * HOSTILE_Q),
         record_with_discriminant(10, 2, 1, 2 * HOSTILE_P * HOSTILE_Q),
@@ -348,6 +373,21 @@ class TestUnreadableFiles:
         bad.write_text(json.dumps(data))
         rc, err = self.run(["check", str(bad), "--maass"], capsys)
         assert rc == 2 and str(bad) in err
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda data: data.update(weight=10.9, bound=4.5), "weight"),
+        (lambda data: data.update(bound=6.0), "bound"),
+        (lambda data: data["entries"][0].__setitem__(0, 1.0), "an entry index"),
+        (lambda data: data["entries"][0].__setitem__(3, True), "a numerator"),
+    ], ids=["float-weight", "float-bound", "float-index", "true-numerator"])
+    def test_table_numbers_must_be_integers(self, table10, tmp_path, capsys, edit, field):
+        data = json.loads(table10.read_text())
+        assert data["entries"][0][:3] == [1, 0, 1]  # still reduced with n = 1.0
+        edit(data)
+        bad = tmp_path / "inexact.json"
+        bad.write_text(json.dumps(data))
+        rc, err = self.run(["check", str(bad), "--maass"], capsys)
+        assert rc == 2 and str(bad) in err and f"{field} must be an integer" in err
 
     def test_table_not_utf8(self, tmp_path, capsys):
         bad = tmp_path / "latin1.json"

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from sklift.numeric import (
     PRIME_TEST_BITS,
     TRIAL_LIMIT,
-    HalfPower,
     QuadExt,
+    _strong_lucas_probable_prime,
     bernoulli_number,
-    cmp_halfpower,
-    cmp_sqrt_multiple,
     divisor_lists,
     exact_div,
     fpow,
@@ -26,7 +24,17 @@ from sklift.numeric import (
     value_sign,
 )
 
-from oracles import HOSTILE_P, HOSTILE_Q, abs_within, divisors, factorize, norm, sigma
+from oracles import (
+    HOSTILE_P,
+    HOSTILE_Q,
+    abs_within,
+    cmp_halfpower,
+    cmp_sqrt_multiple,
+    divisors,
+    factorize,
+    norm,
+    sigma,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -80,6 +88,34 @@ class TestElementary:
         assert [p for p in range(40) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
         assert is_prime(2**31 - 1)
         assert not is_prime(2**32 + 1)
+
+    def test_is_prime_past_the_twelve_base_bound(self):
+        # the least strong pseudoprimes to the bases 2..37 and to 2..41
+        assert 399165290221 * 798330580441 == 318665857834031151167461
+        assert not is_prime(318665857834031151167461)
+        assert 1287836182261 * 2575672364521 == 3317044064679887385961981
+        assert not is_prime(3317044064679887385961981)
+        for n in (2**1279 - 1, 2**2203 - 1, HOSTILE_P, HOSTILE_Q):
+            assert is_prime(n)
+        assert not is_prime((2**89 - 1) * (2**107 - 1))
+        assert not is_prime((2**127 - 1) ** 2)
+
+    def test_is_prime_matches_trial_division_below_10_6(self):
+        n = 10**6
+        sieve = bytearray([1]) * (n + 1)
+        sieve[0] = sieve[1] = 0
+        for q in range(2, math.isqrt(n) + 1):
+            if sieve[q]:
+                sieve[q * q :: q] = bytearray(len(range(q * q, n + 1, q)))
+        assert all(is_prime(m) == bool(sieve[m]) for m in range(n + 1))
+
+    def test_strong_lucas_pseudoprimes(self):
+        # the odd composites below 10**5 that pass the strong Lucas test with
+        # Selfridge's parameters (OEIS A217255); primes pass it too
+        pseudoprimes = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+        passing = [m for m in range(43, 10**5, 2) if _strong_lucas_probable_prime(m)]
+        assert [m for m in passing if not is_prime(m)] == pseudoprimes
+        assert len(passing) == len([m for m in range(43, 10**5, 2) if is_prime(m)]) + len(pseudoprimes)
 
     def test_factorize_and_divisors(self):
         assert factorize(360) == {2: 3, 3: 2, 5: 1}
@@ -241,22 +277,22 @@ class TestQuadExt:
 
 class TestHalfPower:
     def test_examples(self):
-        assert cmp_halfpower(Fraction(3), 1, HalfPower(2, 2)) > 0
-        assert cmp_halfpower(Fraction(240), 4, HalfPower(2, 17)) < 0
-        assert cmp_halfpower(Fraction(-1), 4, HalfPower(2, 17)) < 0
+        assert cmp_halfpower(Fraction(3), 1, 2, 2) > 0
+        assert cmp_halfpower(Fraction(240), 4, 2, 17) < 0
+        assert cmp_halfpower(Fraction(-1), 4, 2, 17) < 0
 
     def test_exact_equality_cases(self):
-        assert cmp_halfpower(Fraction(8), 1, HalfPower(2, 6)) == 0
+        assert cmp_halfpower(Fraction(8), 1, 2, 6) == 0
         x = QuadExt(0, 12, 3)  # 12 sqrt(3) = 4 * 3^(3/2)
-        assert cmp_halfpower(x, 4, HalfPower(3, 3)) == 0
+        assert cmp_halfpower(x, 4, 3, 3) == 0
 
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):
-            cmp_halfpower(Fraction(1), -1, HalfPower(2, 1))
+            cmp_halfpower(Fraction(1), -1, 2, 1)
 
     def test_nonprime_base_rejected(self):
         with pytest.raises(ValueError):
-            HalfPower(6, 1)
+            cmp_halfpower(Fraction(1), 1, 6, 1)
 
     def test_agrees_with_high_precision_floats(self):
         # 1000 random cases against 60-digit evaluation
@@ -267,7 +303,7 @@ class TestHalfPower:
             c = Fraction(rng.randint(0, 10**4), rng.randint(1, 100))
             p = rng.choice([2, 3, 5, 7, 37])
             e = rng.randint(0, 40)
-            got = cmp_halfpower(x, c, HalfPower(p, e))
+            got = cmp_halfpower(x, c, p, e)
             approx = mpmath.mpf(x.numerator) / x.denominator - (
                 mpmath.mpf(c.numerator) / c.denominator
             ) * mpmath.power(p, mpmath.mpf(e) / 2)
@@ -277,15 +313,15 @@ class TestHalfPower:
     def test_quadext_operand(self):
         # x in another quadratic field against c * p^(e/2)
         x = QuadExt(10, 1, 3)  # 11.73
-        assert cmp_halfpower(x, 1, HalfPower(2, 7)) > 0  # 2^3.5 = 11.31
-        assert cmp_halfpower(x, 3, HalfPower(2, 5)) < 0  # 3 * 2^2.5 = 16.97
+        assert cmp_halfpower(x, 1, 2, 7) > 0  # 2^3.5 = 11.31
+        assert cmp_halfpower(x, 3, 2, 5) < 0  # 3 * 2^2.5 = 16.97
 
     def test_abs_within(self):
-        assert abs_within(Fraction(-11), 1, HalfPower(2, 7))  # |−11| <= 11.31
-        assert not abs_within(Fraction(-12), 1, HalfPower(2, 7))
-        assert abs_within(Fraction(-4), 1, HalfPower(2, 4)) and not abs_within(5, 1, HalfPower(2, 4))
+        assert abs_within(Fraction(-11), 1, 2, 7)  # |−11| <= 11.31
+        assert not abs_within(Fraction(-12), 1, 2, 7)
+        assert abs_within(Fraction(-4), 1, 2, 4) and not abs_within(5, 1, 2, 4)
         with pytest.raises(ValueError):  # the scale is refused as in cmp_halfpower
-            abs_within(0, -1, HalfPower(2, 4))
+            abs_within(0, -1, 2, 4)
 
     def test_cmp_sqrt_multiple_signs(self):
         assert cmp_sqrt_multiple(Fraction(0), Fraction(-1), 2) > 0

@@ -17,7 +17,17 @@ from sklift.qseries import (
     staircase_matrix,
 )
 
-from oracles import HOSTILE_P, HOSTILE_Q, poly_eval_matrix, series_inverse, solve
+from oracles import (
+    HOSTILE_P,
+    HOSTILE_Q,
+    charpoly,
+    identity,
+    is_zero,
+    poly_eval_matrix,
+    rank,
+    series_inverse,
+    solve,
+)
 
 small_rationals = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=6
@@ -172,7 +182,7 @@ matrices = st.integers(min_value=1, max_value=4).flatmap(
 
 class TestRatMatrix:
     def test_kernel_examples(self):
-        assert RatMatrix.identity(2).kernel() == []
+        assert identity(2).kernel() == []
         assert len(RatMatrix([[0, 0], [0, 0]]).kernel()) == 2
         basis = RatMatrix([[1, 1], [2, 2]]).kernel()
         assert len(basis) == 1
@@ -181,8 +191,8 @@ class TestRatMatrix:
         assert v[0] * (-1) == v[1] * 1 and v != [0, 0]
 
     def test_charpoly_examples(self):
-        assert RatMatrix([[2]]).charpoly() == [Fraction(-2), Fraction(1)]
-        assert RatMatrix([[0, 1], [1, 0]]).charpoly() == [
+        assert charpoly(RatMatrix([[2]])) == [Fraction(-2), Fraction(1)]
+        assert charpoly(RatMatrix([[0, 1], [1, 0]])) == [
             Fraction(-1),
             Fraction(0),
             Fraction(1),
@@ -191,7 +201,7 @@ class TestRatMatrix:
     def test_charpoly_t2_weight30_irreducible(self):
         from sklift.elliptic import hecke_matrix
 
-        poly = hecke_matrix(30, 2, 24).charpoly()
+        poly = charpoly(hecke_matrix(30, 2, 24))
         assert len(poly) == 3 and poly[2] == 1
         disc = poly[1] * poly[1] - 4 * poly[0]
         assert isinstance(sqrt_rational(disc), QuadExt)  # not a rational square
@@ -200,7 +210,7 @@ class TestRatMatrix:
 
     def test_charpoly_nonsquare_rejected(self):
         with pytest.raises(UsageError):
-            RatMatrix([[1, 2, 3], [4, 5, 6]]).charpoly()
+            charpoly(RatMatrix([[1, 2, 3], [4, 5, 6]]))
 
     def test_solve(self):
         m = RatMatrix([[2, 0], [1, 1], [0, 3]])
@@ -212,7 +222,7 @@ class TestRatMatrix:
     @given(matrices)
     @settings(max_examples=100, deadline=None)
     def test_rank_nullity(self, m):
-        assert m.rank() + len(m.kernel()) == m.cols
+        assert rank(m) + len(m.kernel()) == m.cols
         for v in m.kernel():
             image = [
                 sum(m.entries[i][j] * v[j] for j in range(m.cols))
@@ -227,7 +237,7 @@ class TestRatMatrix:
     )
     @settings(max_examples=60, deadline=None)
     def test_cayley_hamilton(self, m):
-        assert poly_eval_matrix(m.charpoly(), m).is_zero()
+        assert is_zero(poly_eval_matrix(charpoly(m), m))
 
 
 class TestStaircaseMatrix:
@@ -253,6 +263,17 @@ class TestStaircaseMatrix:
             staircase_matrix([QSeries([0, 1, 0]), QSeries([0, 1, 1])], [], 1)
         with pytest.raises(UsageError):
             staircase_matrix([QSeries([0, 0, 0])], [], 1)
+
+
+two_by_two = st.one_of(
+    st.lists(st.lists(small_rationals, min_size=2, max_size=2), min_size=2, max_size=2),
+    st.tuples(small_rationals, small_rationals).map(lambda t: [[t[0], 0], [0, t[1]]]),
+    small_rationals.map(lambda a: [[a, 0], [0, a]]),
+    # discriminant 4q, q squarefree: eigenvalues a +- sqrt(q)
+    st.tuples(small_rationals, st.sampled_from([2, 3, 5, 13, 51349])).map(
+        lambda t: [[t[0], t[1]], [1, t[0]]]
+    ),
+)
 
 
 class TestEigenSplit:
@@ -285,6 +306,24 @@ class TestEigenSplit:
     def test_diagonal_and_scalar(self):
         assert self.check([[1, 0], [0, 4]], [4, 1]) == [(4, (0, 1)), (1, (1, 0))]
         assert self.check([[3, 0], [0, 3]], [3, 3]) == [(3, (1, 0)), (3, (0, 1))]
+
+    @given(two_by_two)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_faddeev_leverrier_charpoly(self, entries):
+        c0, c1, c2 = charpoly(RatMatrix(entries))
+        assert c2 == 1
+        if c1 * c1 - 4 * c0 < 0:
+            with pytest.raises(UnsupportedFieldError):
+                eigen_split_2x2(RatMatrix(entries))
+            return
+        pairs = eigen_split_2x2(RatMatrix(entries))
+        (lam1, _), (lam2, _) = pairs
+        assert lam1 >= lam2
+        assert lam1 + lam2 == -c1 and lam1 * lam2 == c0
+        (a, b), (c, d) = entries
+        for lam, (v0, v1) in pairs:
+            assert v0 != 0 or v1 != 0
+            assert a * v0 + b * v1 == lam * v0 and c * v0 + d * v1 == lam * v1
 
     def test_complex_spectrum_refused(self):
         with pytest.raises(UnsupportedFieldError):

@@ -9,7 +9,7 @@ ever materialized; the table is exactly what the degree-2 lift consumes.
 from __future__ import annotations
 
 from .errors import TruncationError, UsageError
-from .kohnen import PlusSpaceForm, _plus_supported
+from .kohnen import PlusSpaceForm
 
 
 class JacobiForm:
@@ -70,13 +70,9 @@ def ez_lift(g: PlusSpaceForm) -> JacobiForm:
     """Index-1 Jacobi form with c(n, r) equal to the plus-space coefficient at 4n - r*r.
 
     The map is a plain re-indexing of coefficient data; it is a bijection on
-    everything the rest of the chain reads.
+    everything the rest of the chain reads.  A plus-space form is zero off the
+    discriminants, so its nonzero coefficients are the table.
     """
-    by_disc = {}
-    for disc in range(1, g.prec + 1):
-        if _plus_supported(disc):
-            v = g.c(disc)
-            if v != 0:
-                by_disc[disc] = v
+    by_disc = {disc: v for disc, v in enumerate(g.series.coeffs) if v != 0}
     return JacobiForm(g.k, by_disc, g.prec)
 

@@ -11,6 +11,8 @@ prime eigenvalues (that matching is how the two sides are glued together).
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import add, mul
 
 from .elliptic import EllipticEigenform, dim_cusp_forms, eigenforms
 from .errors import (
@@ -21,27 +23,29 @@ from .errors import (
     UnsupportedFieldError,
     UsageError,
 )
-from .numeric import divisor_lists, exact_div, is_prime, kronecker_symbol
-from .qseries import QSeries, RatMatrix, eigen_split_2x2, staircase_matrix
+from .numeric import exact_div, is_prime, kronecker_symbol
+from .qseries import QSeries, RatMatrix, eigen_split_2x2, sparse_times, staircase_matrix
+
+
+def _theta_terms(prec: int) -> list[tuple[int, int]]:
+    """The nonzero terms ``(e, c)`` of theta to ``prec``: 1 and 2*q**(n*n)."""
+    return [(0, 1)] + [(n * n, 2) for n in range(1, math.isqrt(prec) + 1)]
 
 
 def theta_series(prec: int) -> QSeries:
     """The unary theta series 1 + 2*sum(q**(n*n))."""
     coeffs = [0] * (prec + 1)
-    coeffs[0] = 1
-    n = 1
-    while n * n <= prec:
-        coeffs[n * n] = 2
-        n += 1
+    for e, c in _theta_terms(prec):
+        coeffs[e] = c
     return QSeries(coeffs, prec)
 
 
 def odd_sigma_series(prec: int) -> QSeries:
     """The weight-2 generator: sum of sigma_1(n) q**n over odd n."""
-    divs = divisor_lists(prec)
     coeffs = [0] * (prec + 1)
-    for n in range(1, prec + 1, 2):
-        coeffs[n] = sum(divs[n])
+    # the divisors of an odd n are odd: each odd d adds itself at its odd multiples
+    for d in range(1, prec + 1, 2):
+        coeffs[d :: 2 * d] = map(add, coeffs[d :: 2 * d], repeat(d))
     return QSeries(coeffs, prec)
 
 
@@ -51,6 +55,21 @@ def _powers(base: QSeries, start: int, step: int, count: int) -> list[QSeries]:
     stride = base**step
     for _ in range(count - 1):
         out.append(out[-1] * stride)
+    return out
+
+
+def _f2_powers(prec: int, count: int) -> list[list]:
+    """Coefficient lists of f2, f2**2, ..., f2**count to ``prec``, at half length.
+
+    f2 vanishes at even exponents, f2 = q * g(q**2), so f2**j is
+    q**j * g(q**2)**j: only powers of g, half as long, are multiplied.
+    """
+    g = QSeries(odd_sigma_series(prec).coeffs[1::2], max((prec - 1) // 2, 0))
+    out = []
+    for j, gj in enumerate(_powers(g, 1, 1, count), start=1):
+        c = [0] * (prec + 1)
+        c[j::2] = gj.coeffs[: len(range(j, prec + 1, 2))]
+        out.append(c)
     return out
 
 
@@ -78,12 +97,10 @@ class PlusSpaceForm:
     __slots__ = ("k", "series")
 
     def __init__(self, k: int, series: QSeries):
-        bad = [n for n in range(series.prec + 1) if not _plus_supported(n)]
-        for n in bad:
-            if series.coefficient(n) != 0:
-                raise InconsistencyError(
-                    f"plus-space support violated at exponent {n}"
-                )
+        c = series.coeffs
+        if c[0] or any(c[1::4]) or any(c[2::4]):
+            n = next(n for n in range(series.prec + 1) if not _plus_supported(n) and c[n] != 0)
+            raise InconsistencyError(f"plus-space support violated at exponent {n}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "series", series)
 
@@ -182,19 +199,20 @@ def plus_space_basis(
     # generator b is theta**(wnum - 4b) * f2**b, so sum(x_b * generator b) is
     # theta**(wnum % 4) * Q with Q = sum(x_b * t4**(bmax - b) * f2**b),
     # t4 = theta**4, evaluated at full validity by Horner in t4:
-    # Q_0 = x_0, Q_j = t4 * Q_(j-1) + x_j * f2**j
+    # Q_0 = x_0, Q_j = t4 * Q_(j-1) + x_j * f2**j; each product by theta is
+    # one shifted add per square on a packed integer
     wnum = 2 * k - 1
-    theta = theta_series(prec)
-    t4 = theta**4
-    tail = theta ** (wnum % 4)
-    f2_pows = _powers(odd_sigma_series(prec), 1, 1, wnum // 4)
+    squares = _theta_terms(prec)
+    f2_pows = _f2_powers(prec, wnum // 4)
     out = []
     for r in range(expected):
         coords = _primitive_row(red.entries[r][bound + 1 :])
-        acc = coords[0]
+        acc = coords[:1]
         for x, f2_pow in zip(coords[1:], f2_pows):
-            acc = t4 * acc + x * f2_pow
-        series = tail * acc
+            acc = sparse_times(squares, acc, prec, 4)
+            if x:
+                acc = list(map(add, acc, map(mul, f2_pow, repeat(x))))
+        series = QSeries(sparse_times(squares, acc, prec, wnum % 4), prec)
         lead = series.coefficient(series.valuation())
         if lead < 0:
             series = -series
@@ -279,11 +297,10 @@ def _eigenvalue_on(g: PlusSpaceForm, p: int):
     if val is None or val > tg.prec:
         raise NotAnEigenformError("no usable probe coefficient", witness=val)
     lam = exact_div(tg.c(val), g.c(val))
-    for n in range(tg.prec + 1):
-        if tg.c(n) != lam * g.c(n):
-            raise NotAnEigenformError(
-                f"plus-space form is not an eigenform at p={p}", witness=n
-            )
+    image = tg.series.coeffs
+    if list(map(mul, g.series.coeffs[: tg.prec + 1], repeat(lam))) != image:
+        n = next(n for n in range(tg.prec + 1) if image[n] != lam * g.c(n))
+        raise NotAnEigenformError(f"plus-space form is not an eigenform at p={p}", witness=n)
     return lam
 
 

@@ -6,7 +6,9 @@ two validity bounds, so a silent loss of precision cannot happen.
 Coefficients are ints, Fractions, or quadratic irrationals; the arithmetic is
 generic over all three.  Products of two all-int series, the hot case of the
 lift chain, take one big-integer multiplication by Kronecker substitution;
-every other product runs the term-by-term loop.
+every other product runs the term-by-term loop.  ``sparse_times`` multiplies
+an integer list by a power of a series with few terms, such as theta, as
+shifted adds on one packed integer.
 
 ``RatMatrix`` provides the exact row reduction and kernel used for basis
 echelonization and Hecke matrices;
@@ -18,6 +20,7 @@ for the elliptic and the plus-space side alike.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import InconsistencyError, TruncationError, UnsupportedFieldError, UsageError
 from .numeric import QuadExt, exact_div, rat, sqrt_rational
@@ -117,7 +120,7 @@ class QSeries:
             return NotImplemented
         n = min(self.prec, other.prec)
         a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
-        if all(type(c) is int for c in a) and all(type(c) is int for c in b):
+        if set(map(type, a)) | set(map(type, b)) == {int}:
             return QSeries(_kronecker(a, b, n), n)
         return QSeries(_schoolbook(a, b, n), n)
 
@@ -184,10 +187,28 @@ def _schoolbook(a: list, b: list, n: int) -> list:
 def _pack(coeffs: list, width: int) -> int:
     """sum(c * 256**(width*i)) for signed ints c with |c| < 256**width."""
     if min(coeffs) >= 0:
-        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
-    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in coeffs)
-    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in coeffs)
+        packed = b"".join(map(int.to_bytes, coeffs, repeat(width), repeat("little")))
+        return int.from_bytes(packed, "little")
+    pos = b"".join(map(int.to_bytes, map(max, coeffs, repeat(0)), repeat(width), repeat("little")))
+    neg = b"".join(
+        map(int.to_bytes, map(int.__neg__, map(min, coeffs, repeat(0))), repeat(width), repeat("little"))
+    )
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(x: int, width: int, n: int) -> list:
+    """Slots 0..n of ``x``, each slot's value signed and below half a slot.
+
+    Adding half a slot to each of slots 0..n makes every slot non-negative,
+    so the slots separate without borrows; masking to n + 1 slots drops the
+    higher ones whatever their signs.
+    """
+    nbytes = width * (n + 1)
+    offset = 1 << (8 * width - 1)
+    biased = x + int.from_bytes(offset.to_bytes(width, "little") * (n + 1), "little")
+    raw = (biased & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little")
+    slots = map(slice, range(0, nbytes, width), range(width, nbytes + width, width))
+    return list(map(offset.__rsub__, map(int.from_bytes, map(raw.__getitem__, slots), repeat("little"))))
 
 
 def _kronecker(a: list, b: list, n: int) -> list:
@@ -196,21 +217,37 @@ def _kronecker(a: list, b: list, n: int) -> list:
     Each list becomes one integer with a coefficient per ``width``-byte slot,
     and a single big-integer product (Karatsuba in C) replaces the quadratic
     loop.  A product coefficient is a sum of at most min(len) terms, so
-    ``width`` holds max|a| * max|b| * min(len) plus a sign bit.  Adding half
-    a slot to each of slots 0..n makes every slot non-negative, so the slots
-    separate without borrows; masking to n + 1 slots drops the higher ones
-    whatever their signs.
+    ``width`` holds max|a| * max|b| * min(len) plus a sign bit.
     """
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     if bound == 0:
         return [0] * (n + 1)
     width = (bound.bit_length() + 8) // 8
-    half = bytes(width - 1) + b"\x80"  # 2**(8*width - 1), one slot's worth
-    nbytes = width * (n + 1)
-    biased = _pack(a, width) * _pack(b, width) + int.from_bytes(half * (n + 1), "little")
-    raw = (biased & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little")
-    offset = 1 << (8 * width - 1)
-    return [int.from_bytes(raw[i : i + width], "little") - offset for i in range(0, nbytes, width)]
+    return _unpack(_pack(a, width) * _pack(b, width), width, n)
+
+
+def sparse_times(terms: list, coeffs: list, n: int, rounds: int) -> list:
+    """Coefficients 0..n of ``(sum(c * q**e for e, c in terms))**rounds * coeffs``.
+
+    ``terms`` holds a few ``(e, c)`` pairs, e >= 0, such as the nonzero terms
+    of theta, and every c and coefficient is an int.  ``coeffs`` is packed
+    once, one slot per coefficient, and each round is one shifted add per
+    term on that integer, masked to n + 1 slots.  Shifts, adds and the mask
+    are exact modulo 256**(width*(n+1)), so the result is congruent to the
+    truncated product; ``width`` holds max|coeffs| * (sum |c|)**rounds plus a
+    sign bit, so each of its slots is below half a slot and reads back signed.
+    """
+    coeffs = coeffs[: n + 1]
+    bound = max(map(abs, coeffs), default=0) * sum(abs(c) for _, c in terms) ** rounds
+    if bound == 0:
+        return [0] * (n + 1)
+    width = (bound.bit_length() + 8) // 8
+    mask = (1 << (8 * width * (n + 1))) - 1
+    shifts = [(8 * width * e, c) for e, c in terms if e <= n]
+    x = _pack(coeffs, width)
+    for _ in range(rounds):
+        x = sum(c * (x << s) for s, c in shifts) & mask
+    return _unpack(x, width, n)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +362,12 @@ def eigen_split_2x2(m: RatMatrix) -> list[tuple]:
 
     The eigenvalues are the roots ``(-c1 +- sqrt(c1**2 - 4*c0)) / 2`` of the
     characteristic polynomial, + root first: rational, or a conjugate pair in
-    a real quadratic field.  Complex roots, and a discriminant whose
-    squarefree part trial division cannot certify, raise ``UnsupportedFieldError``.
+    a real quadratic field.  A diagonal matrix keeps the unit vectors, a
+    scalar one both of them.  Complex roots, and a discriminant whose
+    squarefree part trial division cannot certify, raise
+    ``UnsupportedFieldError``; a repeated eigenvalue of a non-diagonal matrix
+    has one eigenvector only, and raises ``InconsistencyError`` (the Hecke
+    matrices split here are diagonalizable, so that is an internal fault).
     """
     (a, b), (c, d) = m.entries
     c0, c1 = a * d - b * c, -(a + d)
@@ -336,6 +377,10 @@ def eigen_split_2x2(m: RatMatrix) -> list[tuple]:
     if b == 0 and c == 0:
         # diagonal: the larger entry is the + root; a scalar matrix keeps both unit vectors
         return [(a, (1, 0)), (d, (0, 1))] if a >= d else [(d, (0, 1)), (a, (1, 0))]
+    if disc == 0:
+        raise InconsistencyError(
+            f"defective matrix: the repeated eigenvalue {-c1 / 2} has a single eigenvector"
+        )
     root = sqrt_rational(disc)
     if root is None:
         raise UnsupportedFieldError(

@@ -85,7 +85,10 @@ class SiegelFourierTable:
         clean = {}
         for key, value in entries.items():
             idx = SiegelIndex(*key)
-            if reduce_index(*idx) != tuple(idx):
+            n, r, m = idx
+            # 0 <= r <= n <= m with n >= 1 is reduced and positive definite;
+            # reduction decides the rest, and refuses non-positive-definite keys
+            if not (n >= 1 and 0 <= r <= n <= m) and reduce_index(*idx) != tuple(idx):
                 raise UsageError(f"table key {tuple(idx)} is not reduced")
             if idx.m > bound:
                 raise UsageError(f"table key {tuple(idx)} beyond bound {bound}")
@@ -195,7 +198,8 @@ def maass_lift(phi: JacobiForm, bound: int) -> SiegelFourierTable:
     """Lift an index-1 Jacobi form to a degree-2 table out to ``bound``.
 
     A(n, r, m) sums d**(k-1) times the Jacobi coefficient at
-    (n*m/d**2, r/d) over divisors d of gcd(n, r, m).
+    (n*m/d**2, r/d), of discriminant (4nm - r**2) / d**2, over divisors d of
+    gcd(n, r, m).
     """
     needed = 4 * bound * bound
     if phi.max_disc < needed:
@@ -205,14 +209,18 @@ def maass_lift(phi: JacobiForm, bound: int) -> SiegelFourierTable:
             required=needed,
         )
     k = phi.weight
-    # gcd(n, r, m) <= n <= bound on reduced indices
+    # gcd(n, r, m) <= n <= bound on reduced indices, and every discriminant
+    # is at most 4 * bound**2, so within the Jacobi table
     divs = divisor_lists(bound)
+    powers = {d: d ** (k - 1) for d in range(1, bound + 1)}
+    by_disc = phi.by_disc
     entries = {}
     for idx in reduced_indices(bound):
         n, r, m = idx
+        disc = 4 * n * m - r * r
         acc = 0
         for d in divs[math.gcd(n, r, m)]:
-            acc += d ** (k - 1) * phi.coeff(n * m // (d * d), r // d)
+            acc += powers[d] * by_disc.get(disc // (d * d), 0)
         if acc != 0:
             entries[idx] = acc
     return SiegelFourierTable(k, bound, entries)
@@ -241,26 +249,31 @@ def check_maass_space(table: SiegelFourierTable) -> CheckReport:
     """Verify the divisor-sum relation at every reduced index within bound.
 
     The relation constrains positive definite indices only (coefficients off
-    the cusp support vanish on both sides).
+    the cusp support vanish on both sides).  A right-hand index (N, R, 1) of
+    discriminant D = 4N - R**2 reduces to (1, rho, (D + rho) / 4) with
+    rho = D mod 2; the largest D, at d = 1, decides whether all of them lie
+    within the bound.
     """
     k = table.weight
-    divs = divisor_lists(table.bound)
+    bound = table.bound
+    divs = divisor_lists(bound)
+    # a checked index has D <= 4 * bound, and d**2 divides D
+    powers = {d: d ** (k - 1) for d in range(1, math.isqrt(4 * max(bound, 0)) + 1)}
+    entries = table.entries
     checked = skipped = 0
     violations = []
-    for idx in reduced_indices(table.bound):
+    for idx in reduced_indices(bound):
         n, r, m = idx
-        rhs = 0
-        resolvable = True
-        for d in divs[math.gcd(n, r, m)]:
-            val = table.try_value(n * m // (d * d), r // d, 1)
-            if val is None:
-                resolvable = False
-                break
-            rhs += d ** (k - 1) * val
-        if not resolvable:
+        disc = 4 * n * m - r * r
+        if (disc + (disc & 1)) // 4 > bound:
             skipped += 1
             continue
-        lhs = table.entries.get(idx, 0)
+        rhs = 0
+        for d in divs[math.gcd(n, r, m)]:
+            dd = disc // (d * d)
+            rho = dd & 1
+            rhs += powers[d] * entries.get((1, rho, (dd + rho) // 4), 0)
+        lhs = entries.get(idx, 0)
         checked += 1
         if lhs != rhs:
             violations.append((tuple(idx), lhs, rhs))

@@ -1,7 +1,9 @@
 """Reference code that only the tests call.
 
 Slow or independent implementations the tests compare the library against,
-the table edits the tests build bad input with, the comparisons with multiples
+the table edits the tests build bad input with, the lift, divisor-sum checker
+and key test that look coefficients up through binary form reduction where
+the library reads them by discriminant, the comparisons with multiples
 of sqrt(p) that the squared threshold and growth tests replaced, the general
 characteristic polynomial the 2x2 closed form replaced, the Smith-form coset algebra
 the Hecke operators' closed-form class sizes and character test replaced, and
@@ -32,7 +34,7 @@ from sklift.characterize import (
 from sklift.errors import InconsistencyError, TruncationError, UsageError
 from sklift.jacobi import JacobiForm
 from sklift.kohnen import PlusSpaceForm
-from sklift.numeric import QuadExt, fpow, is_prime, rat, value_sign
+from sklift.numeric import QuadExt, divisor_lists, fpow, is_prime, rat, value_sign
 from sklift.qseries import QSeries, RatMatrix
 from sklift.siegel import (
     CheckReport,
@@ -191,7 +193,8 @@ def plus_form_from_jacobi(phi: JacobiForm) -> PlusSpaceForm:
 
 
 # ---------------------------------------------------------------------------
-# Siegel tables: edits and the lookup by exception
+# Siegel tables: edits, the lookup by exception, and the lift and checkers
+# that look up through it
 # ---------------------------------------------------------------------------
 
 def scaled(table: SiegelFourierTable, factor) -> SiegelFourierTable:
@@ -228,6 +231,70 @@ def try_value(table: SiegelFourierTable, n: int, r: int, m: int):
         return value(table, n, r, m)
     except TruncationError:
         return None
+
+
+def table_entries(weight: int, bound: int, entries: dict) -> dict:
+    """The entries ``SiegelFourierTable`` keeps, every key tested by ``reduce_index``."""
+    if weight < 1:
+        raise UsageError(f"table weight {weight} is below 1")
+    clean = {}
+    for key, value in entries.items():
+        idx = SiegelIndex(*key)
+        if reduce_index(*idx) != tuple(idx):
+            raise UsageError(f"table key {tuple(idx)} is not reduced")
+        if idx.m > bound:
+            raise UsageError(f"table key {tuple(idx)} beyond bound {bound}")
+        if value != 0:
+            clean[idx] = value
+    return clean
+
+
+def maass_lift(phi: JacobiForm, bound: int) -> SiegelFourierTable:
+    """The divisor-sum lift, one ``phi.coeff(n*m/d**2, r/d)`` per divisor."""
+    needed = 4 * bound * bound
+    if phi.max_disc < needed:
+        raise TruncationError(
+            f"lift to bound {bound} needs Jacobi discriminants up to {needed}, "
+            f"table stops at {phi.max_disc}",
+            required=needed,
+        )
+    k = phi.weight
+    divs = divisor_lists(bound)
+    entries = {}
+    for idx in reduced_indices(bound):
+        n, r, m = idx
+        acc = 0
+        for d in divs[math.gcd(n, r, m)]:
+            acc += d ** (k - 1) * phi.coeff(n * m // (d * d), r // d)
+        if acc != 0:
+            entries[idx] = acc
+    return SiegelFourierTable(k, bound, entries)
+
+
+def check_maass_space(table: SiegelFourierTable) -> CheckReport:
+    """The divisor-sum relation checker, each right-hand side through ``try_value`` above."""
+    k = table.weight
+    divs = divisor_lists(table.bound)
+    checked = skipped = 0
+    violations = []
+    for idx in reduced_indices(table.bound):
+        n, r, m = idx
+        rhs = 0
+        resolvable = True
+        for d in divs[math.gcd(n, r, m)]:
+            val = try_value(table, n * m // (d * d), r // d, 1)
+            if val is None:
+                resolvable = False
+                break
+            rhs += d ** (k - 1) * val
+        if not resolvable:
+            skipped += 1
+            continue
+        lhs = table.entries.get(idx, 0)
+        checked += 1
+        if lhs != rhs:
+            violations.append((tuple(idx), lhs, rhs))
+    return CheckReport("maass", None, table.bound, checked, skipped, tuple(violations))
 
 
 def check_maass_p_space(table: SiegelFourierTable, p: int) -> CheckReport:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from sklift.errors import (
 from sklift.kohnen import (
     PlusSpaceForm,
     _eigenvalue_on,
+    _f2_powers,
     _primitive_row,
     halfint_generators,
     odd_sigma_series,
@@ -107,6 +109,15 @@ class TestGenerators:
         assert gens == [theta ** (19 - 4 * b) * f2**b for b in range(5)]
 
 
+    def test_half_length_f2_powers(self):
+        for prec in list(range(0, 12)) + [57, 200]:
+            f2 = odd_sigma_series(prec)
+            pows = _f2_powers(prec, 7)
+            assert len(pows) == 7
+            for j, got in enumerate(pows, start=1):
+                assert got == (f2**j).coeffs, (prec, j)
+
+
 class TestPlusSpace:
     def test_dimensions_match_integral_weight(self):
         assert len(plus_space_basis(8, 80)) == 0
@@ -140,11 +151,12 @@ class TestPlusSpace:
 
     def test_horner_basis_matches_generator_sum(self):
         # dimensions 0 to 4; the windows 4k and 4k + 7 and two longer ones
-        for k in range(4, 31, 2):
-            for prec in (4 * k, 4 * k + 7, 160, 400):
-                expected = _outcome(_basis_by_generator_sum, k, prec)
-                assert expected is not DimensionMismatchError, (k, prec)
-                assert _outcome(plus_space_basis, k, prec) == expected, (k, prec)
+        cases = [(k, prec) for k in range(4, 31, 2) for prec in (4 * k, 4 * k + 7, 160, 400)]
+        # and the benchmark's largest sizes
+        for k, prec in cases + [(10, 1600), (14, 576)]:
+            expected = _outcome(_basis_by_generator_sum, k, prec)
+            assert expected is not DimensionMismatchError, (k, prec)
+            assert _outcome(plus_space_basis, k, prec) == expected, (k, prec)
 
     def test_constraint_bounds_match_generator_sum(self):
         # every window from empty to the default: the same refusals, and the
@@ -164,6 +176,16 @@ class TestPlusSpace:
     def test_bad_support_rejected(self):
         with pytest.raises(Exception):
             PlusSpaceForm(10, QSeries([0, 1, 0, 0], 3))
+
+    def test_first_unsupported_exponent_named(self, plus10):
+        for n in (0, 1, 2, 5, 6, 349, 354):
+            for later in (None, 5, 13, 358):
+                coeffs = list(plus10.series.coeffs)
+                coeffs[n] = QuadExt(0, 1, 5) if n == 5 else 7
+                if later is not None and later > n:
+                    coeffs[later] = -1
+                with pytest.raises(Exception, match=f"support violated at exponent {n}$"):
+                    PlusSpaceForm(10, QSeries(coeffs, plus10.prec))
 
 
 class TestPlusHecke:
@@ -202,6 +224,18 @@ class TestPlusHecke:
         g = plus_space_basis(16, 200)[0]  # staircase vector, not an eigenform
         with pytest.raises(NotAnEigenformError):
             _eigenvalue_on(g, 2)
+
+    def test_witness_is_the_first_mismatch(self, plus10):
+        for n in (3, 4, 7, 80, 88):
+            coeffs = list(plus10.series.coeffs)
+            coeffs[n] += 1
+            g = PlusSpaceForm(10, QSeries(coeffs, plus10.prec))
+            tg = plus_hecke(g, 2)
+            lam = Fraction(tg.c(3), g.c(3))
+            first = next(i for i in range(tg.prec + 1) if tg.c(i) != lam * g.c(i))
+            with pytest.raises(NotAnEigenformError, match="not an eigenform at p=2") as err:
+                _eigenvalue_on(g, 2)
+            assert err.value.witness == first
 
 
 class TestShimura:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from sklift.qseries import (
     _pack,
     _schoolbook,
     eigen_split_2x2,
+    sparse_times,
     staircase_matrix,
 )
 
@@ -164,6 +166,44 @@ class TestQSeries:
         for a, b in zip(lists, lists[1:] + lists[:1]):
             _assert_fast_product_exact(QSeries(a), QSeries(b))
 
+    def test_sparse_times_matches_schoolbook(self):
+        # (sum c q**e)**rounds * coeffs against the term-by-term product,
+        # rounds 0 to 4, n from 0, terms of every sign pattern (exponents
+        # past n and repeated ones included), coefficients past 2**256
+        rng = random.Random(4096)
+        exponent_sets = [[0], [3], [0, 1], [0, 1, 4, 9], [2, 2, 5], [0, 4, 30], [1, 4, 9, 16, 25]]
+        for exponents in exponent_sets:
+            for pattern in range(2 ** len(exponents)):
+                for _ in range(6):
+                    mags = [rng.choice((1, 2, 7, 2**64, 2**257)) for _ in exponents]
+                    terms = [
+                        (e, -c if pattern >> i & 1 else c) for i, (e, c) in enumerate(zip(exponents, mags))
+                    ]
+                    n = rng.randint(0, 24)
+                    top = rng.choice((3, 2**64, 2**300))
+                    coeffs = [rng.randint(-top, top) for _ in range(rng.randint(1, 26))]
+                    if rng.random() < 0.2:
+                        coeffs = [0] * len(coeffs)
+                    dense = [0] * (n + 1)
+                    for e, c in terms:
+                        if e <= n:
+                            dense[e] += c
+                    want = (coeffs + [0] * (n + 1))[: n + 1]
+                    for rounds in range(5):
+                        got = sparse_times(terms, coeffs, n, rounds)
+                        assert got == want, (terms, coeffs, n, rounds)
+                        assert all(type(c) is int for c in got)
+                        want = _schoolbook(dense, want, n)
+
+    def test_sparse_times_by_theta(self):
+        # theta's terms against powers of the theta series itself
+        for n in (0, 1, 3, 4, 17, 64):
+            terms = [(0, 1)] + [(i * i, 2) for i in range(1, math.isqrt(n) + 1)]
+            theta = QSeries([1 if e == 0 else 2 if math.isqrt(e) ** 2 == e else 0 for e in range(n + 1)])
+            coeffs = [(-3) ** e for e in range(n + 1)]
+            for rounds in range(1, 5):
+                assert sparse_times(terms, coeffs, n, rounds) == (theta**rounds * QSeries(coeffs)).coeffs
+
     @given(series(), series(), series())
     @settings(max_examples=80, deadline=None)
     def test_mul_associative_commutative(self, a, b, c):
@@ -273,6 +313,10 @@ two_by_two = st.one_of(
     st.tuples(small_rationals, st.sampled_from([2, 3, 5, 13, 51349])).map(
         lambda t: [[t[0], t[1]], [1, t[0]]]
     ),
+    # a repeated eigenvalue off the diagonal: a single eigenvector
+    st.tuples(small_rationals, small_rationals, st.booleans()).filter(lambda t: t[1] != 0).map(
+        lambda t: [[t[0], t[1]], [0, t[0]]] if t[2] else [[t[0], 0], [t[1], t[0]]]
+    ),
 )
 
 
@@ -316,14 +360,29 @@ class TestEigenSplit:
             with pytest.raises(UnsupportedFieldError):
                 eigen_split_2x2(RatMatrix(entries))
             return
+        (a, b), (c, d) = entries
+        if c1 * c1 == 4 * c0 and (b, c) != (0, 0):
+            with pytest.raises(InconsistencyError, match="repeated eigenvalue"):
+                eigen_split_2x2(RatMatrix(entries))
+            return
         pairs = eigen_split_2x2(RatMatrix(entries))
         (lam1, _), (lam2, _) = pairs
         assert lam1 >= lam2
+        (_, (x0, x1)), (_, (y0, y1)) = pairs
+        assert x0 * y1 - x1 * y0 != 0  # an eigenbasis
         assert lam1 + lam2 == -c1 and lam1 * lam2 == c0
-        (a, b), (c, d) = entries
         for lam, (v0, v1) in pairs:
             assert v0 != 0 or v1 != 0
             assert a * v0 + b * v1 == lam * v0 and c * v0 + d * v1 == lam * v1
+
+    @pytest.mark.parametrize("entries, lam", [
+        ([[7, 7], [-7, -7]], "0"),
+        ([[1, 1], [0, 1]], "1"),
+        ([[3, 0], [5, 3]], "3"),
+    ])
+    def test_defective_refused(self, entries, lam):
+        with pytest.raises(InconsistencyError, match=f"repeated eigenvalue {lam} has a single"):
+            eigen_split_2x2(RatMatrix(entries))
 
     def test_complex_spectrum_refused(self):
         with pytest.raises(UnsupportedFieldError):

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sklift.errors import TruncationError, UsageError
+from sklift.jacobi import JacobiForm, ez_lift
+from sklift.kohnen import plus_space_basis
 from sklift.siegel import (
     SiegelFourierTable,
     SiegelIndex,
@@ -254,3 +256,131 @@ class TestMaassPSpaceCheck:
         rescaled = scaled(lift10_b6, Fraction(7, 3))
         assert check_maass_space(rescaled).ok
         assert check_maass_p_space(rescaled, 2).ok
+
+
+@pytest.fixture(scope="module")
+def jacobi10_b12():
+    """The weight-10 Jacobi form to discriminant 576 = 4 * 12**2."""
+    return ez_lift(plus_space_basis(10, 576)[0])
+
+
+def lift_tables(phi, bound):
+    """A clean lift at ``bound``, a copy perturbed at up to three indices, and scaled copies of both."""
+    clean = oracles.maass_lift(phi, bound)
+    bad = perturbed(perturbed(clean, (1, 1, 1), 1), (bound, 1, bound), Fraction(1, 3))
+    if bound >= 2:
+        bad = perturbed(bad, (2, 2, bound), -5)
+    return [clean, bad, scaled(clean, Fraction(-7, 3)), scaled(bad, Fraction(5, 11))]
+
+
+def assert_same_report(got, want):
+    assert got._fields == want._fields
+    for field in want._fields:
+        assert getattr(got, field) == getattr(want, field), field
+
+
+reduced_entries = st.integers(min_value=1, max_value=8).flatmap(
+    lambda bound: st.tuples(
+        st.just(bound),
+        st.integers(min_value=1, max_value=24),
+        st.dictionaries(
+            st.sampled_from(list(reduced_indices(bound))),
+            st.one_of(
+                st.integers(-3, 3),
+                st.integers(-(2**300), 2**300),
+                st.fractions(min_value=-9, max_value=9, max_denominator=7),
+            ),
+            max_size=12,
+        ),
+    )
+)
+
+
+class TestDiscriminantIndexedOracles:
+    """The lift and self-check by discriminant against the ones that reduce every lookup."""
+
+    @pytest.mark.parametrize("bound", range(1, 13))
+    def test_lift_matches_oracle(self, jacobi10_b12, bound):
+        got, want = maass_lift(jacobi10_b12, bound), oracles.maass_lift(jacobi10_b12, bound)
+        assert (got.weight, got.bound) == (want.weight, want.bound)
+        assert list(got.entries.items()) == list(want.entries.items())
+        assert [type(v) for v in got.entries.values()] == [type(v) for v in want.entries.values()]
+
+    def test_lift_refusal_matches_oracle(self, jacobi10):
+        for bound in (10, 50):
+            assert outcome(maass_lift, jacobi10, bound) == outcome(oracles.maass_lift, jacobi10, bound)
+        for weight in (-1, 0):
+            phi = JacobiForm(weight, {3: 1, 4: -2}, 100)
+            got = outcome(maass_lift, phi, 4)
+            assert got == outcome(oracles.maass_lift, phi, 4)
+            assert got[:3] == ("raised", UsageError, f"table weight {weight} is below 1")
+
+    @pytest.mark.parametrize("bound", range(1, 13))
+    def test_self_check_matches_oracle(self, jacobi10_b12, bound):
+        reports = []
+        for table in lift_tables(jacobi10_b12, bound):
+            got, want = check_maass_space(table), oracles.check_maass_space(table)
+            assert_same_report(got, want)
+            reports.append(got)
+        clean, bad, clean_scaled, bad_scaled = reports
+        assert clean.ok and clean_scaled.ok
+        # from bound 3 on, (2, 2, 2) reads the perturbed A(1, 1, 1)
+        assert bad.ok == bad_scaled.ok == (bound < 3)
+
+    def test_weight_12_matches_oracle(self, jacobi12):
+        for bound in range(1, 10):
+            assert maass_lift(jacobi12, bound) == oracles.maass_lift(jacobi12, bound)
+            for table in lift_tables(jacobi12, bound):
+                assert_same_report(check_maass_space(table), oracles.check_maass_space(table))
+
+    @given(reduced_entries)
+    @settings(max_examples=200, deadline=None)
+    def test_self_check_on_arbitrary_tables(self, data):
+        bound, weight, entries = data
+        table = SiegelFourierTable(weight, bound, entries)
+        assert_same_report(check_maass_space(table), oracles.check_maass_space(table))
+
+    def test_self_check_on_degenerate_bounds(self):
+        for bound in (-3, 0):
+            table = SiegelFourierTable(10, bound, {})
+            assert_same_report(check_maass_space(table), oracles.check_maass_space(table))
+
+
+def keyed_outcome(build, key, bound):
+    try:
+        got = build(key, bound)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+    return ("returned", list(got.items()))
+
+
+class TestTableKeys:
+    """Keys the constructor accepts without reduction, against reducing every key."""
+
+    GRID = [
+        (n, r, m)
+        for n in range(-2, 8)
+        for r in range(-9, 10)
+        for m in range(-2, 8)
+    ] + [
+        (10**9, 0, 10**9 + 1), (10**9, 10**9, 10**9), (10**9, 10**9 + 1, 10**9),
+        (1, 1, 10**12), (3, 7, 6), (6, -6, 6), (2, 1, 1), (1, 2, 1), (1, 2, 4),
+    ]
+
+    def test_grid(self):
+        accepted = 0
+        for key in self.GRID:
+            for bound in (0, 1, 5, 7):
+                got = keyed_outcome(lambda k, b: SiegelFourierTable(10, b, {k: 3}).entries, key, bound)
+                want = keyed_outcome(lambda k, b: oracles.table_entries(10, b, {k: 3}), key, bound)
+                assert got == want, (key, bound)
+                accepted += got[0] == "returned"
+        assert 0 < accepted < 4 * len(self.GRID)
+
+    def test_refusal_messages(self):
+        with pytest.raises(UsageError, match=r"^table key \(2, 1, 1\) is not reduced$"):
+            SiegelFourierTable(10, 5, {(2, 1, 1): 1})
+        with pytest.raises(UsageError, match=r"^\(1,2,1\) is not positive definite$"):
+            SiegelFourierTable(10, 5, {(1, 2, 1): 1})
+        with pytest.raises(UsageError, match=r"^table key \(1, 0, 6\) beyond bound 5$"):
+            SiegelFourierTable(10, 5, {(1, 0, 6): 1})

@@ -121,7 +121,6 @@ class ExpansionCache:
                     f"cache entry {path} already exists with different data"
                 )
             return
-        self.root.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema_version": CACHE_SCHEMA,
             "module": module,
@@ -130,13 +129,17 @@ class ExpansionCache:
             "truncation": truncation,
             "coeffs": encoded,
         }
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        tmp = None
         try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle, cls=OneShotEncoder)
             os.replace(tmp, path)
+        except OSError as exc:
+            raise UsageError(f"cannot write cache entry {path}: {exc}") from exc
         finally:
-            if os.path.exists(tmp):
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
 
     def series(self, module: str, name: str, weight: int, truncation: int, builder) -> QSeries:

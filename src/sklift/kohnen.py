@@ -24,7 +24,7 @@ from .errors import (
     UsageError,
 )
 from .numeric import exact_div, is_prime, kronecker_symbol
-from .qseries import QSeries, RatMatrix, eigen_split_2x2, sparse_times, staircase_matrix
+from .qseries import QSeries, RatMatrix, echelon, eigen_split_2x2, sparse_times, staircase_matrix
 
 
 def _theta_terms(prec: int) -> list[tuple[int, int]]:
@@ -132,23 +132,6 @@ def _plus_supported(n: int) -> bool:
     return n > 0 and n % 4 in (0, 3)
 
 
-def _primitive_row(row):
-    """Scale a rational vector to coprime integers with positive leading entry."""
-    den = 1
-    for x in row:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in row]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return ints
-
-
 def plus_space_basis(
     k: int, prec: int, constraint_bound: int | None = None
 ) -> list[PlusSpaceForm]:
@@ -167,32 +150,24 @@ def plus_space_basis(
         raise TruncationError(
             f"constraint bound {bound} exceeds series validity {prec}", required=bound
         )
-    # the kernel and the echelon step read coefficients only up to the
-    # constraint window, so the generators are built that far
-    gens = halfint_generators(k, bound)
+    # one elimination over the constraint positions, the other exponents to
+    # the window, then the monomial coordinates: the rows with a pivot past
+    # the constraints span the kernel, echelonized over a window that does
+    # not depend on the requested validity, so the basis does not either
     positions = [0] + [n for n in range(1, bound + 1) if n % 4 in (1, 2)]
-    constraint = RatMatrix([[g.coefficient(n) for g in gens] for n in positions])
-    kernel = constraint.kernel()
+    order = positions + [n for n in range(1, bound + 1) if n % 4 in (0, 3)]
+    gens = halfint_generators(k, bound)
+    ident = [[int(i == j) for j in range(len(gens))] for i in range(len(gens))]
+    rows = [[g.coeffs[n] for n in order] + e for g, e in zip(gens, ident)]
+    red, pivots = echelon(rows)
+    kernel = [(row, c) for row, c in zip(red, pivots) if c >= len(positions)]
     expected = dim_cusp_forms(2 * k - 2)
     if len(kernel) != expected:
         raise DimensionMismatchError(
             f"plus space at k={k}: kernel dimension {len(kernel)}, expected {expected} "
             f"(constraint bound {bound} too small, or conventions wrong)"
         )
-    if not kernel:
-        return []
-    # echelonize over a window of coefficients that does not depend on the
-    # requested validity, carrying the monomial coordinates along, so the
-    # normalized basis is identical for every truncation
-    rows = []
-    for v in kernel:
-        head = [
-            sum(x * g.coefficient(n) for x, g in zip(v, gens))
-            for n in range(bound + 1)
-        ]
-        rows.append(head + list(v))
-    red, pivots = RatMatrix(rows).rref()
-    if any(pc > bound for pc in pivots[:expected]):
+    if any(c > bound for _, c in kernel):
         raise DimensionMismatchError(
             f"plus space at k={k}: echelon pivots escape the constraint window"
         )
@@ -205,8 +180,9 @@ def plus_space_basis(
     squares = _theta_terms(prec)
     f2_pows = _f2_powers(prec, wnum // 4)
     out = []
-    for r in range(expected):
-        coords = _primitive_row(red.entries[r][bound + 1 :])
+    for row, _ in kernel:
+        # primitive as the row is: its window entries are combinations of these
+        coords = row[bound + 1 :]
         acc = coords[:1]
         for x, f2_pow in zip(coords[1:], f2_pows):
             acc = sparse_times(squares, acc, prec, 4)

@@ -10,8 +10,8 @@ every other product runs the term-by-term loop.  ``sparse_times`` multiplies
 an integer list by a power of a series with few terms, such as theta, as
 shifted adds on one packed integer.
 
-``RatMatrix`` provides the exact row reduction and kernel used for basis
-echelonization and Hecke matrices;
+``echelon``, fraction-free Gauss-Jordan returning primitive integer rows, is
+the one row reduction; ``RatMatrix.rref`` clears denominators and calls it.
 ``staircase_matrix`` and ``eigen_split_2x2`` turn the Hecke images of a
 staircase basis into a verified matrix and split a 2x2 one into eigenvectors,
 for the elliptic and the plus-space side alike.
@@ -19,6 +19,7 @@ for the elliptic and the plus-space side alike.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import repeat
 
@@ -254,6 +255,38 @@ def sparse_times(terms: list, coeffs: list, n: int, rounds: int) -> list:
 # exact matrices over the rationals
 # ---------------------------------------------------------------------------
 
+def echelon(rows: list[list[int]]) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Fraction-free Gauss-Jordan: the primitive pivot rows and their pivot columns.
+
+    Each step swaps in the first row at or below the current one that is
+    nonzero in the column, and sets every other row to
+    ``(pv * row - row[c] * pivot_row) // prev``, exact because each entry is
+    a minor of the input (Bareiss, Math. Comp. 22, 1968).  A returned row has
+    a positive pivot; divided by it, it is the row of the rational RREF.
+    """
+    m = [list(row) for row in rows]
+    pivots: list[int] = []
+    prev = 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        pivot_row, pv = m[r], m[r][c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(pv * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pv
+        pivots.append(c)
+    out = []
+    for row, c in zip(m, pivots):
+        g = math.gcd(*row) if row[c] > 0 else -math.gcd(*row)
+        out.append([x // g for x in row])
+    return out, tuple(pivots)
+
+
 class RatMatrix:
     """A dense matrix with exact rational entries."""
 
@@ -285,25 +318,10 @@ class RatMatrix:
 
     def rref(self) -> tuple["RatMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot columns."""
-        m = [row[:] for row in self.entries]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return RatMatrix(m), tuple(pivots)
+        dens = [math.lcm(*(x.denominator for x in row)) for row in self.entries]
+        red, pivots = echelon([[int(x * d) for x in row] for row, d in zip(self.entries, dens)])
+        entries = [[Fraction(x, row[c]) for x in row] for row, c in zip(red, pivots)]
+        return RatMatrix(entries + [[0] * self.cols] * (self.rows - len(entries))), pivots
 
     def kernel(self) -> list[list[Fraction]]:
         """Exact basis of the right kernel (one vector per free column)."""

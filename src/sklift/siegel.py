@@ -84,16 +84,15 @@ class SiegelFourierTable:
             raise UsageError(f"table weight {weight} is below 1")
         clean = {}
         for key, value in entries.items():
-            idx = SiegelIndex(*key)
-            n, r, m = idx
+            n, r, m = key
             # 0 <= r <= n <= m with n >= 1 is reduced and positive definite;
             # reduction decides the rest, and refuses non-positive-definite keys
-            if not (n >= 1 and 0 <= r <= n <= m) and reduce_index(*idx) != tuple(idx):
-                raise UsageError(f"table key {tuple(idx)} is not reduced")
-            if idx.m > bound:
-                raise UsageError(f"table key {tuple(idx)} beyond bound {bound}")
+            if not (n >= 1 and 0 <= r <= n <= m) and reduce_index(n, r, m) != (n, r, m):
+                raise UsageError(f"table key {(n, r, m)} is not reduced")
+            if m > bound:
+                raise UsageError(f"table key {(n, r, m)} beyond bound {bound}")
             if value != 0:
-                clean[idx] = value
+                clean[key] = value
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "entries", clean)
@@ -161,7 +160,7 @@ class SiegelFourierTable:
             else:
                 v = rat(v)
                 num, den = v.numerator, v.denominator
-            entries.append([idx.n, idx.r, idx.m, str(num), str(den)])
+            entries.append([*idx, str(num), str(den)])
         return {
             "schema_version": SCHEMA_VERSION,
             "weight": self.weight,

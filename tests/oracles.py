@@ -6,8 +6,10 @@ and key test that look coefficients up through binary form reduction where
 the library reads them by discriminant, the comparisons with multiples
 of sqrt(p) that the squared threshold and growth tests replaced, the general
 characteristic polynomial the 2x2 closed form replaced, the Smith-form coset algebra
-the Hecke operators' closed-form class sizes and character test replaced, and
-the explicit coset matrices that pin the coset classes.
+the Hecke operators' closed-form class sizes and character test replaced,
+the explicit coset matrices that pin the coset classes, and the Gauss-Jordan
+over Fractions and the denominator clearing that the fraction-free
+``echelon`` replaced.
 None of it is on the lift chain.
 """
 
@@ -105,10 +107,63 @@ def series_inverse(s: QSeries) -> QSeries:
     return QSeries(out, s.prec)
 
 
+def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns, by Gauss-Jordan over Fractions."""
+    rows = [row[:] for row in m.entries]
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        pivot_row = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return RatMatrix(rows), tuple(pivots)
+
+
+def kernel(m: RatMatrix) -> list[list[Fraction]]:
+    """Basis of the right kernel from ``rref``, one vector per free column."""
+    red, pivots = rref(m)
+    basis = []
+    for free in sorted(set(range(m.cols)) - set(pivots)):
+        v = [Fraction(0)] * m.cols
+        v[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red.entries[r][free]
+        basis.append(v)
+    return basis
+
+
+def primitive_row(row) -> list[int]:
+    """Scale a rational vector to coprime integers with positive leading entry."""
+    den = 1
+    for x in row:
+        den = den * x.denominator // math.gcd(den, x.denominator)
+    ints = [int(x * den) for x in row]
+    g = 0
+    for x in ints:
+        g = math.gcd(g, abs(x))
+    if g:
+        ints = [x // g for x in ints]
+    lead = next((x for x in ints if x != 0), 0)
+    if lead < 0:
+        ints = [-x for x in ints]
+    return ints
+
+
 def solve(m: RatMatrix, rhs: list) -> list[Fraction]:
     """Solve ``m @ x = rhs`` exactly; raises if inconsistent or ambiguous."""
     aug = RatMatrix([row + [rat(rhs[i])] for i, row in enumerate(m.entries)])
-    red, pivots = aug.rref()
+    red, pivots = rref(aug)
     if m.cols in pivots:
         raise UsageError("inconsistent linear system")
     if len(pivots) < m.cols:
@@ -146,7 +201,7 @@ def scale(m: RatMatrix, c) -> RatMatrix:
 
 
 def rank(m: RatMatrix) -> int:
-    return len(m.rref()[1])
+    return len(rref(m)[1])
 
 
 def is_zero(m: RatMatrix) -> bool:
@@ -540,9 +595,9 @@ def smith_normal_form(mat):
 def _int_inverse(mat):
     """Exact inverse of a unimodular integer matrix."""
     n = len(mat)
-    red, pivots = RatMatrix(
+    red, pivots = rref(RatMatrix(
         [row + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
-    ).rref()
+    ))
     if pivots != tuple(range(n)):
         raise InconsistencyError("matrix is not invertible")
     out = []

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -423,6 +424,18 @@ class TestUnreadableFiles:
     def test_out_is_a_directory(self, table10, tmp_path, capsys):
         rc, err = self.run(["eigen", str(table10), "--primes", "2", "--out", str(tmp_path)], capsys)
         assert rc == 2 and f"cannot write {tmp_path}" in err
+
+    def test_cache_dir_is_not_a_directory(self, tmp_path, capsys):
+        # a regular file as the cache directory, and a path under one; a
+        # directory without write permission is left out, since a process
+        # running as root writes there anyway
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for cache_dir in (blocker, blocker / "sub"):
+            rc, err = self.run(["--cache-dir", str(cache_dir), "lift", "--weight", "10",
+                                "--bound", "2"], capsys)
+            assert rc == 2 and f"cannot write cache entry {cache_dir}{os.sep}" in err
+        assert blocker.read_text() == ""
 
 
 class TestTableWeight:

@@ -16,7 +16,6 @@ from sklift.kohnen import (
     PlusSpaceForm,
     _eigenvalue_on,
     _f2_powers,
-    _primitive_row,
     halfint_generators,
     odd_sigma_series,
     plus_eigenforms,
@@ -29,35 +28,36 @@ from sklift.kohnen import (
 from sklift.numeric import QuadExt
 from sklift.qseries import QSeries, RatMatrix
 
-from oracles import charpoly, matmul
+from oracles import charpoly, kernel, matmul, primitive_row, rref
 
 
 def _basis_by_generator_sum(k, prec, constraint_bound=None):
     """Reference plus-space basis: every generator at full validity, summed.
 
-    The library builds the generators only to the constraint window and
+    The library builds the generators only to the constraint window, finds
+    the kernel and its echelon form in one fraction-free elimination and
     evaluates the basis forms by Horner; this is the direct construction it
-    replaces, kept as the oracle.
+    replaces, with two Gauss-Jordan passes over Fractions, kept as the oracle.
     """
     bound = constraint_bound if constraint_bound is not None else 4 * k
     gens = halfint_generators(k, prec)
     positions = [0] + [n for n in range(1, bound + 1) if n % 4 in (1, 2)]
-    kernel = RatMatrix([[g.coefficient(n) for g in gens] for n in positions]).kernel()
+    vectors = kernel(RatMatrix([[g.coefficient(n) for g in gens] for n in positions]))
     expected = dim_cusp_forms(2 * k - 2)
-    if len(kernel) != expected:
+    if len(vectors) != expected:
         raise DimensionMismatchError("kernel dimension")
-    if not kernel:
+    if not vectors:
         return []
     rows = []
-    for v in kernel:
+    for v in vectors:
         head = [sum(x * g.coefficient(n) for x, g in zip(v, gens)) for n in range(bound + 1)]
         rows.append(head + list(v))
-    red, pivots = RatMatrix(rows).rref()
+    red, pivots = rref(RatMatrix(rows))
     if any(pc > bound for pc in pivots[:expected]):
         raise DimensionMismatchError("pivots escape the window")
     out = []
     for r in range(expected):
-        coords = _primitive_row(red.entries[r][bound + 1 :])
+        coords = primitive_row(red.entries[r][bound + 1 :])
         series = QSeries.zero(prec)
         for x, g in zip(coords, gens):
             if x:
@@ -161,7 +161,8 @@ class TestPlusSpace:
     def test_constraint_bounds_match_generator_sum(self):
         # every window from empty to the default: the same refusals, and the
         # same basis wherever one is returned
-        for k, prec in ((10, 80), (16, 90)):
+        # dimensions 0, 1, 2 and 3
+        for k, prec in ((4, 20), (10, 80), (16, 90), (24, 100)):
             refused = 0
             for bound in range(4 * k + 1):
                 expected = _outcome(_basis_by_generator_sum, k, prec, bound)

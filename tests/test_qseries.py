@@ -14,6 +14,7 @@ from sklift.qseries import (
     _kronecker,
     _pack,
     _schoolbook,
+    echelon,
     eigen_split_2x2,
     sparse_times,
     staircase_matrix,
@@ -27,6 +28,7 @@ from oracles import (
     is_zero,
     poly_eval_matrix,
     rank,
+    rref,
     series_inverse,
     solve,
 )
@@ -220,6 +222,38 @@ matrices = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
+@st.composite
+def int_matrices(draw):
+    """Integer matrices of a drawn rank: products of a mixing and a basis matrix."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 7))
+    rank = draw(st.integers(0, min(rows, cols)))
+    entries = st.one_of(st.integers(-9, 9), st.integers(-(2**130), 2**130))
+    basis = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                          min_size=rank, max_size=rank))
+    mixes = draw(st.lists(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank),
+                          min_size=rows, max_size=rows))
+    return [[sum(x * b[j] for x, b in zip(mix, basis)) for j in range(cols)] for mix in mixes]
+
+
+class TestEchelon:
+    @given(int_matrices())
+    @example([])
+    @example([[0, 0, 0], [0, 0, 0]])
+    @example([[0], [-6], [4]])
+    @example([[0, 2**101, 3], [0, -(2**102), -6], [5, 0, 1]])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_gauss_jordan(self, rows):
+        red, pivots = echelon(rows)
+        want, want_pivots = rref(RatMatrix(rows))
+        assert pivots == want_pivots and len(red) == len(pivots)
+        for row, c, want_row in zip(red, pivots, want.entries):
+            # primitive, positive at the pivot, and the rational row once divided by it
+            assert all(type(x) is int for x in row)
+            assert row[c] > 0 and math.gcd(*row) == 1
+            assert [Fraction(x, row[c]) for x in row] == want_row
+        assert RatMatrix(rows).rref() == (want, want_pivots)
+
+
 class TestRatMatrix:
     def test_kernel_examples(self):
         assert identity(2).kernel() == []
@@ -262,6 +296,7 @@ class TestRatMatrix:
     @given(matrices)
     @settings(max_examples=100, deadline=None)
     def test_rank_nullity(self, m):
+        assert m.rref() == rref(m)
         assert rank(m) + len(m.kernel()) == m.cols
         for v in m.kernel():
             image = [

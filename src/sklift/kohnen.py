@@ -11,6 +11,7 @@ prime eigenvalues (that matching is how the two sides are glued together).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 
@@ -273,8 +274,10 @@ def _eigenvalue_on(g: PlusSpaceForm, p: int):
     if val is None or val > tg.prec:
         raise NotAnEigenformError("no usable probe coefficient", witness=val)
     lam = exact_div(tg.c(val), g.c(val))
+    # an integral eigenvalue scales the coefficients as an int, not as a Fraction
+    factor = lam.numerator if isinstance(lam, Fraction) and lam.denominator == 1 else lam
     image = tg.series.coeffs
-    if list(map(mul, g.series.coeffs[: tg.prec + 1], repeat(lam))) != image:
+    if list(map(mul, g.series.coeffs[: tg.prec + 1], repeat(factor))) != image:
         n = next(n for n in range(tg.prec + 1) if image[n] != lam * g.c(n))
         raise NotAnEigenformError(f"plus-space form is not an eigenform at p={p}", witness=n)
     return lam

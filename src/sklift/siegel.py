@@ -1,12 +1,18 @@
 """Degree-2 Siegel cusp forms as exact Fourier-coefficient tables.
 
 A table stores coefficients at canonically reduced index triples (n, r, m)
-with 0 <= r <= n <= m; lookups at arbitrary triples route through binary
-form reduction.  On top of the tables this module provides the divisor-sum
-lift from index-1 Jacobi forms, the two coefficient-relation checkers, and
-the similitude-p / similitude-p**2 Hecke operators.  The operators sum over
-classes of block upper-triangular right cosets, one class per lower-right
-block D = [[d_a, d_b], [0, d_d]], acting by index remapping; a class's size,
+with 0 <= r <= n <= m, keyed by plain int tuples; lookups at arbitrary
+triples route through binary form reduction.  Keys are checked once, where
+they come in from outside: the public constructor refuses unreduced and
+out-of-bound keys, and ``from_json_dict`` also an index listed twice.  The
+lift and the Hecke operators produce reduced keys by construction and build
+their tables through the trusted ``SiegelFourierTable._trusted``.
+
+On top of the tables this module provides the divisor-sum lift from index-1
+Jacobi forms, the two coefficient-relation checkers, and the similitude-p /
+similitude-p**2 Hecke operators.  The operators sum over classes of block
+upper-triangular right cosets, one class per lower-right block
+D = [[d_a, d_b], [0, d_d]], acting by index remapping; a class's size,
 d_a * d_d * gcd(d_a, d_b, d_d), and the test for its character being trivial
 at a source index are closed forms in D.
 
@@ -34,7 +40,11 @@ SCHEMA_VERSION = 1
 
 
 class SiegelIndex(NamedTuple):
-    """Index triple for the half-integral matrix [[n, r/2], [r/2, m]]."""
+    """Index triple for the half-integral matrix [[n, r/2], [r/2, m]].
+
+    Tables key by plain ``(n, r, m)`` tuples; a ``SiegelIndex`` hashes and
+    compares as the same tuple, so it works as a key too.
+    """
 
     n: int
     r: int
@@ -63,11 +73,16 @@ def reduce_index(n: int, r: int, m: int) -> tuple[int, int, int]:
 
 
 def reduced_indices(bound: int):
-    """All canonical triples with m <= bound, in deterministic order."""
+    """All canonical triples (n, r, m) with m <= bound, by m, then n, then r."""
     for m in range(1, bound + 1):
         for n in range(1, m + 1):
             for r in range(n + 1):
-                yield SiegelIndex(n, r, m)
+                yield (n, r, m)
+
+
+def _check_weight(weight: int) -> None:
+    if weight < 1:
+        raise UsageError(f"table weight {weight} is below 1")
 
 
 class SiegelFourierTable:
@@ -80,8 +95,7 @@ class SiegelFourierTable:
     __slots__ = ("weight", "bound", "entries")
 
     def __init__(self, weight: int, bound: int, entries: dict):
-        if weight < 1:
-            raise UsageError(f"table weight {weight} is below 1")
+        _check_weight(weight)
         clean = {}
         for key, value in entries.items():
             n, r, m = key
@@ -96,6 +110,20 @@ class SiegelFourierTable:
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "entries", clean)
+
+    @classmethod
+    def _trusted(cls, weight: int, bound: int, entries: dict) -> "SiegelFourierTable":
+        """A table over ``entries`` as given, for producers inside this module.
+
+        The caller guarantees reduced keys with m <= ``bound`` and nonzero
+        values; only the weight is checked.
+        """
+        _check_weight(weight)
+        table = object.__new__(cls)
+        object.__setattr__(table, "weight", weight)
+        object.__setattr__(table, "bound", bound)
+        object.__setattr__(table, "entries", entries)
+        return table
 
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("tables are immutable; build a new one")
@@ -148,19 +176,18 @@ class SiegelFourierTable:
 
     def to_json_dict(self) -> dict:
         entries = []
-        for idx in sorted(self.entries):
-            v = self.entries[idx]
+        # keys are unique, so the sort never compares two values
+        for (n, r, m), v in sorted(self.entries.items()):
+            if type(v) is int:
+                entries.append([n, r, m, str(v), "1"])
+                continue
             if isinstance(v, QuadExt):
                 raise UsageError(
                     "schema v1 stores rational coefficients only; "
                     "this table has quadratic-irrational entries"
                 )
-            if type(v) is int:
-                num, den = v, 1
-            else:
-                v = rat(v)
-                num, den = v.numerator, v.denominator
-            entries.append([*idx, str(num), str(den)])
+            v = rat(v)
+            entries.append([n, r, m, str(v.numerator), str(v.denominator)])
         return {
             "schema_version": SCHEMA_VERSION,
             "weight": self.weight,
@@ -183,6 +210,8 @@ class SiegelFourierTable:
             entries = {}
             for n, r, m, num, den in data["entries"]:
                 index = tuple(json_int(x, "an entry index") for x in (n, r, m))
+                if index in entries:
+                    raise UsageError(f"table index {index} is listed twice")
                 entries[index] = Fraction(json_int(num, "a numerator"), json_int(den, "a denominator"))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"malformed table file: {exc}") from exc
@@ -212,17 +241,20 @@ def maass_lift(phi: JacobiForm, bound: int) -> SiegelFourierTable:
     # is at most 4 * bound**2, so within the Jacobi table
     divs = divisor_lists(bound)
     powers = {d: d ** (k - 1) for d in range(1, bound + 1)}
-    by_disc = phi.by_disc
+    get = phi.by_disc.get
     entries = {}
-    for idx in reduced_indices(bound):
-        n, r, m = idx
-        disc = 4 * n * m - r * r
-        acc = 0
-        for d in divs[math.gcd(n, r, m)]:
-            acc += powers[d] * by_disc.get(disc // (d * d), 0)
-        if acc != 0:
-            entries[idx] = acc
-    return SiegelFourierTable(k, bound, entries)
+    # n, then r, then m: the order of the table file, so the entries come out sorted
+    for n in range(1, bound + 1):
+        for r in range(n + 1):
+            g = math.gcd(n, r)
+            for m in range(n, bound + 1):
+                disc = 4 * n * m - r * r
+                acc = 0
+                for d in divs[math.gcd(g, m)]:
+                    acc += powers[d] * get(disc // (d * d), 0)
+                if acc != 0:
+                    entries[(n, r, m)] = acc
+    return SiegelFourierTable._trusted(k, bound, entries)
 
 
 class CheckReport(NamedTuple):
@@ -251,31 +283,36 @@ def check_maass_space(table: SiegelFourierTable) -> CheckReport:
     the cusp support vanish on both sides).  A right-hand index (N, R, 1) of
     discriminant D = 4N - R**2 reduces to (1, rho, (D + rho) / 4) with
     rho = D mod 2; the largest D, at d = 1, decides whether all of them lie
-    within the bound.
+    within the bound, and it does exactly when D <= 4 * bound.  For each
+    (m, n) the indices beyond that are the r below sqrt(4nm - 4 * bound),
+    counted as skipped without being visited.  Indices run by m, then n,
+    then r, the order in which violations are reported.
     """
     k = table.weight
     bound = table.bound
     divs = divisor_lists(bound)
     # a checked index has D <= 4 * bound, and d**2 divides D
     powers = {d: d ** (k - 1) for d in range(1, math.isqrt(4 * max(bound, 0)) + 1)}
-    entries = table.entries
+    get = table.entries.get
     checked = skipped = 0
     violations = []
-    for idx in reduced_indices(bound):
-        n, r, m = idx
-        disc = 4 * n * m - r * r
-        if (disc + (disc & 1)) // 4 > bound:
-            skipped += 1
-            continue
-        rhs = 0
-        for d in divs[math.gcd(n, r, m)]:
-            dd = disc // (d * d)
-            rho = dd & 1
-            rhs += powers[d] * entries.get((1, rho, (dd + rho) // 4), 0)
-        lhs = entries.get(idx, 0)
-        checked += 1
-        if lhs != rhs:
-            violations.append((tuple(idx), lhs, rhs))
+    for m in range(1, bound + 1):
+        for n in range(1, m + 1):
+            excess = 4 * (n * m - bound)
+            # the least r with r**2 >= excess, that is with D <= 4 * bound
+            low = min(math.isqrt(excess - 1) + 1, n + 1) if excess > 0 else 0
+            skipped += low
+            for r in range(low, n + 1):
+                disc = 4 * n * m - r * r
+                rhs = 0
+                for d in divs[math.gcd(n, r, m)]:
+                    dd = disc // (d * d)
+                    rho = dd & 1
+                    rhs += powers[d] * get((1, rho, (dd + rho) // 4), 0)
+                lhs = get((n, r, m), 0)
+                checked += 1
+                if lhs != rhs:
+                    violations.append(((n, r, m), lhs, rhs))
     return CheckReport("maass", None, table.bound, checked, skipped, tuple(violations))
 
 
@@ -480,7 +517,7 @@ def hecke_operator(table: SiegelFourierTable, m: int) -> SiegelFourierTable:
                 acc += Fraction(cls.size, cls.det**k) * val
         if acc != 0:
             entries[idx] = gamma * acc
-    return SiegelFourierTable(k, out_bound, entries)
+    return SiegelFourierTable._trusted(k, out_bound, entries)
 
 
 def hecke_eigenvalue(table: SiegelFourierTable, m: int):
@@ -492,7 +529,11 @@ def hecke_eigenvalue(table: SiegelFourierTable, m: int):
     """
     transformed = hecke_operator(table, m)
     probe = None
-    for idx in sorted(reduced_indices(transformed.bound), key=lambda i: (i.disc, i.n, i.r)):
+    by_disc = sorted(
+        reduced_indices(transformed.bound),
+        key=lambda i: (4 * i[0] * i[2] - i[1] * i[1], i[0], i[1]),
+    )
+    for idx in by_disc:
         if table.entries.get(idx, 0) != 0:
             probe = idx
             break
@@ -507,6 +548,6 @@ def hecke_eigenvalue(table: SiegelFourierTable, m: int):
         if transformed.entries.get(idx, 0) != mu * table.entries.get(idx, 0):
             raise NotAnEigenformError(
                 f"table is not an eigenform of the similitude-{m} operator",
-                witness=tuple(idx),
+                witness=idx,
             )
     return mu

@@ -390,6 +390,17 @@ class TestUnreadableFiles:
         rc, err = self.run(["check", str(bad), "--maass"], capsys)
         assert rc == 2 and str(bad) in err and f"{field} must be an integer" in err
 
+    def test_repeated_index(self, table10, tmp_path, capsys):
+        data = json.loads(table10.read_text())
+        assert data["entries"][0][:3] == [1, 0, 1]
+        data["entries"].insert(1, [1, 0, 1, "7", "1"])
+        bad = tmp_path / "twice.json"
+        bad.write_text(json.dumps(data))
+        for argv in (["check", str(bad), "--maass"], ["eigen", str(bad), "--primes", "2"]):
+            rc, err = self.run(argv, capsys)
+            assert rc == 2 and self.out == ""
+            assert err == f"error: table file {bad}: table index (1, 0, 1) is listed twice\n"
+
     def test_table_not_utf8(self, tmp_path, capsys):
         bad = tmp_path / "latin1.json"
         bad.write_bytes(b'{"weight": "\xe9"}')

@@ -193,6 +193,8 @@ class TestPlusHecke:
     def test_eigenvalues_match_integral_side(self, plus10, plus12):
         assert _eigenvalue_on(plus10, 2) == -528
         assert _eigenvalue_on(plus12, 2) == -288
+        # checked in int arithmetic, still returned as the exact quotient
+        assert type(_eigenvalue_on(plus10, 2)) is Fraction
 
     def test_prime3_eigenvalue(self, plus10, f18):
         assert _eigenvalue_on(plus10, 3) == f18.a(3) == -4284

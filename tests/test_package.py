@@ -21,3 +21,14 @@ def test_public_names_stay_importable():
     assert set(PUBLIC_NAMES) <= set(sklift.__all__)
     for name in PUBLIC_NAMES:
         assert getattr(sklift, name) is not None, name
+
+
+def test_siegel_index_stays_public_and_keys_like_a_tuple():
+    # tables key by plain (n, r, m) tuples; SiegelIndex stays a public name,
+    # and a caller's SiegelIndex key hashes and compares as the same tuple
+    idx = sklift.SiegelIndex(1, 1, 2)
+    assert idx == (1, 1, 2) and hash(idx) == hash((1, 1, 2)) and idx.disc == 7
+    table = sklift.SiegelFourierTable(10, 2, {idx: 5})
+    assert table.entries[(1, 1, 2)] == 5 and table.value(2, 1, 1) == 5
+    lift = sklift.maass_lift(sklift.JacobiForm(10, {3: 1, 4: -2}, 16), 2)
+    assert lift.entries and all(type(key) is tuple for key in lift.entries)

@@ -119,6 +119,14 @@ class TestTable:
                 {"schema_version": 1, "weight": 10, "bound": 1, "entries": [[1, 1, 1, "1", "0"]]}
             )
 
+    def test_repeated_index_rejected(self):
+        data = {"schema_version": 1, "weight": 10, "bound": 1,
+                "entries": [[1, 1, 1, "1", "1"], [1, 1, 1, "7", "1"]]}
+        with pytest.raises(UsageError, match=r"^table index \(1, 1, 1\) is listed twice$"):
+            SiegelFourierTable.from_json_dict(data)
+        del data["entries"][1]
+        assert SiegelFourierTable.from_json_dict(data).entries == {(1, 1, 1): 1}
+
     def test_weight_below_one_rejected(self):
         for weight in (0, -2):
             with pytest.raises(UsageError, match="below 1"):
@@ -222,6 +230,16 @@ class TestMaassSpaceCheck:
         idx, lhs, rhs = rep.violations[0]
         assert lhs == rhs + 1
 
+    def test_violations_in_m_n_r_order(self, lift10):
+        # the right-hand sides read n = 1 only, so each perturbed index with
+        # n >= 2 and D <= 4 * bound is exactly one violation; any order that
+        # runs n before m puts (2, 1, 4) before (3, 3, 3)
+        order = [(2, 2, 2), (2, 1, 3), (3, 3, 3), (2, 1, 4)]
+        bad = lift10
+        for idx in reversed(order):
+            bad = perturbed(bad, idx, 1)
+        assert [v[0] for v in check_maass_space(bad).violations] == order
+
     def test_report_shape(self, lift10):
         rep = check_maass_space(lift10)
         assert rep.kind == "maass" and rep.p is None
@@ -273,6 +291,14 @@ def lift_tables(phi, bound):
     return [clean, bad, scaled(clean, Fraction(-7, 3)), scaled(bad, Fraction(5, 11))]
 
 
+def assert_same_lift(got, want):
+    """Equal fields and value types, the entries in sorted (file) order."""
+    assert (got.weight, got.bound) == (want.weight, want.bound)
+    assert list(got.entries) == sorted(want.entries)
+    assert got.entries == want.entries
+    assert [type(v) for v in got.entries.values()] == [type(want.entries[i]) for i in got.entries]
+
+
 def assert_same_report(got, want):
     assert got._fields == want._fields
     for field in want._fields:
@@ -301,10 +327,7 @@ class TestDiscriminantIndexedOracles:
 
     @pytest.mark.parametrize("bound", range(1, 13))
     def test_lift_matches_oracle(self, jacobi10_b12, bound):
-        got, want = maass_lift(jacobi10_b12, bound), oracles.maass_lift(jacobi10_b12, bound)
-        assert (got.weight, got.bound) == (want.weight, want.bound)
-        assert list(got.entries.items()) == list(want.entries.items())
-        assert [type(v) for v in got.entries.values()] == [type(v) for v in want.entries.values()]
+        assert_same_lift(maass_lift(jacobi10_b12, bound), oracles.maass_lift(jacobi10_b12, bound))
 
     def test_lift_refusal_matches_oracle(self, jacobi10):
         for bound in (10, 50):
@@ -329,7 +352,7 @@ class TestDiscriminantIndexedOracles:
 
     def test_weight_12_matches_oracle(self, jacobi12):
         for bound in range(1, 10):
-            assert maass_lift(jacobi12, bound) == oracles.maass_lift(jacobi12, bound)
+            assert_same_lift(maass_lift(jacobi12, bound), oracles.maass_lift(jacobi12, bound))
             for table in lift_tables(jacobi12, bound):
                 assert_same_report(check_maass_space(table), oracles.check_maass_space(table))
 
@@ -339,6 +362,15 @@ class TestDiscriminantIndexedOracles:
         bound, weight, entries = data
         table = SiegelFourierTable(weight, bound, entries)
         assert_same_report(check_maass_space(table), oracles.check_maass_space(table))
+
+    @given(reduced_entries)
+    @settings(max_examples=200, deadline=None)
+    def test_trusted_table_matches_public_constructor(self, data):
+        bound, weight, entries = data
+        want = SiegelFourierTable(weight, bound, entries)
+        got = SiegelFourierTable._trusted(weight, bound, {k: v for k, v in entries.items() if v != 0})
+        assert (got.weight, got.bound) == (want.weight, want.bound)
+        assert list(got.entries.items()) == list(want.entries.items())
 
     def test_self_check_on_degenerate_bounds(self):
         for bound in (-3, 0):

@@ -24,12 +24,10 @@ from .kohnen import (
 )
 from .jacobi import JacobiForm, ez_lift
 from .siegel import (
-    HeckeDoubleCoset,
     SiegelFourierTable,
     SiegelIndex,
     check_maass_p_space,
     check_maass_space,
-    coset_decomposition_Tp,
     hecke_eigenvalue,
     hecke_operator,
     maass_lift,

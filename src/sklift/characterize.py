@@ -23,7 +23,6 @@ from .numeric import (
     PRIME_TEST_BITS,
     QuadExt,
     format_value,
-    fpow,
     is_prime,
     json_int,
     rat,
@@ -39,12 +38,6 @@ NEITHER_TYPE = "neither"
 COND_PRIME_THRESHOLD = "prime-threshold"
 COND_PRIME_SQUARE_THRESHOLD = "prime-square-threshold"
 COND_EIGENVALUE_IDENTITY = "eigenvalue-identity"
-
-
-def _simplify(x):
-    if isinstance(x, QuadExt) and x.b == 0:
-        return x.a
-    return x
 
 
 @dataclass(frozen=True)
@@ -63,8 +56,8 @@ class EigenvalueRecord:
             raise UsageError(f"p has {self.p.bit_length()} bits; primes are tested up to {PRIME_TEST_BITS}")
         if not is_prime(self.p):
             raise UsageError(f"{self.p} is not prime")
-        object.__setattr__(self, "mu_p", _simplify(_as_value(self.mu_p)))
-        object.__setattr__(self, "mu_p2", _simplify(_as_value(self.mu_p2)))
+        object.__setattr__(self, "mu_p", _as_value(self.mu_p))
+        object.__setattr__(self, "mu_p2", _as_value(self.mu_p2))
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,8 +147,9 @@ def record_from_pair(weight: int, p: int, x, y) -> EigenvalueRecord:
     k = weight
     x, y = _as_value(x), _as_value(y)
     sqrt_p = QuadExt(0, 1, p)
-    mu_p = fpow(p, k - 2) * (x + y) * sqrt_p
-    mu_p2 = fpow(p, 2 * k - 3) * (x * x + x * y + y * y - 2 - Fraction(1, p))
+    # the weight is checked only when the record is built, so k - 2 may be negative
+    mu_p = Fraction(p) ** (k - 2) * (x + y) * sqrt_p
+    mu_p2 = Fraction(p) ** (2 * k - 3) * (x * x + x * y + y * y - 2 - Fraction(1, p))
     return EigenvalueRecord(k, p, mu_p, mu_p2)
 
 
@@ -209,15 +203,15 @@ def solve_satake(rec: EigenvalueRecord) -> SatakeParams:
     cannot come from an eigenform and are tagged accordingly.
     """
     k, p = rec.weight, rec.p
-    w = _simplify(rec.mu_p / fpow(p, k - 1))
-    v = _simplify(rec.mu_p2 / fpow(p, 2 * k - 3))
-    u_sq = _simplify(p * w * w)
-    c = _simplify(u_sq - v - 2 - Fraction(1, p))
-    disc = _simplify(u_sq - 4 * c)
+    w = rec.mu_p / p ** (k - 1)
+    v = rec.mu_p2 / p ** (2 * k - 3)
+    u_sq = p * w * w
+    c = u_sq - v - 2 - Fraction(1, p)
+    disc = u_sq - 4 * c
 
     # membership of the lifted trace in the pair, evaluated inside Q(sqrt d)
     z0_sq = Fraction((p + 1) ** 2, p)
-    q_at_z0 = _simplify(z0_sq - (p + 1) * w + c)
+    q_at_z0 = z0_sq - (p + 1) * w + c
     if value_sign(q_at_z0) == 0:
         classification = SK_TYPE
     else:
@@ -242,10 +236,10 @@ def _explicit_pair(p, w, disc, classification):
     root must be rational or a rational multiple of sqrt(p): disc or p*disc
     is then a rational square.
     """
-    u = None if isinstance(w, QuadExt) and w.d != p else _simplify(w * QuadExt(0, 1, p))
+    u = None if isinstance(w, QuadExt) and w.d != p else w * QuadExt(0, 1, p)
     if classification == SK_TYPE:
         x = sk_trace(p)
-        return x, None if u is None else _simplify(u - x)
+        return x, None if u is None else u - x
     if u is None or isinstance(disc, QuadExt) or disc < 0:
         return None, None
     if isinstance(u, QuadExt):
@@ -256,7 +250,7 @@ def _explicit_pair(p, w, disc, classification):
         root = sqrt_rational(disc)
     if root is None:
         return None, None
-    return _simplify((u + root) / 2), _simplify((u - root) / 2)
+    return (u + root) / 2, (u - root) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +295,14 @@ def theorem41(rec: EigenvalueRecord) -> Theorem41Certificate:
     fired = []
     mu_sq = rec.mu_p * rec.mu_p
     # mu(p) > 4 p**(k-2) sqrt(p), that is, mu(p) > 0 and mu(p)**2 > 16 p**(2k-3)
-    cond_ii = value_sign(rec.mu_p) > 0 and value_sign(mu_sq - 16 * fpow(p, 2 * k - 3)) > 0
+    cond_ii = value_sign(rec.mu_p) > 0 and value_sign(mu_sq - 16 * p ** (2 * k - 3)) > 0
     if cond_ii:
         fired.append(COND_PRIME_THRESHOLD)
-    cond_iv = value_sign(rec.mu_p2 - 10 * fpow(p, 2 * k - 3)) > 0
+    cond_iv = value_sign(rec.mu_p2 - 10 * p ** (2 * k - 3)) > 0
     if cond_iv:
         fired.append(COND_PRIME_SQUARE_THRESHOLD)
     t = p ** (k - 1) + p ** (k - 2)
-    identity_gap = mu_sq - t * rec.mu_p + fpow(p, 2 * k - 2) - rec.mu_p2
+    identity_gap = mu_sq - t * rec.mu_p + p ** (2 * k - 2) - rec.mu_p2
     cond_vii = value_sign(identity_gap) == 0
     if cond_vii:
         fired.append(COND_EIGENVALUE_IDENTITY)
@@ -344,9 +338,9 @@ class SpinEulerData:
 def spin_euler_data(rec: EigenvalueRecord) -> SpinEulerData:
     k, p = rec.weight, rec.p
     e1 = rec.mu_p
-    e2 = _simplify(rec.mu_p * rec.mu_p - rec.mu_p2 - fpow(p, 2 * k - 4))
-    e3 = _simplify(fpow(p, 2 * k - 3) * rec.mu_p)
-    e4 = fpow(p, 4 * k - 6)
+    e2 = rec.mu_p * rec.mu_p - rec.mu_p2 - p ** (2 * k - 4)
+    e3 = p ** (2 * k - 3) * rec.mu_p
+    e4 = p ** (4 * k - 6)
     return SpinEulerData(e1, e2, e3, e4)
 
 
@@ -361,7 +355,7 @@ def mu_sequence(rec: EigenvalueRecord, rmax: int) -> list:
         raise UsageError("the scan depth must be nonnegative")
     k, p = rec.weight, rec.p
     ed = spin_euler_data(rec)
-    numerator = {0: Fraction(1), 2: -fpow(p, 2 * k - 4)}
+    numerator = {0: Fraction(1), 2: -p ** (2 * k - 4)}
     seq: list = []
     for r in range(rmax + 1):
         val = numerator.get(r, Fraction(0))
@@ -373,7 +367,7 @@ def mu_sequence(rec: EigenvalueRecord, rmax: int) -> list:
             val = val + ed.e3 * seq[r - 3]
         if r >= 4:
             val = val - ed.e4 * seq[r - 4]
-        seq.append(_simplify(val))
+        seq.append(val)
     if rmax >= 1 and value_sign(seq[1] - rec.mu_p) != 0:
         raise InconsistencyError("prime-power sequence fails to reproduce mu(p)")
     if rmax >= 2 and value_sign(seq[2] - rec.mu_p2) != 0:

@@ -18,6 +18,7 @@ failed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -168,9 +169,12 @@ def _check_out_dir(path: str) -> None:
         raise UsageError(f"cannot write {path}: no directory {parent}")
 
 
+@contextlib.contextmanager
 def _open_out(path: str):
+    """``path`` open for writing; an OSError opening, writing or closing it is a UsageError."""
     try:
-        return open(path, "w", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 

@@ -217,7 +217,7 @@ def eigenforms(weight: int, prec: int) -> list[EllipticEigenform]:
         if lead == 0:
             raise InconsistencyError("eigenvector with vanishing leading coefficient")
         series = series * exact_div(1, lead)
-        disc = lam.d if isinstance(lam, QuadExt) and lam.b != 0 else None
+        disc = lam.d if isinstance(lam, QuadExt) else None
         form = EllipticEigenform(weight, series, field_disc=disc)
         _verify_eigenform(form, 2)
         out.append(form)

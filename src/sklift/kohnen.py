@@ -50,24 +50,18 @@ def odd_sigma_series(prec: int) -> QSeries:
     return QSeries(coeffs, prec)
 
 
-def _powers(base: QSeries, start: int, step: int, count: int) -> list[QSeries]:
-    """base**start, base**(start + step), ...: ``count`` powers, each from the one before."""
-    out = [base**start]
-    stride = base**step
-    for _ in range(count - 1):
-        out.append(out[-1] * stride)
-    return out
-
-
 def _f2_powers(prec: int, count: int) -> list[list]:
     """Coefficient lists of f2, f2**2, ..., f2**count to ``prec``, at half length.
 
     f2 vanishes at even exponents, f2 = q * g(q**2), so f2**j is
-    q**j * g(q**2)**j: only powers of g, half as long, are multiplied.
+    q**j * g(q**2)**j: only powers of g, half as long, are multiplied,
+    each from the one before.
     """
     g = QSeries(odd_sigma_series(prec).coeffs[1::2], max((prec - 1) // 2, 0))
     out = []
-    for j, gj in enumerate(_powers(g, 1, 1, count), start=1):
+    gj = None
+    for j in range(1, count + 1):
+        gj = g if gj is None else gj * g
         c = [0] * (prec + 1)
         c[j::2] = gj.coeffs[: len(range(j, prec + 1, 2))]
         out.append(c)
@@ -75,18 +69,20 @@ def _f2_powers(prec: int, count: int) -> list[list]:
 
 
 def halfint_generators(k: int, prec: int) -> list[QSeries]:
-    """Monomial spanning set of the weight (2k-1)/2 space on Gamma0(4)."""
+    """Monomial spanning set of the weight (2k-1)/2 space on Gamma0(4).
+
+    Generator b is theta**(2k-1-4b) * f2**b for b = 0..(2k-1)//4; the power
+    of theta acts on f2**b as shifted adds.
+    """
     if k % 2:
         raise UsageError("only even weights occur on this lift chain")
     wnum = 2 * k - 1
-    theta = theta_series(prec)
-    f2 = odd_sigma_series(prec)
-    bmax = wnum // 4
-    # theta_pows[i] = theta**(wnum - 4*bmax + 4*i), f2_pows[b - 1] = f2**b
-    theta_pows = _powers(theta, wnum - 4 * bmax, 4, bmax + 1)
-    f2_pows = _powers(f2, 1, 1, bmax)
-    mixed = [theta_pows[bmax - b] * f2_pows[b - 1] for b in range(1, bmax + 1)]
-    return [theta_pows[bmax]] + mixed
+    squares = _theta_terms(prec)
+    f2_pows = [[1]] + _f2_powers(prec, wnum // 4)
+    return [
+        QSeries(sparse_times(squares, f2_pow, prec, wnum - 4 * b), prec)
+        for b, f2_pow in enumerate(f2_pows)
+    ]
 
 
 class PlusSpaceForm:

@@ -1,10 +1,14 @@
 """Exact arithmetic foundation.
 
-Rationals are ``fractions.Fraction`` (always in lowest terms, positive
-denominator).  On top of that this module provides real quadratic
+Rationals are ints or ``fractions.Fraction`` (always in lowest terms,
+positive denominator).  On top of that this module provides real quadratic
 irrationals ``a + b*sqrt(d)`` with exact signs (resolved by sign splitting
 and squaring, never by floating point), and the elementary number-theoretic
 functions the rest of the package needs.
+
+Each exact value has one representation: an int or a Fraction when it is
+rational, a ``QuadExt`` with ``b != 0`` only when it is not.  ``QuadExt``
+alone enforces this, so no caller tests whether a value is "really" rational.
 
 All values are immutable and all functions are pure.
 """
@@ -237,20 +241,25 @@ def _sgn(x) -> int:
 
 
 class QuadExt:
-    """An element ``a + b*sqrt(d)`` of a real quadratic field, exact.
+    """An element ``a + b*sqrt(d)`` of a real quadratic field, exact, with ``b != 0``.
 
-    ``d`` is a fixed squarefree integer >= 2.  Elements with ``b == 0`` behave
-    like plain rationals and mix freely with ints and Fractions; elements of
-    two genuinely different fields refuse to combine.
+    ``d`` is a squarefree integer >= 2.  ``QuadExt(a, b, d)`` with ``b == 0``
+    is the Fraction ``a``, and every operation builds its result through the
+    class, so a rational value is never a QuadExt.  QuadExt values mix freely
+    with ints and Fractions; values of two different fields refuse to combine.
     """
 
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, a, b, d: int):
+    def __new__(cls, a, b, d: int):
         a, b = rat(a), rat(b)
+        if b == 0:
+            return a
+        self = object.__new__(cls)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", _check_squarefree(d) if b != 0 else int(d))
+        object.__setattr__(self, "d", _check_squarefree(d))
+        return self
 
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("QuadExt values are immutable")
@@ -265,19 +274,10 @@ class QuadExt:
     def _coerce(self, other):
         """Return ``(a, b)`` of ``other`` viewed inside this field, or None."""
         if isinstance(other, QuadExt):
-            if other.b == 0:
-                return other.a, Fraction(0)
-            if self.b == 0 or other.d == self.d:
-                return other.a, other.b
-            return None
+            return (other.a, other.b) if other.d == self.d else None
         if isinstance(other, (int, Fraction)):
-            return rat(other), Fraction(0)
+            return other, 0
         return None
-
-    def _field(self, other) -> int:
-        if isinstance(other, QuadExt) and other.b != 0:
-            return other.d
-        return self.d
 
     # -- ring operations -------------------------------------------------
 
@@ -285,7 +285,7 @@ class QuadExt:
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        return QuadExt(self.a + co[0], self.b + co[1], self._field(other))
+        return QuadExt(self.a + co[0], self.b + co[1], self.d)
 
     __radd__ = __add__
 
@@ -296,7 +296,7 @@ class QuadExt:
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        return QuadExt(self.a - co[0], self.b - co[1], self._field(other))
+        return QuadExt(self.a - co[0], self.b - co[1], self.d)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -305,34 +305,29 @@ class QuadExt:
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        d = self._field(other)
         oa, ob = co
-        return QuadExt(self.a * oa + self.b * ob * d, self.a * ob + self.b * oa, d)
+        return QuadExt(self.a * oa + self.b * ob * self.d, self.a * ob + self.b * oa, self.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        co = self._coerce(other)
-        if co is None:
-            return NotImplemented
-        d = self._field(other)
-        oa, ob = co
-        nrm = oa * oa - ob * ob * d
-        if nrm == 0:
-            raise ZeroDivisionError("division by zero in quadratic field")
-        inv = QuadExt(oa / nrm, -ob / nrm, d)
-        return self * inv
+        if isinstance(other, QuadExt):
+            return self * (1 / other)
+        if isinstance(other, (int, Fraction)):
+            return QuadExt(self.a / other, self.b / other, self.d)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        co = self._coerce(other)
-        if co is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return QuadExt(co[0], co[1], self.d) / self
+        # the norm a**2 - b**2 d is nonzero: d is not a rational square
+        nrm = self.a * self.a - self.b * self.b * self.d
+        return QuadExt(self.a / nrm, -self.b / nrm, self.d) * other
 
     def __pow__(self, e: int):
         if e < 0:
             return 1 / self**(-e)
-        out = QuadExt(1, 0, self.d)
+        out = Fraction(1)
         base = self
         while e:
             if e & 1:
@@ -346,8 +341,6 @@ class QuadExt:
     def sign(self) -> int:
         """Exact sign, decided by squaring when the two terms compete."""
         a, b = self.a, self.b
-        if b == 0:
-            return _sgn(a)
         if a == 0:
             return _sgn(b)
         if (a > 0) == (b > 0):
@@ -360,7 +353,8 @@ class QuadExt:
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        return QuadExt(self.a - co[0], self.b - co[1], self._field(other)).sign()
+        # the difference is a Fraction when the sqrt(d) parts cancel
+        return value_sign(QuadExt(self.a - co[0], self.b - co[1], self.d))
 
     def __eq__(self, other):
         s = self._diff_sign(other)
@@ -393,16 +387,9 @@ class QuadExt:
         return s >= 0
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
         return hash((self.a, self.b, self.d))
 
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
     def __repr__(self):
-        if self.b == 0:
-            return str(self.a)
         if self.a == 0:
             return f"{self.b}*sqrt({self.d})"
         op = "+" if self.b > 0 else "-"
@@ -441,13 +428,6 @@ def sqrt_rational(x: Fraction):
 # exact values
 # ---------------------------------------------------------------------------
 
-def fpow(base: int, e: int) -> Fraction:
-    """Exact integer power with negative exponents allowed."""
-    if e >= 0:
-        return Fraction(base**e)
-    return Fraction(1, base**(-e))
-
-
 def value_sign(x) -> int:
     """Sign of a Fraction/int/QuadExt."""
     if isinstance(x, QuadExt):
@@ -456,7 +436,7 @@ def value_sign(x) -> int:
 
 
 def exact_div(a, b):
-    """``a / b`` exactly: a Fraction, or a QuadExt when either operand is one."""
+    """``a / b`` exactly: a QuadExt when the quotient is irrational, else a Fraction."""
     return (a if isinstance(a, QuadExt) else Fraction(a)) / b
 
 

@@ -64,9 +64,6 @@ class QSeries:
             )
         return self.coeffs[n]
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def valuation(self) -> int | None:
         """Exponent of the first nonzero coefficient, or None for zero series."""
         for i, c in enumerate(self.coeffs):

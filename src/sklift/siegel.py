@@ -416,27 +416,6 @@ def coset_classes(p: int, e: int = 1) -> tuple[CosetClass, ...]:
     return classes
 
 
-class HeckeDoubleCoset:
-    """The complete family of right cosets of one similitude, by coset class."""
-
-    __slots__ = ("similitude", "classes")
-
-    def __init__(self, p: int, e: int = 1):
-        object.__setattr__(self, "similitude", p**e)
-        object.__setattr__(self, "classes", coset_classes(p, e))
-
-    def __setattr__(self, *args):  # pragma: no cover - immutability guard
-        raise AttributeError("coset families are immutable")
-
-    def __len__(self) -> int:
-        return sum(c.size for c in self.classes)
-
-
-def coset_decomposition_Tp(p: int) -> HeckeDoubleCoset:
-    """Right-coset family of the prime double coset; p**3+p**2+p+1 members."""
-    return HeckeDoubleCoset(p, 1)
-
-
 # ---------------------------------------------------------------------------
 # Hecke action on coefficient tables
 # ---------------------------------------------------------------------------

@@ -5,16 +5,18 @@ the table edits the tests build bad input with, the lift, divisor-sum checker
 and key test that look coefficients up through binary form reduction where
 the library reads them by discriminant, the comparisons with multiples
 of sqrt(p) that the squared threshold and growth tests replaced, the general
-characteristic polynomial the 2x2 closed form replaced, the Smith-form coset algebra
-the Hecke operators' closed-form class sizes and character test replaced,
-the explicit coset matrices that pin the coset classes, and the Gauss-Jordan
-over Fractions and the denominator clearing that the fraction-free
-``echelon`` replaced.
+characteristic polynomial the 2x2 closed form replaced, the Smith-form coset
+algebra the Hecke operators' closed-form class sizes and character test
+replaced, the coset families and explicit coset matrices that pin the coset
+classes, and the Gauss-Jordan over Fractions and the denominator clearing
+that the fraction-free ``echelon`` replaced.  Its exact-value helpers keep
+their own rational tests rather than trust the library's representation.
 None of it is on the lift chain.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -31,19 +33,18 @@ from sklift.characterize import (
     SatakeParams,
     Theorem41Certificate,
     _explicit_pair,
-    _simplify,
 )
 from sklift.errors import InconsistencyError, TruncationError, UsageError
 from sklift.jacobi import JacobiForm
 from sklift.kohnen import PlusSpaceForm
-from sklift.numeric import QuadExt, divisor_lists, fpow, is_prime, rat, value_sign
+from sklift.numeric import QuadExt, divisor_lists, is_prime, rat, value_sign
 from sklift.qseries import QSeries, RatMatrix
 from sklift.siegel import (
     CheckReport,
-    HeckeDoubleCoset,
     SiegelFourierTable,
     SiegelIndex,
     _prime_power,
+    coset_classes,
     reduce_index,
     reduced_indices,
 )
@@ -82,9 +83,40 @@ def sigma(power: int, n: int) -> int:
     return sum(d**power for d in divisors(n))
 
 
-def norm(x: QuadExt) -> Fraction:
-    """The field norm a**2 - d * b**2 of ``x = a + b*sqrt(d)``."""
+def norm(x) -> Fraction:
+    """The field norm a**2 - d * b**2 of ``x = a + b*sqrt(d)``; x**2 for a rational x."""
+    if not isinstance(x, QuadExt):
+        return x * x
     return x.a * x.a - x.b * x.b * x.d
+
+
+def noncanonical(value) -> list:
+    """The exact values inside ``value`` that are not in their one representation.
+
+    Walks dataclasses, lists and tuples.  An int or a Fraction is canonical,
+    and so is a QuadExt with b != 0; a QuadExt with b == 0 and a float are not.
+    """
+    if dataclasses.is_dataclass(value):
+        return [x for f in dataclasses.fields(value) for x in noncanonical(getattr(value, f.name))]
+    if isinstance(value, (list, tuple)):
+        return [x for v in value for x in noncanonical(v)]
+    if isinstance(value, float) or (isinstance(value, QuadExt) and value.b == 0):
+        return [value]
+    return []
+
+
+def fpow(base: int, e: int) -> Fraction:
+    """Exact integer power with negative exponents allowed."""
+    if e >= 0:
+        return Fraction(base**e)
+    return Fraction(1, base**(-e))
+
+
+def _simplify(x):
+    """A rational value out of a QuadExt with no sqrt(d) part, without trusting the library to."""
+    if isinstance(x, QuadExt) and x.b == 0:
+        return x.a
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -755,11 +787,26 @@ def hecke_operator_oracle(table: SiegelFourierTable, m: int) -> SiegelFourierTab
 # explicit coset matrices
 # ---------------------------------------------------------------------------
 
-def coset_representatives(family: HeckeDoubleCoset) -> list:
-    """Explicit 4x4 integer matrices, one per right coset of the family."""
-    s = family.similitude
+class HeckeDoubleCoset:
+    """The complete family of right cosets of similitude p**e, by coset class."""
+
+    def __init__(self, p: int, e: int = 1):
+        self.classes = coset_classes(p, e)
+
+    def __len__(self) -> int:
+        return sum(c.size for c in self.classes)
+
+
+def coset_decomposition_Tp(p: int) -> HeckeDoubleCoset:
+    """Right-coset family of the prime double coset; p**3+p**2+p+1 members."""
+    return HeckeDoubleCoset(p, 1)
+
+
+def coset_representatives(p: int, e: int = 1) -> list:
+    """Explicit 4x4 integer matrices, one per right coset of similitude p**e."""
+    s = p**e
     reps = []
-    for cls in family.classes:
+    for cls in coset_classes(p, e):
         size, orders, gens = translation_classes(cls.d_a, cls.d_b, cls.d_d)
         a = (
             (s // cls.d_a, 0),

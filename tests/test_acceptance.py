@@ -29,11 +29,10 @@ from sklift.numeric import QuadExt, value_sign
 from sklift.siegel import (
     check_maass_p_space,
     check_maass_space,
-    coset_decomposition_Tp,
     hecke_eigenvalue,
 )
 
-from oracles import charpoly, matmul, perturbed
+from oracles import charpoly, coset_decomposition_Tp, matmul, perturbed
 
 
 def report(n, text):

@@ -33,6 +33,7 @@ from oracles import (
     HOSTILE_P,
     HOSTILE_Q,
     growth_by_half_powers,
+    noncanonical,
     reconstruct,
     record_with_discriminant,
     scaled,
@@ -193,6 +194,15 @@ class TestSolveSatake:
         assert sp.x == sk_trace(2)
         cert = theorem41(rec)
         assert cert.verdict == SK_TYPE
+
+
+class TestOneRepresentation:
+    @given(growth_records(), st.integers(0, 8))
+    @example(record_from_pair(10, 2, QuadExt(0, 1, 2), QuadExt(0, -1, 2)), 4)
+    @settings(max_examples=100, deadline=None)
+    def test_values_are_int_fraction_or_irrational(self, rec, depth):
+        values = [rec, spin_euler_data(rec), solve_satake(rec), theorem41(rec), mu_sequence(rec, depth)]
+        assert noncanonical(values) == []
 
 
 class TestTheorem41:

@@ -432,6 +432,15 @@ class TestUnreadableFiles:
         assert rc == 2 and str(out) in err and self.out == ""
         assert not out.parent.exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_failure_on_out(self, table10, capsys):
+        # /dev/full opens, then every write to it fails with ENOSPC
+        for argv in (["--no-cache", "lift", "--weight", "10", "--bound", "2", "--out", "/dev/full"],
+                     ["eigen", str(table10), "--primes", "2", "--out", "/dev/full"]):
+            rc, err = self.run(argv, capsys)
+            assert rc == 2 and err.startswith("error: cannot write /dev/full: ")
+            assert len(err.splitlines()) == 1
+
     def test_out_is_a_directory(self, table10, tmp_path, capsys):
         rc, err = self.run(["eigen", str(table10), "--primes", "2", "--out", str(tmp_path)], capsys)
         assert rc == 2 and f"cannot write {tmp_path}" in err

@@ -102,7 +102,7 @@ class TestHecke:
         from sklift.elliptic import EllipticForm
 
         zero = EllipticForm(12, QSeries([0] * 13, 12))
-        assert hecke_Tp(zero, 3).series.is_zero()
+        assert not any(hecke_Tp(zero, 3).series.coeffs)
 
     def test_insufficient_truncation(self):
         f = cusp_basis(18, 4)[0]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sklift.numeric import (
@@ -15,7 +15,6 @@ from sklift.numeric import (
     bernoulli_number,
     divisor_lists,
     exact_div,
-    fpow,
     is_prime,
     kronecker_symbol,
     sqrt_if_square,
@@ -32,6 +31,7 @@ from oracles import (
     cmp_sqrt_multiple,
     divisors,
     factorize,
+    noncanonical,
     norm,
     sigma,
 )
@@ -221,22 +221,16 @@ class TestSquarefreeCore:
         assert sqrt_if_square(Fraction(1, 2)) is None
 
 
-quad_elems = st.builds(
-    QuadExt,
-    rationals,
-    rationals,
-    st.sampled_from([2, 3, 5, 51349]),
-)
+radicands = st.sampled_from([2, 3, 5, 51349])
+quad_elems = st.builds(QuadExt, rationals, rationals, radicands)
 
 
 class TestQuadExt:
-    @given(quad_elems, quad_elems, quad_elems)
+    @given(radicands, st.lists(st.tuples(rationals, rationals), min_size=3, max_size=3))
     @settings(max_examples=150, deadline=None)
-    def test_ring_axioms(self, x, y, z):
-        # all three share a radicand only when hypothesis picked the same d;
-        # force a common field by rebuilding y, z over x's radicand
-        y = QuadExt(y.a, y.b, x.d)
-        z = QuadExt(z.a, z.b, x.d)
+    def test_ring_axioms(self, d, parts):
+        # one field for all three; a draw with b == 0 is a Fraction mixed in
+        x, y, z = (QuadExt(a, b, d) for a, b in parts)
         assert (x + y) + z == x + (y + z)
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
@@ -273,6 +267,25 @@ class TestQuadExt:
     def test_non_squarefree_radicand_rejected(self):
         with pytest.raises(ValueError):
             QuadExt(0, 1, 12)
+
+
+class TestOneRepresentation:
+    @given(radicands, st.lists(st.tuples(rationals, rationals), min_size=2, max_size=2), rationals)
+    @example(2, [(0, 1), (0, 1)], 0)
+    @settings(max_examples=150, deadline=None)
+    def test_arithmetic_and_square_roots(self, d, parts, r):
+        # a rational result is an int or a Fraction, never a QuadExt with b == 0
+        x, y = (QuadExt(a, b, d) for a, b in parts)
+        values = [x, y, -x, x.conjugate(), x + y, x - y, x * y, x * x.conjugate(), x + r, r - x, x * r]
+        values += [x**e for e in range(4)]
+        values += [x / y, r / y, y**-2] if y != 0 else []
+        values += [x / r, r / x] if r != 0 and x != 0 else []
+        values.append(sqrt_rational(abs(r)))
+        assert noncanonical(values) == []
+
+    def test_rational_is_a_fraction(self):
+        assert type(QuadExt(3, 0, 7)) is Fraction and QuadExt(3, 0, 7) == 3
+        assert type(QuadExt(0, 1, 2) ** 2) is Fraction
 
 
 class TestHalfPower:

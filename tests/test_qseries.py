@@ -26,6 +26,7 @@ from oracles import (
     charpoly,
     identity,
     is_zero,
+    noncanonical,
     poly_eval_matrix,
     rank,
     rref,
@@ -409,6 +410,15 @@ class TestEigenSplit:
         for lam, (v0, v1) in pairs:
             assert v0 != 0 or v1 != 0
             assert a * v0 + b * v1 == lam * v0 and c * v0 + d * v1 == lam * v1
+
+    @given(two_by_two)
+    @settings(max_examples=100, deadline=None)
+    def test_values_have_one_representation(self, entries):
+        try:
+            pairs = eigen_split_2x2(RatMatrix(entries))
+        except (UnsupportedFieldError, InconsistencyError):
+            return
+        assert noncanonical(pairs) == []
 
     @pytest.mark.parametrize("entries, lam", [
         ([[7, 7], [-7, -7]], "0"),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sklift.errors import TruncationError, UsageError
 from sklift.jacobi import JacobiForm, ez_lift
 from sklift.kohnen import plus_space_basis
+from sklift.numeric import QuadExt
 from sklift.siegel import (
     SiegelFourierTable,
     SiegelIndex,
@@ -108,6 +109,13 @@ class TestTable:
         assert clone == lift10
         assert data["schema_version"] == 1
         assert all(isinstance(e[3], str) and isinstance(e[4], str) for e in data["entries"])
+
+    def test_rational_entries_serialize_whatever_built_them(self):
+        # QuadExt(5, 0, 2) is the rational 5; only a genuine irrational is refused
+        table = SiegelFourierTable(10, 2, {(1, 1, 1): QuadExt(5, 0, 2)})
+        assert table.to_json_dict()["entries"] == [[1, 1, 1, "5", "1"]]
+        with pytest.raises(UsageError, match="quadratic-irrational"):
+            SiegelFourierTable(10, 2, {(1, 1, 1): QuadExt(5, 1, 2)}).to_json_dict()
 
     def test_bad_schema_rejected(self):
         with pytest.raises(UsageError):

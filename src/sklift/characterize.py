@@ -5,7 +5,10 @@ square) at one prime.  The local spectral parameters are recovered exactly,
 the record is classified as lifted-type versus unimodular-type, the single
 prime criteria and the exact eigenvalue identity are evaluated, the full
 prime-power eigenvalue sequence is generated from the degree-4 local data,
-and the growth bounds and sign behavior of that sequence are scanned.
+and the growth bounds and sign behavior of that sequence are scanned.  The
+sequence and both scans run in integers, on the sequence scaled by powers of
+the lcm of the local data's denominators; a record file's scan is refused
+up front when its size or work would pass a fixed budget.
 
 No floating point: every inequality involving sqrt(p) is settled by sign
 splitting and squaring.
@@ -22,6 +25,8 @@ from .errors import InconsistencyError, UsageError
 from .numeric import (
     PRIME_TEST_BITS,
     QuadExt,
+    _sgn,
+    _surd_sign,
     format_value,
     is_prime,
     json_int,
@@ -38,6 +43,13 @@ NEITHER_TYPE = "neither"
 COND_PRIME_THRESHOLD = "prime-threshold"
 COND_PRIME_SQUARE_THRESHOLD = "prime-square-threshold"
 COND_EIGENVALUE_IDENTITY = "eigenvalue-identity"
+
+# ``classify`` refuses a record whose scaled prime-power sequence s_0..s_scan
+# may hold more bits together (16 MiB), or cost more bit operations, than
+# these budgets (see ``_scan_cost``); both admit a scan of a weight-500
+# record at p = 101 to depth 200
+_SCAN_BITS = 1 << 27
+_SCAN_WORK = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -90,11 +102,14 @@ def parse_exact(text) -> Fraction:
     return Fraction(json_int(text, "an exact value"))
 
 
-def load_records(path) -> list[EigenvalueRecord]:
+def load_records(path, scan: int | None = None) -> list[EigenvalueRecord]:
     """Read newline-delimited JSON records; errors carry the line number and the field.
 
     ``weight`` and ``p`` are JSON integers or strings of one; ``mu_p`` and
-    ``mu_p2`` are JSON integers or exact decimal/fraction strings.
+    ``mu_p2`` are JSON integers or exact decimal/fraction strings.  With
+    ``scan`` given, a record whose prime-power scan to that depth is past
+    the budgets ``_SCAN_BITS`` and ``_SCAN_WORK`` is refused too, with the
+    deepest scan that fits.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -117,6 +132,16 @@ def load_records(path) -> list[EigenvalueRecord]:
             rec = EigenvalueRecord(**fields)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, UsageError) as exc:
             raise UsageError(f"{path}:{lineno}: bad record ({exc})") from exc
+        if scan is not None and scan > 0:
+            sizes = _scan_sizes(rec)
+            if not _within_budget(sizes, scan):
+                bits, work = _scan_cost(sizes, scan)
+                raise UsageError(
+                    f"{path}:{lineno}: a scan to depth {scan} may hold {bits} bits and cost {work} "
+                    f"bit operations, past the budgets of 2**{_SCAN_BITS.bit_length() - 1} and "
+                    f"2**{_SCAN_WORK.bit_length() - 1}; the largest --scan that fits is "
+                    f"{_deepest_scan(sizes, scan)}"
+                )
         records.append(rec)
     return records
 
@@ -344,33 +369,140 @@ def spin_euler_data(rec: EigenvalueRecord) -> SpinEulerData:
     return SpinEulerData(e1, e2, e3, e4)
 
 
+class _Surd:
+    """``a + b*sqrt(d)`` with integer a, b: Z[sqrt d], where the scaled sequence of a Q(sqrt d) record runs."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: int, b: int, d: int):
+        self.a, self.b, self.d = a, b, d
+
+    def __add__(self, other):
+        return _Surd(self.a + other.a, self.b + other.b, self.d)
+
+    def __sub__(self, other):
+        return _Surd(self.a - other.a, self.b - other.b, self.d)
+
+    def __mul__(self, other):
+        a, b, oa, ob = self.a, self.b, other.a, other.b
+        return _Surd(a * oa + self.d * b * ob, a * ob + b * oa, self.d)
+
+
+def _scaled_data(rec: EigenvalueRecord):
+    """``(L, (c1, c2, c3, c4), one, n2)``: the recurrence of s_r = L**r mu(p**r).
+
+    L is the lcm of the denominators of e1 and e2, so c_i = L**i e_i and
+    n2 = -L**2 p**(2k-4) are integers, or integer pairs in Z[sqrt d] when
+    the record lies in Q(sqrt d).
+    """
+    k, p = rec.weight, rec.p
+    ed = spin_euler_data(rec)
+    # spin_euler_data refuses values from two different fields
+    d = next((e.d for e in (ed.e1, ed.e2) if isinstance(e, QuadExt)), None)
+    if d is None:
+        parts = (ed.e1, ed.e2)
+    else:
+        parts = [x for e in (ed.e1, ed.e2) for x in ((e.a, e.b) if isinstance(e, QuadExt) else (e, 0))]
+    scale = math.lcm(*(x.denominator for x in parts))
+    nums = [x.numerator * (scale // x.denominator) for x in parts]
+    if d is None:
+        c1, c2 = nums[0], nums[1] * scale
+        lift = int
+    else:
+        c1, c2 = _Surd(nums[0], nums[1], d), _Surd(nums[2] * scale, nums[3] * scale, d)
+
+        def lift(n):
+            return _Surd(n, 0, d)
+
+    sq = scale * scale
+    c3 = c1 * lift(sq * p ** (2 * k - 3))
+    c4 = lift(sq * sq * p ** (4 * k - 6))
+    return scale, (c1, c2, c3, c4), lift(1), lift(-sq * p ** (2 * k - 4))
+
+
+def _scan_sizes(rec: EigenvalueRecord) -> tuple[int, int]:
+    """``(rho, lam)`` of a rational record: s_r has at most rho r + bitlen(2 C(r+3,3)) bits.
+
+    Every root z of X**4 - c1 X**3 + c2 X**2 - c3 X + c4 has
+    |z| <= 2 max |c_i|**(1/i) (Fujiwara's bound), so |z| < 2**rho with
+    rho = 1 + max ceil(bitlen(c_i) / i).  As s_r = h_r + n2 h_(r-2) in the
+    complete symmetric polynomials h of the four roots, and
+    |n2| < |c4|**(1/2) < 2**(2 rho), |s_r| <= 2 C(r+3,3) 2**(rho r).  lam is
+    bitlen(L) when L > 1, else 0, so L**r has at most lam r bits.
+    """
+    scale, coefficients, _, _ = _scaled_data(rec)
+    rho = 1 + max(-(-c.bit_length() // i) for i, c in enumerate(coefficients, start=1))
+    return rho, 0 if scale == 1 else scale.bit_length()
+
+
+def _scan_cost(sizes: tuple[int, int], scan: int) -> tuple[int, int]:
+    """Upper bounds on the bits s_0, ..., s_scan hold together and on the bit operations they cost.
+
+    With b_r = rho r + bitlen(2 C(scan+3,3)) bits bounding each s_r (see
+    ``_scan_sizes``), the bits are the sum of the b_r, and the work is the
+    sum of b_r (rho + lam r): the products of s_r with the coefficients,
+    and the gcd that reduces s_r / L**r.
+    """
+    rho, lam = sizes
+    beta = (2 * math.comb(scan + 3, 3)).bit_length()
+    n = scan + 1
+    s1 = scan * n // 2  # the sum of r for r <= scan
+    s2 = scan * n * (2 * scan + 1) // 6  # the sum of r**2
+    bits = rho * s1 + beta * n
+    work = rho * rho * s1 + rho * lam * s2 + beta * rho * n + beta * lam * s1
+    return bits, work
+
+
+def _within_budget(sizes: tuple[int, int], scan: int) -> bool:
+    bits, work = _scan_cost(sizes, scan)
+    return bits <= _SCAN_BITS and work <= _SCAN_WORK
+
+
+def _deepest_scan(sizes: tuple[int, int], scan: int) -> int:
+    """The largest depth up to ``scan`` within both budgets; both costs grow with the depth."""
+    lo, hi = 0, scan
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _within_budget(sizes, mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def mu_sequence(rec: EigenvalueRecord, rmax: int) -> list:
     """mu(p**r) for r = 0..rmax from the degree-4 local data, exactly.
 
     The sequence is the expansion of
-    (1 - p**(2k-4) X**2) / (1 - e1 X + e2 X**2 - e3 X**3 + e4 X**4);
-    the r = 1, 2 values must reproduce the record itself and are asserted to.
+    (1 - p**(2k-4) X**2) / (1 - e1 X + e2 X**2 - e3 X**3 + e4 X**4).
+    It runs in integers: s_r = L**r mu(p**r), with L the lcm of the
+    denominators of e1 and e2, obeys the same recurrence with the integer
+    coefficients L**i e_i (integer pairs in Z[sqrt d] for a record in
+    Q(sqrt d)), and L**r is divided out of each value once, at the end.  The
+    r = 1, 2 values must reproduce the record itself and are asserted to.
     """
     if rmax < 0:
         raise UsageError("the scan depth must be nonnegative")
-    k, p = rec.weight, rec.p
-    ed = spin_euler_data(rec)
-    numerator = {0: Fraction(1), 2: -p ** (2 * k - 4)}
+    scale, (c1, c2, c3, c4), one, n2 = _scaled_data(rec)
+    s1 = s2 = s3 = s4 = one - one  # s_(r-1) .. s_(r-4)
     seq: list = []
+    den = 1
     for r in range(rmax + 1):
-        val = numerator.get(r, Fraction(0))
-        if r >= 1:
-            val = val + ed.e1 * seq[r - 1]
-        if r >= 2:
-            val = val - ed.e2 * seq[r - 2]
-        if r >= 3:
-            val = val + ed.e3 * seq[r - 3]
-        if r >= 4:
-            val = val - ed.e4 * seq[r - 4]
-        seq.append(val)
-    if rmax >= 1 and value_sign(seq[1] - rec.mu_p) != 0:
+        if r == 0:
+            s = one
+        else:
+            s = c1 * s1 - c2 * s2 + c3 * s3 - c4 * s4
+            if r == 2:
+                s = s + n2
+            den *= scale
+        if type(s) is int:
+            seq.append(Fraction(s, den))
+        else:
+            seq.append(QuadExt(Fraction(s.a, den), Fraction(s.b, den), s.d))
+        s1, s2, s3, s4 = s, s1, s2, s3
+    if rmax >= 1 and seq[1] != rec.mu_p:
         raise InconsistencyError("prime-power sequence fails to reproduce mu(p)")
-    if rmax >= 2 and value_sign(seq[2] - rec.mu_p2) != 0:
+    if rmax >= 2 and seq[2] != rec.mu_p2:
         raise InconsistencyError("prime-power sequence fails to reproduce mu(p**2)")
     return seq
 
@@ -400,11 +532,36 @@ class GrowthReport:
         }
 
 
+def _exceeds(mu, m: int, n: int, scale: int) -> bool:
+    """Whether m |mu| > n sqrt(scale), for positive integers m, n, scale, in integers.
+
+    For mu = a/b this is u**2 > w with u = m|a| and w = n**2 b**2 scale.
+    The bit lengths settle it unless 2 bitlen(u) - bitlen(w) is 0 or 1:
+    from 2 on, u**2 >= 2**(2 bitlen(u) - 2) >= 2**bitlen(w) > w, and from -1
+    down, u**2 < 2**(2 bitlen(u)) <= 2**(bitlen(w) - 1) <= w.  Only in
+    between is u squared.  For mu = (a + b sqrt(d)) / e it is the sign of
+    m**2 (a**2 + d b**2 + 2ab sqrt(d)) - n**2 e**2 scale.
+    """
+    if isinstance(mu, QuadExt):
+        e = math.lcm(mu.a.denominator, mu.b.denominator)
+        a, b = mu.a.numerator * (e // mu.a.denominator), mu.b.numerator * (e // mu.b.denominator)
+        mm = m * m
+        return _surd_sign(mm * (a * a + mu.d * b * b) - (n * e) ** 2 * scale, 2 * mm * a * b, mu.d) > 0
+    u = m * abs(mu.numerator)
+    w = (n * mu.denominator) ** 2 * scale
+    gap = 2 * u.bit_length() - w.bit_length()
+    if gap == 0 or gap == 1:
+        return u * u > w
+    return gap > 0
+
+
 def growth_check(rec: EigenvalueRecord, seq: list) -> GrowthReport:
     """Exact scan of ``seq`` = mu(p**r), r = 0..len(seq)-1, against both growth bounds.
 
-    |mu| <= c p**(r(2k-3)/2) with c >= 0 is tested as mu**2 <= c**2 p**(r(2k-3)),
-    which is exact for mu in any real quadratic field.
+    |mu| <= c p**(r(2k-3)/2) with c = n/m >= 0 is tested as
+    m**2 mu**2 <= n**2 p**(r(2k-3)), in integers (see ``_exceeds``), which
+    is exact for mu in any real quadratic field.  The sharp bound has
+    n/m = (C(r+3,3) p + C(r+1,3)) / p and the weak one 3 C(r+3,3) / 2.
     """
     p = rec.p
     step = p ** (2 * rec.weight - 3)
@@ -413,12 +570,10 @@ def growth_check(rec: EigenvalueRecord, seq: list) -> GrowthReport:
     for r, mu in enumerate(seq):
         if r:
             scale *= step
-        mu_sq = mu * mu
-        sharp = Fraction(math.comb(r + 3, 3)) + Fraction(math.comb(r + 1, 3), p)
-        weak = Fraction(3, 2) * math.comb(r + 3, 3)
-        if first_sharp is None and value_sign(mu_sq - sharp * sharp * scale) > 0:
+        c = math.comb(r + 3, 3)
+        if first_sharp is None and _exceeds(mu, p, c * p + math.comb(r + 1, 3), scale):
             first_sharp = r
-        if first_weak is None and value_sign(mu_sq - weak * weak * scale) > 0:
+        if first_weak is None and _exceeds(mu, 2, 3 * c, scale):
             first_weak = r
         if first_sharp is not None and first_weak is not None:
             break
@@ -444,8 +599,11 @@ class PositivityReport:
 
 
 def positivity_scan(seq: list) -> PositivityReport:
-    """Exact signs of the prime-power eigenvalue sequence ``seq`` = mu(p**r)."""
-    signs = tuple(value_sign(mu) for mu in seq)
+    """Exact signs of the prime-power eigenvalue sequence ``seq`` = mu(p**r).
+
+    A rational value's sign is its integer numerator's.
+    """
+    signs = tuple(mu.sign() if isinstance(mu, QuadExt) else _sgn(mu.numerator) for mu in seq)
     changes = []
     last = 0
     for r, s in enumerate(signs):

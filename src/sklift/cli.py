@@ -299,7 +299,7 @@ def cmd_eigen(config: RunConfig, args) -> int:
 
 
 def cmd_classify(config: RunConfig, args) -> int:
-    records = load_records(args.records)
+    records = load_records(args.records, args.scan)
     if not records:
         raise UsageError(f"{args.records}: no records found")
     depth = args.scan

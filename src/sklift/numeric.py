@@ -240,6 +240,19 @@ def _sgn(x) -> int:
     return 0
 
 
+def _surd_sign(a, b, d: int) -> int:
+    """Exact sign of ``a + b*sqrt(d)`` for rational a, b and a squarefree d >= 2.
+
+    When the two terms have opposite signs, |a| and |b|*sqrt(d) are compared
+    squared; they are never equal, as sqrt(d) is irrational.
+    """
+    if a == 0:
+        return _sgn(b)
+    if b == 0 or (a > 0) == (b > 0):
+        return _sgn(a)
+    return _sgn(a) if a * a > b * b * d else _sgn(b)
+
+
 class QuadExt:
     """An element ``a + b*sqrt(d)`` of a real quadratic field, exact, with ``b != 0``.
 
@@ -263,6 +276,10 @@ class QuadExt:
 
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("QuadExt values are immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __new__, since __setattr__ refuses
+        return QuadExt, (self.a, self.b, self.d)
 
     # -- structure -----------------------------------------------------
 
@@ -340,14 +357,7 @@ class QuadExt:
 
     def sign(self) -> int:
         """Exact sign, decided by squaring when the two terms compete."""
-        a, b = self.a, self.b
-        if a == 0:
-            return _sgn(b)
-        if (a > 0) == (b > 0):
-            return _sgn(a)
-        # a and b*sqrt(d) have opposite signs; |a| vs |b|sqrt(d) via squares.
-        t = a * a - b * b * self.d
-        return _sgn(a) if t > 0 else _sgn(b)  # t == 0 impossible for squarefree d
+        return _surd_sign(self.a, self.b, self.d)
 
     def _diff_sign(self, other):
         co = self._coerce(other)

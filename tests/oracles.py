@@ -4,13 +4,15 @@ Slow or independent implementations the tests compare the library against,
 the table edits the tests build bad input with, the lift, divisor-sum checker
 and key test that look coefficients up through binary form reduction where
 the library reads them by discriminant, the comparisons with multiples
-of sqrt(p) that the squared threshold and growth tests replaced, the general
-characteristic polynomial the 2x2 closed form replaced, the Smith-form coset
-algebra the Hecke operators' closed-form class sizes and character test
-replaced, the coset families and explicit coset matrices that pin the coset
-classes, and the Gauss-Jordan over Fractions and the denominator clearing
-that the fraction-free ``echelon`` replaced.  Its exact-value helpers keep
-their own rational tests rather than trust the library's representation.
+of sqrt(p) that the squared threshold and growth tests replaced, the
+Fraction prime-power recurrence and scans that the scaled-integer ones
+replaced, the general characteristic polynomial the 2x2 closed form
+replaced, the Smith-form coset algebra the Hecke operators' closed-form
+class sizes and character test replaced, the coset families and explicit
+coset matrices that pin the coset classes, and the Gauss-Jordan over
+Fractions and the denominator clearing that the fraction-free ``echelon``
+replaced.  Its exact-value helpers keep their own rational tests rather than
+trust the library's representation.
 None of it is on the lift chain.
 """
 
@@ -30,9 +32,11 @@ from sklift.characterize import (
     SK_TYPE,
     EigenvalueRecord,
     GrowthReport,
+    PositivityReport,
     SatakeParams,
     Theorem41Certificate,
     _explicit_pair,
+    spin_euler_data,
 )
 from sklift.errors import InconsistencyError, TruncationError, UsageError
 from sklift.jacobi import JacobiForm
@@ -485,6 +489,67 @@ def growth_by_half_powers(rec: EigenvalueRecord, seq: list) -> GrowthReport:
         if first_weak is None and not abs_within(mu, weak, p, e):
             first_weak = r
     return GrowthReport(len(seq) - 1, first_sharp, first_weak)
+
+
+def mu_sequence_by_fractions(rec: EigenvalueRecord, rmax: int) -> list:
+    """``mu_sequence`` as it was before the recurrence ran in scaled integers."""
+    if rmax < 0:
+        raise UsageError("the scan depth must be nonnegative")
+    k, p = rec.weight, rec.p
+    ed = spin_euler_data(rec)
+    numerator = {0: Fraction(1), 2: -p ** (2 * k - 4)}
+    seq: list = []
+    for r in range(rmax + 1):
+        val = numerator.get(r, Fraction(0))
+        if r >= 1:
+            val = val + ed.e1 * seq[r - 1]
+        if r >= 2:
+            val = val - ed.e2 * seq[r - 2]
+        if r >= 3:
+            val = val + ed.e3 * seq[r - 3]
+        if r >= 4:
+            val = val - ed.e4 * seq[r - 4]
+        seq.append(val)
+    if rmax >= 1 and value_sign(seq[1] - rec.mu_p) != 0:
+        raise InconsistencyError("prime-power sequence fails to reproduce mu(p)")
+    if rmax >= 2 and value_sign(seq[2] - rec.mu_p2) != 0:
+        raise InconsistencyError("prime-power sequence fails to reproduce mu(p**2)")
+    return seq
+
+
+def growth_by_fractions(rec: EigenvalueRecord, seq: list) -> GrowthReport:
+    """``growth_check`` as it was before the squared bounds were compared in integers."""
+    p = rec.p
+    step = p ** (2 * rec.weight - 3)
+    scale = 1
+    first_sharp = first_weak = None
+    for r, mu in enumerate(seq):
+        if r:
+            scale *= step
+        mu_sq = mu * mu
+        sharp = Fraction(math.comb(r + 3, 3)) + Fraction(math.comb(r + 1, 3), p)
+        weak = Fraction(3, 2) * math.comb(r + 3, 3)
+        if first_sharp is None and value_sign(mu_sq - sharp * sharp * scale) > 0:
+            first_sharp = r
+        if first_weak is None and value_sign(mu_sq - weak * weak * scale) > 0:
+            first_weak = r
+        if first_sharp is not None and first_weak is not None:
+            break
+    return GrowthReport(len(seq) - 1, first_sharp, first_weak)
+
+
+def positivity_by_value_sign(seq: list) -> PositivityReport:
+    """``positivity_scan`` as it was before it read the signs of integer numerators."""
+    signs = tuple(value_sign(mu) for mu in seq)
+    changes = []
+    last = 0
+    for r, s in enumerate(signs):
+        if s == 0:
+            continue
+        if last and s != last:
+            changes.append(r)
+        last = s
+    return PositivityReport(len(seq) - 1, signs, all(s > 0 for s in signs), tuple(changes))
 
 
 def satake_by_sqrt_multiples(rec: EigenvalueRecord) -> SatakeParams:

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -25,6 +29,15 @@ from sklift.characterize import (
     spin_euler_data,
     theorem41,
 )
+from sklift.characterize import (
+    _SCAN_BITS,
+    _SCAN_WORK,
+    _deepest_scan,
+    _scaled_data,
+    _scan_cost,
+    _scan_sizes,
+    _within_budget,
+)
 from sklift.errors import UsageError
 from sklift.numeric import QuadExt, value_sign
 from sklift.qseries import QSeries
@@ -32,8 +45,11 @@ from sklift.qseries import QSeries
 from oracles import (
     HOSTILE_P,
     HOSTILE_Q,
+    growth_by_fractions,
     growth_by_half_powers,
+    mu_sequence_by_fractions,
     noncanonical,
+    positivity_by_value_sign,
     reconstruct,
     record_with_discriminant,
     scaled,
@@ -74,6 +90,122 @@ def growth_records(draw):
         a, b = draw(st.integers(-4000, 4000)), draw(st.integers(-4000, 4000))
         return EigenvalueRecord(k, p, a * p ** (k - 2), b * p ** (2 * k - 4))
     return record_with_discriminant(k, p, draw(st.integers(-4000, 4000)), 2 * HOSTILE_P * HOSTILE_Q)
+
+
+@st.composite
+def scan_records(draw):
+    """Records for the scaled-integer scan: large denominators, mu(p) = 0, large weights, Q(sqrt d)."""
+    kind = draw(st.sampled_from(["fraction", "zero", "large", "large-pair", "growth"]))
+    k = draw(st.sampled_from([10, 12, 14, 20]))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    dens = st.integers(1, 10**30)
+    if kind == "fraction":
+        mu_p = Fraction(draw(st.integers(-10**40, 10**40)), draw(dens))
+        return EigenvalueRecord(k, p, mu_p, Fraction(draw(st.integers(-10**60, 10**60)), draw(dens)))
+    if kind == "zero":
+        return EigenvalueRecord(k, p, 0, Fraction(draw(st.integers(-10**30, 10**30)), draw(dens)))
+    k = draw(st.sampled_from([100, 250, 500]))
+    p = draw(st.sampled_from([2, 53, 101]))
+    if kind == "large":
+        a, b = draw(st.integers(-4000, 4000)), draw(st.integers(-4000, 4000))
+        return EigenvalueRecord(k, p, Fraction(a * p ** (k - 2), draw(st.integers(1, 99))), b * p ** (2 * k - 4))
+    if kind == "large-pair":
+        return record_from_pair(k, p, draw(traces), draw(traces) + QuadExt(0, draw(traces), p))
+    return draw(growth_records())
+
+
+def fields(report) -> list:
+    """Every field of a report with its type, so that equal values of different types differ."""
+    return [(f.name, getattr(report, f.name), type(getattr(report, f.name))) for f in dataclasses.fields(report)]
+
+
+def growth_bounds(rec, r: int):
+    """(m, n) of the sharp and of the weak bound at r: |mu(p**r)| <= (n / m) p**(r(2k-3)/2)."""
+    c = math.comb(r + 3, 3)
+    return (rec.p, c * rec.p + math.comb(r + 1, 3)), (2, 3 * c)
+
+
+def sharp_and_weak(rec, r: int, mu):
+    """(gap, exceeds) of the sharp and of the weak comparison m**2 mu**2 > n**2 p**(r(2k-3)).
+
+    gap is 2 bitlen(u) - bitlen(w) with u = m |a| and w = (n b)**2 p**(r(2k-3)) for mu = a/b.
+    """
+    out = []
+    for m, n in growth_bounds(rec, r):
+        u = m * abs(mu.numerator)
+        w = (n * mu.denominator) ** 2 * rec.p ** (r * (2 * rec.weight - 3))
+        out.append((2 * u.bit_length() - w.bit_length(), u * u > w))
+    return out
+
+
+class TestScaledIntegerScan:
+    @given(scan_records(), st.sampled_from([0, 1, 2, 3, 40]))
+    @example(EigenvalueRecord(500, 101, 1, 1), 40)
+    @example(EigenvalueRecord(12, 5, Fraction(7, 10**30 + 3), Fraction(-3, 10**30)), 40)
+    @example(sk_record(16, 2, QuadExt(4320, 96, 51349)), 40)
+    @settings(max_examples=250, deadline=None)
+    def test_matches_fraction_oracles(self, rec, depth):
+        seq = mu_sequence(rec, depth)
+        want = mu_sequence_by_fractions(rec, depth)
+        assert seq == want
+        assert [type(v) for v in seq] == [type(v) for v in want]
+        assert fields(growth_check(rec, seq)) == fields(growth_by_fractions(rec, want))
+        assert fields(positivity_scan(seq)) == fields(positivity_by_value_sign(want))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 2**61 - 1])
+    def test_r0_is_an_exact_equality(self, p):
+        # at r = 0 the sharp comparison is p**2 * 1 against p**2 * 1, in the window
+        rec = EigenvalueRecord(10, p, 1, 1)
+        (gap, exceeds), _ = sharp_and_weak(rec, 0, Fraction(1))
+        assert gap in (0, 1) and not exceeds
+        assert growth_check(rec, [Fraction(1)]).ok
+
+    def test_bit_length_window_edges(self):
+        # values of mu(p**r) just either side of both bounds and of the powers
+        # of two near them; the scan before r is all ones, within both bounds
+        seen = set()
+        for k, p in ((10, 2), (10, 3), (12, 5), (14, 7), (20, 101)):
+            rec = EigenvalueRecord(k, p, 1, 1)
+            for r in (1, 2, 3):
+                for den in (1, 3, 10**6 + 3):
+                    for m, n in growth_bounds(rec, r):
+                        w = (n * den) ** 2 * p ** (r * (2 * k - 3))
+                        t = math.isqrt(w) // m
+                        near = {t + i for i in range(-2, 3)}
+                        for j in (t.bit_length() - 1, t.bit_length()):
+                            near |= {2**j + i for i in (-1, 0, 1)}
+                        for a in near:
+                            mu = Fraction(a, den)
+                            seq = [Fraction(1)] * r + [mu]
+                            assert growth_check(rec, seq) == growth_by_fractions(rec, seq), (k, p, r, mu)
+                            seen.update(sharp_and_weak(rec, r, mu))
+        # the bit lengths decide outside gaps 0 and 1, and both outcomes occur inside
+        assert {(-1, False), (0, False), (0, True), (1, False), (1, True), (2, True)} <= seen
+        assert not {(g, e) for g, e in seen if (g >= 2 and not e) or (g <= -1 and e)}
+
+    def test_scan_bits_bound_the_sequence(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            k, p = rng.choice([10, 14, 100]), rng.choice([2, 3, 101])
+            den = rng.choice([1, 6, 10**30 + 7])
+            rec = EigenvalueRecord(k, p, Fraction(rng.randint(-4, 4) * p ** (k - 1), den),
+                                   Fraction(rng.randint(-10**6, 10**6) * p ** (2 * k - 4), den))
+            scale, sizes = _scaled_data(rec)[0], _scan_sizes(rec)
+            bits = 0
+            for r, mu in enumerate(mu_sequence(rec, 60)):
+                bits += abs(mu * scale**r).numerator.bit_length()
+                assert bits <= _scan_cost(sizes, r)[0], (rec, r)
+
+    def test_deepest_scan_is_the_budget_edge(self):
+        for rec in (EigenvalueRecord(200000, 2, 1, 1), EigenvalueRecord(500, 101, 1, 1),
+                    EigenvalueRecord(10, 2, Fraction(1, 3), Fraction(-7, 2)), SK10):
+            sizes = _scan_sizes(rec)
+            depth = _deepest_scan(sizes, 10**9)
+            assert _within_budget(sizes, depth) and not _within_budget(sizes, depth + 1)
+            bits, work = _scan_cost(sizes, depth + 1)
+            assert bits > _SCAN_BITS or work > _SCAN_WORK
+        assert _deepest_scan(_scan_sizes(EigenvalueRecord(200000, 2, 1, 1)), 50) == 6
+        assert _deepest_scan(_scan_sizes(SK10), 200) == 200
 
 
 class TestSolveSatake:
@@ -184,6 +316,13 @@ class TestSolveSatake:
             sp = solve_satake(record_with_discriminant(10, 2, mu_p, disc))
             assert sp.discriminant == disc
             assert sp.x is None and sp.y is None
+
+    def test_params_with_a_quadext_copy_and_pickle(self):
+        sp = solve_satake(SK10)
+        assert isinstance(sp.x, QuadExt) and isinstance(sp.y, QuadExt)
+        assert copy.deepcopy(sp) == sp
+        assert pickle.loads(pickle.dumps(sp)) == sp
+        assert dataclasses.asdict(sp) == {f.name: getattr(sp, f.name) for f in dataclasses.fields(sp)}
 
     def test_quadratic_field_record(self):
         # records whose eigenvalues live in a quadratic field classify too

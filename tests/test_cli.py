@@ -7,9 +7,10 @@ import pytest
 
 from sklift import characterize
 from sklift.cache import ExpansionCache
-from sklift.characterize import EigenvalueRecord
+from sklift.characterize import EigenvalueRecord, load_records
 from sklift.cli import main
 from sklift.elliptic import eigenforms
+from sklift.errors import UsageError
 
 from oracles import HOSTILE_P, HOSTILE_Q, record_with_discriminant, scaled
 
@@ -341,6 +342,33 @@ class TestClassify:
                 proc.kill()
             err.seek(0)
             assert err.read() == ""
+
+    def test_scan_past_the_budget_refused_up_front(self, tmp_path):
+        # s_50 of this record has about 10**7 bits; nothing is classified, and
+        # the one error line names the record's line and the deepest scan that fits
+        rec_path = tmp_path / "records.jsonl"
+        rec_path.write_text(
+            '{"weight": 10, "p": 2, "mu_p": "240", "mu_p2": "135424"}\n'
+            '{"weight": 200000, "p": 2, "mu_p": "1", "mu_p2": "1"}\n'
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "sklift.cli", "classify", str(rec_path), "--scan", "50"],
+            capture_output=True, text=True, timeout=5,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(f"error: {rec_path}:2: a scan to depth 50 ")
+        assert proc.stderr.endswith("the largest --scan that fits is 6\n")
+
+    @pytest.mark.parametrize("weight, p, mu_p, scan", [
+        (500, 101, 2 * 101**499 // 3, 200), (20, 7, 2 * 7**19 // 3, 200), (10, 2, 341, 2000), (200000, 2, 1, 6),
+    ], ids=["w500-p101", "w20-p7", "w10-scan2000", "w200000-scan6"])
+    def test_scan_within_the_budget_admitted(self, tmp_path, weight, p, mu_p, scan):
+        rec_path = tmp_path / "records.jsonl"
+        rec_path.write_text(json.dumps({"weight": weight, "p": p, "mu_p": str(mu_p), "mu_p2": "1/6"}) + "\n")
+        assert len(load_records(rec_path, scan)) == 1
+        with pytest.raises(UsageError, match="largest --scan that fits"):
+            load_records(rec_path, 10**6)
 
     def test_value_past_digit_limit_exits_2(self, tmp_path, capsys):
         rec_path = tmp_path / "records.jsonl"

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -263,6 +265,13 @@ class TestQuadExt:
 
     def test_rational_elements_mix(self):
         assert QuadExt(3, 0, 2) + QuadExt(0, 1, 3) == QuadExt(3, 1, 3)
+
+    @pytest.mark.parametrize("x", [QuadExt(0, 1, 2), QuadExt(Fraction(-7, 3), Fraction(5, 11), 51349)])
+    def test_copy_and_pickle(self, x):
+        # rebuilt through QuadExt(a, b, d), since the values refuse attribute writes
+        for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(twin) is QuadExt
+            assert (twin.a, twin.b, twin.d) == (x.a, x.b, x.d)
 
     def test_non_squarefree_radicand_rejected(self):
         with pytest.raises(ValueError):

@@ -16,11 +16,9 @@ from .elliptic import (
 )
 from .kohnen import (
     PlusSpaceForm,
-    plus_eigenforms,
     plus_hecke,
     plus_space_basis,
     shimura_match,
-    theta_series,
 )
 from .jacobi import JacobiForm, ez_lift
 from .siegel import (

@@ -6,13 +6,18 @@ exactly as the kernel of the coefficient constraints, cross-checked against
 the dimension of the corresponding integral-weight cusp space, and carries
 the square-index Hecke action whose eigenvalues match the integral-weight
 prime eigenvalues (that matching is how the two sides are glued together).
+
+The kernel is found from the monomials at the constraint window only, built
+from one run of theta powers; each basis form is then evaluated at full
+validity in one packed Horner pass in theta**4 over powers of the weight-2
+form that are built once per basis.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, mul
 
 from .elliptic import EllipticEigenform, dim_cusp_forms, eigenforms
@@ -21,11 +26,10 @@ from .errors import (
     InconsistencyError,
     NotAnEigenformError,
     TruncationError,
-    UnsupportedFieldError,
     UsageError,
 )
 from .numeric import exact_div, is_prime, kronecker_symbol
-from .qseries import QSeries, RatMatrix, echelon, eigen_split_2x2, sparse_times, staircase_matrix
+from .qseries import QSeries, _kronecker, _sparse_horner, echelon, sparse_times
 
 
 def _theta_terms(prec: int) -> list[tuple[int, int]]:
@@ -33,21 +37,21 @@ def _theta_terms(prec: int) -> list[tuple[int, int]]:
     return [(0, 1)] + [(n * n, 2) for n in range(1, math.isqrt(prec) + 1)]
 
 
-def theta_series(prec: int) -> QSeries:
-    """The unary theta series 1 + 2*sum(q**(n*n))."""
-    coeffs = [0] * (prec + 1)
-    for e, c in _theta_terms(prec):
-        coeffs[e] = c
-    return QSeries(coeffs, prec)
+def _odd_sigma_half(half: int) -> list:
+    """sigma_1(2i + 1) for i = 0..half.
 
-
-def odd_sigma_series(prec: int) -> QSeries:
-    """The weight-2 generator: sum of sigma_1(n) q**n over odd n."""
-    coeffs = [0] * (prec + 1)
-    # the divisors of an odd n are odd: each odd d adds itself at its odd multiples
-    for d in range(1, prec + 1, 2):
-        coeffs[d :: 2 * d] = map(add, coeffs[d :: 2 * d], repeat(d))
-    return QSeries(coeffs, prec)
+    These are the coefficients of g, where the weight-2 generator
+    f2 = sum of sigma_1(n) q**n over odd n is q * g(q**2).
+    """
+    g = [0] * (half + 1)
+    # each odd n = d*e with odd d <= e gets d + e, or d alone when e = d;
+    # n sits at index (n - 1)/2, so with d fixed and e = d, d + 2, ... the
+    # indices step by d and only the d up to sqrt(n) are run over
+    for d in range(1, math.isqrt(2 * half + 1) + 1, 2):
+        start = d * d // 2
+        count = len(range(start, half + 1, d))
+        g[start::d] = map(add, g[start::d], chain([d], range(2 * d + 2, 2 * d + 2 * count, 2)))
+    return g
 
 
 def _f2_powers(prec: int, count: int) -> list[list]:
@@ -55,34 +59,48 @@ def _f2_powers(prec: int, count: int) -> list[list]:
 
     f2 vanishes at even exponents, f2 = q * g(q**2), so f2**j is
     q**j * g(q**2)**j: only powers of g, half as long, are multiplied,
-    each from the one before.
+    each as the product of two lower ones, as integer lists.
     """
-    g = QSeries(odd_sigma_series(prec).coeffs[1::2], max((prec - 1) // 2, 0))
+    half = max((prec - 1) // 2, 0)
+    g_pows = [[1], _odd_sigma_half(half)]
+    for j in range(2, count + 1):
+        # an even power squares the half power, which the product takes faster
+        g_pows.append(_kronecker(g_pows[j // 2], g_pows[j - j // 2], half))
     out = []
-    gj = None
     for j in range(1, count + 1):
-        gj = g if gj is None else gj * g
         c = [0] * (prec + 1)
-        c[j::2] = gj.coeffs[: len(range(j, prec + 1, 2))]
+        c[j::2] = g_pows[j][: len(range(j, prec + 1, 2))]
         out.append(c)
     return out
+
+
+def _window_generators(k: int, prec: int, f2_pows: list[list]) -> list[list]:
+    """Coefficient lists of the monomial generators to ``prec``, for ``f2_pows`` to at least it.
+
+    Generator b is theta**(wnum - 4b) * f2**b, wnum = 2k - 1; the powers of
+    theta run up from theta**(wnum % 4), four rounds of shifted adds each,
+    and each meets its f2 power in one product.
+    """
+    wnum = 2 * k - 1
+    squares = _theta_terms(prec)
+    theta_pow = sparse_times(squares, [1], prec, wnum % 4)
+    gens = []
+    for b in range(wnum // 4, 0, -1):
+        gens.append(_kronecker(theta_pow, f2_pows[b - 1][: prec + 1], prec))
+        theta_pow = sparse_times(squares, theta_pow, prec, 4)
+    gens.append(theta_pow)
+    return gens[::-1]
 
 
 def halfint_generators(k: int, prec: int) -> list[QSeries]:
     """Monomial spanning set of the weight (2k-1)/2 space on Gamma0(4).
 
-    Generator b is theta**(2k-1-4b) * f2**b for b = 0..(2k-1)//4; the power
-    of theta acts on f2**b as shifted adds.
+    Generator b is theta**(2k-1-4b) * f2**b for b = 0..(2k-1)//4.
     """
     if k % 2:
         raise UsageError("only even weights occur on this lift chain")
-    wnum = 2 * k - 1
-    squares = _theta_terms(prec)
-    f2_pows = [[1]] + _f2_powers(prec, wnum // 4)
-    return [
-        QSeries(sparse_times(squares, f2_pow, prec, wnum - 4 * b), prec)
-        for b, f2_pow in enumerate(f2_pows)
-    ]
+    f2_pows = _f2_powers(prec, (2 * k - 1) // 4)
+    return [QSeries(c, prec) for c in _window_generators(k, prec, f2_pows)]
 
 
 class PlusSpaceForm:
@@ -151,11 +169,13 @@ def plus_space_basis(
     # the window, then the monomial coordinates: the rows with a pivot past
     # the constraints span the kernel, echelonized over a window that does
     # not depend on the requested validity, so the basis does not either
+    wnum = 2 * k - 1
+    f2_pows = _f2_powers(prec, wnum // 4)
     positions = [0] + [n for n in range(1, bound + 1) if n % 4 in (1, 2)]
     order = positions + [n for n in range(1, bound + 1) if n % 4 in (0, 3)]
-    gens = halfint_generators(k, bound)
+    gens = _window_generators(k, bound, f2_pows)
     ident = [[int(i == j) for j in range(len(gens))] for i in range(len(gens))]
-    rows = [[g.coeffs[n] for n in order] + e for g, e in zip(gens, ident)]
+    rows = [[g[n] for n in order] + e for g, e in zip(gens, ident)]
     red, pivots = echelon(rows)
     kernel = [(row, c) for row, c in zip(red, pivots) if c >= len(positions)]
     expected = dim_cusp_forms(2 * k - 2)
@@ -170,22 +190,15 @@ def plus_space_basis(
         )
     # generator b is theta**(wnum - 4b) * f2**b, so sum(x_b * generator b) is
     # theta**(wnum % 4) * Q with Q = sum(x_b * t4**(bmax - b) * f2**b),
-    # t4 = theta**4, evaluated at full validity by Horner in t4:
-    # Q_0 = x_0, Q_j = t4 * Q_(j-1) + x_j * f2**j; each product by theta is
-    # one shifted add per square on a packed integer
-    wnum = 2 * k - 1
+    # t4 = theta**4, evaluated at full validity by Horner in t4 on one
+    # packed integer: Q_0 = x_0, Q_j = t4 * Q_(j-1) + x_j * f2**j
     squares = _theta_terms(prec)
-    f2_pows = _f2_powers(prec, wnum // 4)
     out = []
     for row, _ in kernel:
         # primitive as the row is: its window entries are combinations of these
         coords = row[bound + 1 :]
-        acc = coords[:1]
-        for x, f2_pow in zip(coords[1:], f2_pows):
-            acc = sparse_times(squares, acc, prec, 4)
-            if x:
-                acc = list(map(add, acc, map(mul, f2_pow, repeat(x))))
-        series = QSeries(sparse_times(squares, acc, prec, wnum % 4), prec)
+        parts = list(zip(coords, [[1]] + f2_pows))
+        series = QSeries(_sparse_horner(squares, 4, wnum % 4, parts, prec), prec)
         lead = series.coefficient(series.valuation())
         if lead < 0:
             series = -series
@@ -226,41 +239,6 @@ def plus_hecke(g: PlusSpaceForm, p: int) -> PlusSpaceForm:
             c = c + big * g.c(n // (p * p))
         coeffs[n] = c
     return PlusSpaceForm(k, QSeries(coeffs, out_prec))
-
-
-def plus_hecke_matrix(basis: list[PlusSpaceForm], p: int) -> RatMatrix:
-    """Matrix of the square-index operator at p on a staircase basis, verified."""
-    images = [plus_hecke(g, p).series for g in basis]
-    return staircase_matrix([g.series for g in basis], images, p * p)
-
-
-def plus_eigenforms(k: int, prec: int, constraint_bound: int | None = None):
-    """Eigenbasis of the plus space under the index-4 operator.
-
-    Returns a list of ``(form, eigenvalue)`` pairs; for two-dimensional
-    spaces the eigenvalues are exact conjugate quadratic irrationals.
-    """
-    basis = plus_space_basis(k, prec, constraint_bound)
-    if not basis:
-        return []
-    if len(basis) == 1:
-        g = basis[0]
-        lam = _eigenvalue_on(g, 2)
-        return [(g, lam)]
-    if len(basis) > 2:
-        raise UnsupportedFieldError(
-            f"plus space at k={k} has dimension {len(basis)}; fields beyond degree 2 unsupported"
-        )
-    out = []
-    for lam, (v0, v1) in eigen_split_2x2(plus_hecke_matrix(basis, 2)):
-        series = v0 * basis[0].series + v1 * basis[1].series
-        lead = series.coefficient(series.valuation())
-        form = PlusSpaceForm(k, series * exact_div(1, lead))
-        check = _eigenvalue_on(form, 2)
-        if check != lam:
-            raise InconsistencyError("plus-space eigenvector failed verification")
-        out.append((form, lam))
-    return out
 
 
 def _eigenvalue_on(g: PlusSpaceForm, p: int):

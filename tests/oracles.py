@@ -9,9 +9,12 @@ Fraction prime-power recurrence and scans that the scaled-integer ones
 replaced, the general characteristic polynomial the 2x2 closed form
 replaced, the Smith-form coset algebra the Hecke operators' closed-form
 class sizes and character test replaced, the coset families and explicit
-coset matrices that pin the coset classes, and the Gauss-Jordan over
+coset matrices that pin the coset classes, the Gauss-Jordan over
 Fractions and the denominator clearing that the fraction-free ``echelon``
-replaced.  Its exact-value helpers keep their own rational tests rather than
+replaced, and the plus-space generators, theta products and Horner steps,
+each packed and read back apart, that the one packed Horner pass replaced,
+with the full-length odd-sigma sieve the half-length one replaced and the
+theta series, Hecke matrix and eigen-split only tests call.  Its exact-value helpers keep their own rational tests rather than
 trust the library's representation.
 None of it is on the lift chain.
 """
@@ -38,11 +41,32 @@ from sklift.characterize import (
     _explicit_pair,
     spin_euler_data,
 )
-from sklift.errors import InconsistencyError, TruncationError, UsageError
+from sklift.elliptic import dim_cusp_forms
+from sklift.errors import (
+    DimensionMismatchError,
+    InconsistencyError,
+    TruncationError,
+    UnsupportedFieldError,
+    UsageError,
+)
 from sklift.jacobi import JacobiForm
-from sklift.kohnen import PlusSpaceForm
-from sklift.numeric import QuadExt, divisor_lists, is_prime, rat, value_sign
-from sklift.qseries import QSeries, RatMatrix
+from sklift.kohnen import (
+    PlusSpaceForm,
+    _eigenvalue_on,
+    _theta_terms,
+    plus_hecke,
+    plus_space_basis,
+)
+from sklift.numeric import QuadExt, divisor_lists, exact_div, is_prime, rat, value_sign
+from sklift.qseries import (
+    QSeries,
+    RatMatrix,
+    _pack,
+    _unpack,
+    echelon,
+    eigen_split_2x2,
+    staircase_matrix,
+)
 from sklift.siegel import (
     CheckReport,
     SiegelFourierTable,
@@ -268,6 +292,153 @@ def poly_eval_matrix(coeffs: list[Fraction], m: RatMatrix) -> RatMatrix:
         if c != 0:
             out = add(out, scale(power, c))
         power = matmul(power, m)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the plus space: the step-by-step products the packed Horner pass replaced,
+# and the theta series, Hecke matrix and eigen-split that only tests call
+# ---------------------------------------------------------------------------
+
+def theta_series(prec: int) -> QSeries:
+    """The unary theta series 1 + 2*sum(q**(n*n))."""
+    coeffs = [0] * (prec + 1)
+    for e, c in _theta_terms(prec):
+        coeffs[e] = c
+    return QSeries(coeffs, prec)
+
+
+def odd_sigma_series(prec: int) -> QSeries:
+    """The weight-2 generator: sum of sigma_1(n) q**n over odd n, at full length.
+
+    The divisors of an odd n are odd: each odd d adds itself at its odd multiples.
+    """
+    coeffs = [0] * (prec + 1)
+    for d in range(1, prec + 1, 2):
+        coeffs[d :: 2 * d] = [c + d for c in coeffs[d :: 2 * d]]
+    return QSeries(coeffs, prec)
+
+
+def sparse_times_by_terms(terms: list, coeffs: list, n: int, rounds: int) -> list:
+    """``sparse_times`` one shifted add per term, each list packed and read back per call.
+
+    The slot width holds max|coeffs| * (sum of |c| over all terms)**rounds.
+    """
+    coeffs = coeffs[: n + 1]
+    bound = max(map(abs, coeffs), default=0) * sum(abs(c) for _, c in terms) ** rounds
+    if bound == 0:
+        return [0] * (n + 1)
+    width = (bound.bit_length() + 8) // 8
+    mask = (1 << (8 * width * (n + 1))) - 1
+    shifts = [(8 * width * e, c) for e, c in terms if e <= n]
+    x = _pack(coeffs, width)
+    for _ in range(rounds):
+        x = sum(c * (x << s) for s, c in shifts) & mask
+    return _unpack(x, width, n)
+
+
+def sparse_horner_by_steps(terms: list, step: int, tail: int, parts: list, n: int) -> list:
+    """``_sparse_horner`` as one ``sparse_times_by_terms`` call per step plus a list add."""
+    acc = [0] * (n + 1)
+    for j, (x, coeffs) in enumerate(parts):
+        if j:
+            acc = sparse_times_by_terms(terms, acc, n, step)
+        acc = [a + x * c for a, c in zip(acc, (coeffs + [0] * (n + 1))[: n + 1])]
+    return sparse_times_by_terms(terms, acc, n, tail)
+
+
+def f2_powers_by_series(prec: int, count: int) -> list[list]:
+    """f2, ..., f2**count as lists, each a ``QSeries`` product of g(q) with the power before."""
+    g = QSeries(odd_sigma_series(prec).coeffs[1::2], max((prec - 1) // 2, 0))
+    out = []
+    gj = None
+    for j in range(1, count + 1):
+        gj = g if gj is None else gj * g
+        c = [0] * (prec + 1)
+        c[j::2] = gj.coeffs[: len(range(j, prec + 1, 2))]
+        out.append(c)
+    return out
+
+
+def halfint_generators_by_rounds(k: int, prec: int) -> list[QSeries]:
+    """Generator b, theta**(2k-1-4b) * f2**b, as 2k-1-4b rounds of ``sparse_times_by_terms``."""
+    wnum = 2 * k - 1
+    squares = _theta_terms(prec)
+    f2_pows = [[1]] + f2_powers_by_series(prec, wnum // 4)
+    return [
+        QSeries(sparse_times_by_terms(squares, f2_pow, prec, wnum - 4 * b), prec)
+        for b, f2_pow in enumerate(f2_pows)
+    ]
+
+
+def plus_space_basis_by_steps(k: int, prec: int, constraint_bound: int | None = None):
+    """``plus_space_basis`` with each generator built apart and Horner one call per step.
+
+    The window generators come from ``halfint_generators_by_rounds`` and each
+    Horner step from ``sparse_times_by_terms`` plus a list add.
+    """
+    bound = constraint_bound if constraint_bound is not None else 4 * k
+    if bound > prec:
+        raise TruncationError(f"constraint bound {bound} exceeds series validity {prec}", required=bound)
+    positions = [0] + [n for n in range(1, bound + 1) if n % 4 in (1, 2)]
+    order = positions + [n for n in range(1, bound + 1) if n % 4 in (0, 3)]
+    gens = halfint_generators_by_rounds(k, bound)
+    ident = [[int(i == j) for j in range(len(gens))] for i in range(len(gens))]
+    rows = [[g.coeffs[n] for n in order] + e for g, e in zip(gens, ident)]
+    red, pivots = echelon(rows)
+    kernel_rows = [(row, c) for row, c in zip(red, pivots) if c >= len(positions)]
+    if len(kernel_rows) != dim_cusp_forms(2 * k - 2):
+        raise DimensionMismatchError("kernel dimension")
+    if any(c > bound for _, c in kernel_rows):
+        raise DimensionMismatchError("pivots escape the window")
+    wnum = 2 * k - 1
+    squares = _theta_terms(prec)
+    f2_pows = f2_powers_by_series(prec, wnum // 4)
+    out = []
+    for row, _ in kernel_rows:
+        coords = row[bound + 1 :]
+        acc = coords[:1]
+        for x, f2_pow in zip(coords[1:], f2_pows):
+            acc = sparse_times_by_terms(squares, acc, prec, 4)
+            if x:
+                acc = [a + x * c for a, c in zip(acc, f2_pow)]
+        series = QSeries(sparse_times_by_terms(squares, acc, prec, wnum % 4), prec)
+        if series.coefficient(series.valuation()) < 0:
+            series = -series
+        out.append(PlusSpaceForm(k, series))
+    return out
+
+
+def plus_hecke_matrix(basis: list[PlusSpaceForm], p: int) -> RatMatrix:
+    """Matrix of the square-index operator at p on a staircase basis, verified."""
+    images = [plus_hecke(g, p).series for g in basis]
+    return staircase_matrix([g.series for g in basis], images, p * p)
+
+
+def plus_eigenforms(k: int, prec: int, constraint_bound: int | None = None):
+    """Eigenbasis of the plus space under the index-4 operator.
+
+    Returns a list of ``(form, eigenvalue)`` pairs; for two-dimensional
+    spaces the eigenvalues are exact conjugate quadratic irrationals.
+    """
+    basis = plus_space_basis(k, prec, constraint_bound)
+    if not basis:
+        return []
+    if len(basis) == 1:
+        g = basis[0]
+        return [(g, _eigenvalue_on(g, 2))]
+    if len(basis) > 2:
+        raise UnsupportedFieldError(
+            f"plus space at k={k} has dimension {len(basis)}; fields beyond degree 2 unsupported"
+        )
+    out = []
+    for lam, (v0, v1) in eigen_split_2x2(plus_hecke_matrix(basis, 2)):
+        series = v0 * basis[0].series + v1 * basis[1].series
+        lead = series.coefficient(series.valuation())
+        form = PlusSpaceForm(k, series * exact_div(1, lead))
+        if _eigenvalue_on(form, 2) != lam:
+            raise InconsistencyError("plus-space eigenvector failed verification")
+        out.append((form, lam))
     return out
 
 

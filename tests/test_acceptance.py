@@ -24,7 +24,7 @@ from sklift.characterize import (
 from sklift.cli import main
 from sklift.elliptic import hecke_matrix
 from sklift.errors import NotAnEigenformError
-from sklift.kohnen import plus_hecke_matrix, plus_space_basis
+from sklift.kohnen import plus_space_basis
 from sklift.numeric import QuadExt, value_sign
 from sklift.siegel import (
     check_maass_p_space,
@@ -32,7 +32,7 @@ from sklift.siegel import (
     hecke_eigenvalue,
 )
 
-from oracles import charpoly, coset_decomposition_Tp, matmul, perturbed
+from oracles import charpoly, coset_decomposition_Tp, matmul, perturbed, plus_hecke_matrix
 
 
 def report(n, text):

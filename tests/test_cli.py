@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sklift import characterize
 from sklift.cache import ExpansionCache
@@ -107,6 +113,32 @@ class TestLift:
         entries = json.loads(out.read_text())["entries"]
         assert [tuple(e[:3]) for e in entries] == [(1, 0, 1), (1, 1, 1)]
         assert main(["--no-cache", "lift", "--weight", "10", "--bound", "0"]) == 2
+
+    def test_bound_60_lifts(self, tmp_path):
+        out = tmp_path / "b60.json"
+        assert main(["--no-cache", "--output", "json", "lift", "--weight", "10", "--bound", "60",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["bound"] == 60
+
+    @given(st.integers(101, 10**40))
+    @settings(max_examples=25, deadline=None)
+    @example(101)
+    @example(100000)
+    def test_bound_past_the_cap_refused_up_front(self, bound):
+        # refused before any series is built: --bound 100000 once ran out of
+        # memory in the odd-sigma series, and 400 ran past 20 s
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            out = os.path.join(tmp, "t.json")
+            start = time.perf_counter()
+            rc = main(["--no-cache", "lift", "--weight", "10", "--bound", str(bound), "--out", out])
+            assert time.perf_counter() - start < 5
+            assert not os.path.exists(out)
+        assert rc == 2
+        assert err.getvalue() == (
+            f"error: --bound {bound} is past the cap on a lift's work, which grows as "
+            "bound**4; the largest --bound that fits is 100\n"
+        )
 
 
 class TestCheck:

@@ -224,7 +224,7 @@ class TestHeckeAction:
         # quadratic-irrational coefficients; the eigenvalue contract must hold
         # there too
         from sklift.jacobi import ez_lift
-        from sklift.kohnen import plus_eigenforms
+        from oracles import plus_eigenforms
 
         for g, lam in plus_eigenforms(16, 200):
             table = maass_lift(ez_lift(g), 2)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from sklift import qseries
+from sklift import kohnen, qseries
 from sklift.elliptic import dim_cusp_forms, eigenforms, hecke_matrix
 from sklift.errors import (
     DimensionMismatchError,
@@ -16,19 +16,29 @@ from sklift.kohnen import (
     PlusSpaceForm,
     _eigenvalue_on,
     _f2_powers,
+    _odd_sigma_half,
     halfint_generators,
-    odd_sigma_series,
-    plus_eigenforms,
     plus_hecke,
-    plus_hecke_matrix,
     plus_space_basis,
     shimura_match,
-    theta_series,
 )
 from sklift.numeric import QuadExt
 from sklift.qseries import QSeries, RatMatrix
 
-from oracles import charpoly, kernel, matmul, primitive_row, rref
+from oracles import (
+    charpoly,
+    f2_powers_by_series,
+    halfint_generators_by_rounds,
+    kernel,
+    matmul,
+    odd_sigma_series,
+    plus_eigenforms,
+    plus_hecke_matrix,
+    plus_space_basis_by_steps,
+    primitive_row,
+    rref,
+    theta_series,
+)
 
 
 def _basis_by_generator_sum(k, prec, constraint_bound=None):
@@ -102,16 +112,16 @@ class TestGenerators:
         def is_one(c):
             return c[0] == 1 and not any(c[1:])
 
-        monkeypatch.setattr(qseries, "_kronecker", counted)
+        monkeypatch.setattr(kohnen, "_kronecker", counted)
         gens = halfint_generators(10, 40)
         # powers of theta are shifted adds, so the only series products are
-        # the half-length powers of f2, valid to 19, and none is by one
+        # the half-length powers of f2, valid to 19, and one product of a
+        # theta power with each of f2, ..., f2**4 at full length; none is by one
         assert not [n for a, b, n in products if is_one(a) or is_one(b)]
-        assert {n for _, _, n in products} <= {19}
+        assert sorted(n for _, _, n in products) == [19] * 3 + [40] * 4
         monkeypatch.undo()
         theta, f2 = theta_series(40), odd_sigma_series(40)
         assert gens == [theta ** (19 - 4 * b) * f2**b for b in range(5)]
-
 
     def test_half_length_f2_powers(self):
         for prec in list(range(0, 12)) + [57, 200]:
@@ -120,6 +130,21 @@ class TestGenerators:
             assert len(pows) == 7
             for j, got in enumerate(pows, start=1):
                 assert got == (f2**j).coeffs, (prec, j)
+            assert pows == f2_powers_by_series(prec, 7)
+
+    def test_half_length_odd_sigma_by_divisor_sums(self):
+        # the divisor-pair sieve against divisor sums and the full-length sieve
+        for half in (0, 1, 2, 3, 4, 12, 24, 25, 40, 500):
+            want = [sum(d for d in range(1, 2 * i + 2, 2) if (2 * i + 1) % d == 0) for i in range(half + 1)]
+            assert _odd_sigma_half(half) == want, half
+            assert _odd_sigma_half(half) == odd_sigma_series(2 * half + 1).coeffs[1::2], half
+
+    def test_generators_match_per_generator_rounds(self):
+        # theta powers run up once and meet each f2 power in one product;
+        # the oracle builds each generator apart in 2k - 1 - 4b rounds
+        cases = [(k, prec) for k in range(2, 31, 2) for prec in (0, 1, 2, 7, 4 * k, 4 * k + 1)]
+        for k, prec in cases + [(10, 40), (14, 56), (30, 120)]:
+            assert halfint_generators(k, prec) == halfint_generators_by_rounds(k, prec), (k, prec)
 
 
 class TestPlusSpace:
@@ -164,15 +189,26 @@ class TestPlusSpace:
 
     def test_constraint_bounds_match_generator_sum(self):
         # every window from empty to the default: the same refusals, and the
-        # same basis wherever one is returned
+        # same basis wherever one is returned, as the generator sum and as
+        # the step-by-step Horner evaluation give it
         # dimensions 0, 1, 2 and 3
         for k, prec in ((4, 20), (10, 80), (16, 90), (24, 100)):
             refused = 0
             for bound in range(4 * k + 1):
                 expected = _outcome(_basis_by_generator_sum, k, prec, bound)
                 assert _outcome(plus_space_basis, k, prec, bound) == expected, (k, bound)
+                assert _outcome(plus_space_basis_by_steps, k, prec, bound) == expected, (k, bound)
                 refused += expected is DimensionMismatchError
             assert 0 < refused < 4 * k + 1
+
+    def test_packed_pass_matches_step_by_step_horner(self):
+        # one packed Horner pass per form against one product call per step:
+        # dimensions 0 to 4, at the window, one past it and the lift sizes
+        for k in range(4, 31, 2):
+            for prec in (4 * k, 4 * k + 1, 144, 576, 1600):
+                expected = _outcome(plus_space_basis_by_steps, k, prec)
+                assert expected is not DimensionMismatchError, (k, prec)
+                assert _outcome(plus_space_basis, k, prec) == expected, (k, prec)
 
     def test_odd_weight_rejected(self):
         with pytest.raises(UsageError):

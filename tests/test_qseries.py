@@ -14,6 +14,7 @@ from sklift.qseries import (
     _kronecker,
     _pack,
     _schoolbook,
+    _sparse_horner,
     echelon,
     eigen_split_2x2,
     sparse_times,
@@ -32,6 +33,8 @@ from oracles import (
     rref,
     series_inverse,
     solve,
+    sparse_horner_by_steps,
+    sparse_times_by_terms,
 )
 
 small_rationals = st.fractions(
@@ -54,6 +57,24 @@ int_series = st.builds(
     st.integers(min_value=0, max_value=20),
     st.booleans(),
 )
+
+
+# the terms of a sparse factor: exponents past the validity, repeated ones,
+# and zero, negative and past-2**64 coefficients
+big_or_small = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+sparse_terms = st.lists(st.tuples(st.integers(0, 35), big_or_small), max_size=6)
+
+
+# (S, step, tail, parts, slot width) where S**tail leaves the top bit of the slot free
+_EDGE_CASES = [
+    (base, step, tail, count, width)
+    for base, step, tail, count in [
+        (3, 1, 1, 2), (1000, 1, 1, 3), (1000, 2, 3, 2), (2**20 - 3, 1, 2, 4), (2**20 - 3, 3, 1, 2),
+        (1000, 1, 2, 1), (2**20 - 3, 1, 3, 1),
+    ]
+    for width in (1, 2, 8, 9, 40)
+    if base**tail <= 1 << (8 * width - 2)
+]
 
 
 def _assert_fast_product_exact(a, b):
@@ -206,6 +227,59 @@ class TestQSeries:
             coeffs = [(-3) ** e for e in range(n + 1)]
             for rounds in range(1, 5):
                 assert sparse_times(terms, coeffs, n, rounds) == (theta**rounds * QSeries(coeffs)).coeffs
+
+    @given(sparse_terms, st.lists(big_or_small, max_size=30), st.integers(0, 30), st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    @example([(0, 1), (0, -1)], [5, -7], 3, 4)
+    @example([(0, 0), (2, 0)], [1, 2, 3], 2, 1)
+    @example([], [1, -1], 1, 0)
+    @example([], [], 0, 3)
+    @example([(5, 3), (9, -2)], [1, 1, 1], 4, 8)
+    def test_sparse_times_matches_per_term_rounds(self, terms, coeffs, n, rounds):
+        # grouped rounds against one shifted add per term: repeated, negative
+        # and zero coefficients, exponents past n, empty input, rounds 0 to 8
+        got = sparse_times(terms, coeffs, n, rounds)
+        assert got == sparse_times_by_terms(terms, coeffs, n, rounds)
+        assert all(type(c) is int for c in got)
+
+    @given(
+        sparse_terms,
+        st.lists(st.tuples(big_or_small, st.lists(big_or_small, max_size=20)), max_size=6),
+        st.integers(0, 20),
+        st.integers(0, 4),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example([(0, 1), (1, 2)], [(3, [1, 2]), (0, [9]), (-2, [])], 5, 4, 3)
+    def test_packed_horner_matches_steps(self, terms, parts, n, step, tail):
+        # one packed pass against one product call per step plus a list add
+        got = _sparse_horner(terms, step, tail, parts, n)
+        assert got == sparse_horner_by_steps(terms, step, tail, parts, n)
+
+    @pytest.mark.parametrize("base, step, tail, count, width", _EDGE_CASES)
+    def test_results_at_the_edge_of_the_width(self, base, step, tail, count, width):
+        # a constant S = base makes the width bound exact: the parts are the
+        # base-S**step digits of the largest multiple of S**tail that fits a
+        # signed slot of ``width`` bytes, so the first result coefficient is
+        # the bound itself and sits within S**tail of the slot's edge; at the
+        # larger bases, one factor of S less in the bound picks a narrower slot
+        edge = (1 << (8 * width - 1)) - 1
+        target = edge // base**tail
+        digits = []
+        for _ in range(count - 1):
+            target, d = divmod(target, base**step)
+            digits.append(d)
+        digits.append(target)
+        terms = [(0, base - 1), (0, 1), (7, 5)]
+        top = base**tail * (edge // base**tail)
+        assert top.bit_length() == 8 * width - 1
+        for sign in (1, -1):
+            parts = [(sign, [d, -d, 0, d]) for d in reversed(digits)]
+            want = [sign * top, -sign * top, 0, sign * top]
+            assert _sparse_horner(terms, step, tail, parts, 3) == want
+            assert sparse_horner_by_steps(terms, step, tail, parts, 3) == want
+            if count == 1:
+                assert sparse_times(terms, parts[0][1], 3, tail) == [top, -top, 0, top]
 
     @given(series(), series(), series())
     @settings(max_examples=80, deadline=None)

@@ -23,7 +23,6 @@ from .kohnen import (
 from .jacobi import JacobiForm, ez_lift
 from .siegel import (
     SiegelFourierTable,
-    SiegelIndex,
     check_maass_p_space,
     check_maass_space,
     hecke_eigenvalue,

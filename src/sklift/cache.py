@@ -17,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import CacheMismatchError, UsageError
+from .numeric import int_if_integral
 from .qseries import QSeries
 
 CACHE_SCHEMA = 1
@@ -71,8 +72,7 @@ class ExpansionCache:
             if type(text) is str and text.lstrip("-").isdigit():
                 out.append(int(text))
                 continue
-            value = Fraction(text)
-            out.append(int(value) if value.denominator == 1 else value)
+            out.append(int_if_integral(Fraction(text)))
         return out
 
     def fetch(self, module: str, name: str, weight: int, truncation: int):

@@ -50,6 +50,7 @@ from .jacobi import ez_lift
 from .kohnen import PlusSpaceForm, plus_space_basis, shimura_match
 from .numeric import format_value, is_prime
 from .siegel import (
+    BOUND_CAP,
     SiegelFourierTable,
     check_maass_p_space,
     check_maass_space,
@@ -60,13 +61,6 @@ from .siegel import (
 
 # build_lift reads only a(2) of the elliptic eigenform
 ELLIPTIC_PREC = 16
-
-# the largest index bound ``lift`` accepts, refused up front past it: a cold
-# lift's work grows about as bound**4 (a half-integral truncation of
-# 4 * bound**2, series products of that length, and about bound**3 / 6 table
-# entries); at bound 100 a cold weight-14 lift took 5.4 s and 95 MB, at 150
-# it took 20 s and 256 MB (2 cores, Python 3.11)
-_LIFT_BOUND_CAP = 100
 
 
 @dataclass
@@ -193,10 +187,10 @@ def _open_out(path: str):
 def cmd_lift(config: RunConfig, args) -> int:
     if args.bound < 1:
         raise UsageError("--bound must be at least 1")
-    if args.bound > _LIFT_BOUND_CAP:
+    if args.bound > BOUND_CAP:
         raise UsageError(
             f"--bound {args.bound} is past the cap on a lift's work, which grows as bound**4; "
-            f"the largest --bound that fits is {_LIFT_BOUND_CAP}"
+            f"the largest --bound that fits is {BOUND_CAP}"
         )
     out_path = args.out or f"sk_lift_w{args.weight}_b{args.bound}.json"
     _check_out_dir(out_path)

@@ -19,7 +19,7 @@ from .errors import (
     UnsupportedFieldError,
     UsageError,
 )
-from .numeric import QuadExt, bernoulli_number, divisor_lists, exact_div, is_prime
+from .numeric import QuadExt, bernoulli_number, divisor_lists, exact_div, int_if_integral, is_prime
 from .qseries import QSeries, RatMatrix, eigen_split_2x2, staircase_matrix
 
 
@@ -100,8 +100,7 @@ def eisenstein(weight: int, prec: int) -> EllipticForm:
     coeffs = [Fraction(1)] + [
         factor * sum(d ** (weight - 1) for d in divs[n]) for n in range(1, prec + 1)
     ]
-    ints = [int(c) if c.denominator == 1 else c for c in coeffs]
-    return EllipticForm(weight, QSeries(ints, prec))
+    return EllipticForm(weight, QSeries(list(map(int_if_integral, coeffs)), prec))
 
 
 def _eta_power24(prec: int) -> QSeries:
@@ -183,15 +182,6 @@ def hecke_Tp(f: EllipticForm, p: int) -> EllipticForm:
     return EllipticForm(f.weight, QSeries(coeffs, out_prec))
 
 
-def hecke_matrix(weight: int, p: int, prec: int) -> RatMatrix:
-    """Matrix of T(p) on the echelonized cusp basis, fully verified."""
-    return _hecke_matrix_on(cusp_basis(weight, prec), p)
-
-
-def _hecke_matrix_on(basis: list[EllipticForm], p: int) -> RatMatrix:
-    return staircase_matrix([f.series for f in basis], [hecke_Tp(f, p).series for f in basis], p)
-
-
 def eigenforms(weight: int, prec: int) -> list[EllipticEigenform]:
     """Simultaneous normalized eigenbasis of the level-one cusp space.
 
@@ -211,7 +201,8 @@ def eigenforms(weight: int, prec: int) -> list[EllipticEigenform]:
             "eigenvalue fields beyond degree 2 are not supported"
         )
     out = []
-    for lam, (v0, v1) in eigen_split_2x2(_hecke_matrix_on(basis, 2)):
+    t2 = staircase_matrix([f.series for f in basis], [hecke_Tp(f, 2).series for f in basis], 2)
+    for lam, (v0, v1) in eigen_split_2x2(t2):
         series = v0 * basis[0].series + v1 * basis[1].series
         lead = series.coefficient(1)
         if lead == 0:

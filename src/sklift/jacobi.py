@@ -8,7 +8,7 @@ ever materialized; the table is exactly what the degree-2 lift consumes.
 
 from __future__ import annotations
 
-from .errors import TruncationError, UsageError
+from .errors import UsageError
 from .kohnen import PlusSpaceForm
 
 
@@ -33,19 +33,6 @@ class JacobiForm:
 
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("JacobiForm values are immutable")
-
-    def coeff(self, n: int, r: int):
-        """c(n, r), zero outside the cuspidal support 4n - r*r > 0."""
-        disc = 4 * n - r * r
-        if disc <= 0:
-            return 0
-        if disc > self.max_disc:
-            raise TruncationError(
-                f"coefficient at discriminant {disc} beyond tabulated range "
-                f"{self.max_disc}",
-                required=disc,
-            )
-        return self.by_disc.get(disc, 0)
 
     def __eq__(self, other):
         if not isinstance(other, JacobiForm):

@@ -16,7 +16,6 @@ form that are built once per basis.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, mul
 
@@ -28,7 +27,7 @@ from .errors import (
     TruncationError,
     UsageError,
 )
-from .numeric import exact_div, is_prime, kronecker_symbol
+from .numeric import exact_div, int_if_integral, is_prime, kronecker_symbol
 from .qseries import QSeries, _kronecker, _sparse_horner, echelon, sparse_times
 
 
@@ -90,17 +89,6 @@ def _window_generators(k: int, prec: int, f2_pows: list[list]) -> list[list]:
         theta_pow = sparse_times(squares, theta_pow, prec, 4)
     gens.append(theta_pow)
     return gens[::-1]
-
-
-def halfint_generators(k: int, prec: int) -> list[QSeries]:
-    """Monomial spanning set of the weight (2k-1)/2 space on Gamma0(4).
-
-    Generator b is theta**(2k-1-4b) * f2**b for b = 0..(2k-1)//4.
-    """
-    if k % 2:
-        raise UsageError("only even weights occur on this lift chain")
-    f2_pows = _f2_powers(prec, (2 * k - 1) // 4)
-    return [QSeries(c, prec) for c in _window_generators(k, prec, f2_pows)]
 
 
 class PlusSpaceForm:
@@ -249,7 +237,7 @@ def _eigenvalue_on(g: PlusSpaceForm, p: int):
         raise NotAnEigenformError("no usable probe coefficient", witness=val)
     lam = exact_div(tg.c(val), g.c(val))
     # an integral eigenvalue scales the coefficients as an int, not as a Fraction
-    factor = lam.numerator if isinstance(lam, Fraction) and lam.denominator == 1 else lam
+    factor = int_if_integral(lam)
     image = tg.series.coeffs
     if list(map(mul, g.series.coeffs[: tg.prec + 1], repeat(factor))) != image:
         n = next(n for n in range(tg.prec + 1) if image[n] != lam * g.c(n))

@@ -9,6 +9,8 @@ functions the rest of the package needs.
 Each exact value has one representation: an int or a Fraction when it is
 rational, a ``QuadExt`` with ``b != 0`` only when it is not.  ``QuadExt``
 alone enforces this, so no caller tests whether a value is "really" rational.
+A stored coefficient is an int when it is integral (``int_if_integral``);
+a quotient stays a Fraction.
 
 All values are immutable and all functions are pure.
 """
@@ -281,11 +283,6 @@ class QuadExt:
         # copy and pickle rebuild through __new__, since __setattr__ refuses
         return QuadExt, (self.a, self.b, self.d)
 
-    # -- structure -----------------------------------------------------
-
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
-
     # -- coercion ------------------------------------------------------
 
     def _coerce(self, other):
@@ -448,6 +445,19 @@ def value_sign(x) -> int:
 def exact_div(a, b):
     """``a / b`` exactly: a QuadExt when the quotient is irrational, else a Fraction."""
     return (a if isinstance(a, QuadExt) else Fraction(a)) / b
+
+
+def int_if_integral(x):
+    """The int ``x`` is when it is an integral Fraction, otherwise ``x`` unchanged.
+
+    A stored coefficient (of a series, a cache entry or a table) is an int
+    whenever it is integral, so integer data runs in int arithmetic.  A
+    quotient such as ``exact_div``'s stays a Fraction, because ``int / int``
+    would be a float.
+    """
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    return x
 
 
 def format_value(x) -> str:

@@ -2,11 +2,14 @@
 
 A table stores coefficients at canonically reduced index triples (n, r, m)
 with 0 <= r <= n <= m, keyed by plain int tuples; lookups at arbitrary
-triples route through binary form reduction.  Keys are checked once, where
-they come in from outside: the public constructor refuses unreduced and
-out-of-bound keys, and ``from_json_dict`` also an index listed twice.  The
-lift and the Hecke operators produce reduced keys by construction and build
-their tables through the trusted ``SiegelFourierTable._trusted``.
+triples route through binary form reduction.  A stored value is an int
+whenever it is integral, so a table read from a file equals the lifted one
+type for type.  Keys are checked once, where they come in from outside: the
+public constructor refuses unreduced and out-of-bound keys, and
+``from_json_dict`` also an index listed twice and a bound past
+``BOUND_CAP``.  The lift and the Hecke operators produce reduced keys by
+construction and build their tables through the trusted
+``SiegelFourierTable._trusted``.
 
 On top of the tables this module provides the divisor-sum lift from index-1
 Jacobi forms, the two coefficient-relation checkers, and the similitude-p /
@@ -34,25 +37,17 @@ from .errors import (
     UsageError,
 )
 from .jacobi import JacobiForm
-from .numeric import QuadExt, divisor_lists, exact_div, is_prime, json_int, rat
+from .numeric import QuadExt, divisor_lists, exact_div, int_if_integral, is_prime, json_int, rat
 
 SCHEMA_VERSION = 1
 
-
-class SiegelIndex(NamedTuple):
-    """Index triple for the half-integral matrix [[n, r/2], [r/2, m]].
-
-    Tables key by plain ``(n, r, m)`` tuples; a ``SiegelIndex`` hashes and
-    compares as the same tuple, so it works as a key too.
-    """
-
-    n: int
-    r: int
-    m: int
-
-    @property
-    def disc(self) -> int:
-        return 4 * self.n * self.m - self.r * self.r
+# the largest index bound a table may have, read from a file or built by
+# ``lift``: ``check --maass`` and ``eigen`` visit about bound**3 / 6 reduced
+# indices, and a cold lift's work grows about as bound**4 (a half-integral
+# truncation of 4 * bound**2, series products of that length, and the table
+# entries); at bound 100 a cold weight-14 lift took 5.4 s and 95 MB, at 150
+# it took 20 s and 256 MB (2 cores, Python 3.11)
+BOUND_CAP = 100
 
 
 def reduce_index(n: int, r: int, m: int) -> tuple[int, int, int]:
@@ -106,7 +101,7 @@ class SiegelFourierTable:
             if m > bound:
                 raise UsageError(f"table key {(n, r, m)} beyond bound {bound}")
             if value != 0:
-                clean[key] = value
+                clean[key] = int_if_integral(value)
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "entries", clean)
@@ -207,6 +202,11 @@ class SiegelFourierTable:
         try:
             weight = json_int(data["weight"], "weight")
             bound = json_int(data["bound"], "bound")
+            if bound > BOUND_CAP:
+                raise UsageError(
+                    f"table bound {bound} is past the cap on the work a table can demand; "
+                    f"the largest bound that fits is {BOUND_CAP}"
+                )
             entries = {}
             for n, r, m, num, den in data["entries"]:
                 index = tuple(json_int(x, "an entry index") for x in (n, r, m))
@@ -474,12 +474,15 @@ def hecke_operator(table: SiegelFourierTable, m: int) -> SiegelFourierTable:
         )
     k = table.weight
     classes = coset_classes(p, e)
-    gamma = Fraction(s) ** (2 * k - 3)
+    # s**(2k-3) * size / det**k is size * (s*s // det)**k / s**3, as det
+    # divides s*s: an integer weight per class, and one division per index
+    weights = [cls.size * (s * s // cls.det) ** k for cls in classes]
+    cube = s**3
     entries = {}
     for idx in reduced_indices(out_bound):
         n, r, mm = idx
         acc = 0
-        for cls in classes:
+        for cls, weight in zip(classes, weights):
             da, db, dd = cls.d_a, cls.d_b, cls.d_d
             q1 = n * da * da + r * da * db + mm * db * db
             q12 = dd * (da * r + 2 * db * mm)
@@ -493,9 +496,9 @@ def hecke_operator(table: SiegelFourierTable, m: int) -> SiegelFourierTable:
                 continue
             val = table.value(tn, tr, tm)
             if val != 0:
-                acc += Fraction(cls.size, cls.det**k) * val
+                acc += weight * val
         if acc != 0:
-            entries[idx] = gamma * acc
+            entries[idx] = int_if_integral(exact_div(acc, cube))
     return SiegelFourierTable._trusted(k, out_bound, entries)
 
 
@@ -523,8 +526,10 @@ def hecke_eigenvalue(table: SiegelFourierTable, m: int):
     fval = table.entries[probe]
     tval = transformed.entries.get(probe, 0)
     mu = exact_div(tval, fval)
+    # an integral eigenvalue scales the coefficients as an int, not as a Fraction
+    factor = int_if_integral(mu)
     for idx in reduced_indices(transformed.bound):
-        if transformed.entries.get(idx, 0) != mu * table.entries.get(idx, 0):
+        if transformed.entries.get(idx, 0) != factor * table.entries.get(idx, 0):
             raise NotAnEigenformError(
                 f"table is not an eigenform of the similitude-{m} operator",
                 witness=idx,

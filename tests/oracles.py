@@ -13,9 +13,13 @@ coset matrices that pin the coset classes, the Gauss-Jordan over
 Fractions and the denominator clearing that the fraction-free ``echelon``
 replaced, and the plus-space generators, theta products and Horner steps,
 each packed and read back apart, that the one packed Horner pass replaced,
-with the full-length odd-sigma sieve the half-length one replaced and the
-theta series, Hecke matrix and eigen-split only tests call.  Its exact-value helpers keep their own rational tests rather than
-trust the library's representation.
+with the full-length odd-sigma sieve the half-length one replaced.  It also
+holds what only tests call: the theta series, the monomial generators at
+full validity, both Hecke matrices and the plus-space eigen-split, the
+Jacobi coefficient at (n, r), the ``SiegelIndex`` triple and the quadratic
+conjugate.  The oracle Hecke operator sums Fraction class weights, as the
+integer one did before.  Its exact-value helpers keep their own rational
+tests rather than trust the library's representation.
 None of it is on the lift chain.
 """
 
@@ -41,7 +45,7 @@ from sklift.characterize import (
     _explicit_pair,
     spin_euler_data,
 )
-from sklift.elliptic import dim_cusp_forms
+from sklift.elliptic import cusp_basis, dim_cusp_forms, hecke_Tp
 from sklift.errors import (
     DimensionMismatchError,
     InconsistencyError,
@@ -53,7 +57,9 @@ from sklift.jacobi import JacobiForm
 from sklift.kohnen import (
     PlusSpaceForm,
     _eigenvalue_on,
+    _f2_powers,
     _theta_terms,
+    _window_generators,
     plus_hecke,
     plus_space_basis,
 )
@@ -70,7 +76,6 @@ from sklift.qseries import (
 from sklift.siegel import (
     CheckReport,
     SiegelFourierTable,
-    SiegelIndex,
     _prime_power,
     coset_classes,
     reduce_index,
@@ -116,6 +121,13 @@ def norm(x) -> Fraction:
     if not isinstance(x, QuadExt):
         return x * x
     return x.a * x.a - x.b * x.b * x.d
+
+
+def conjugate(x):
+    """``a - b*sqrt(d)`` for ``x = a + b*sqrt(d)``; ``x`` itself for a rational x."""
+    if not isinstance(x, QuadExt):
+        return x
+    return QuadExt(x.a, -x.b, x.d)
 
 
 def noncanonical(value) -> list:
@@ -360,6 +372,15 @@ def f2_powers_by_series(prec: int, count: int) -> list[list]:
     return out
 
 
+def halfint_generators(k: int, prec: int) -> list[QSeries]:
+    """The library's monomial generators of weight (2k-1)/2 at validity ``prec``.
+
+    Generator b is theta**(2k-1-4b) * f2**b for b = 0..(2k-1)//4.
+    """
+    f2_pows = _f2_powers(prec, (2 * k - 1) // 4)
+    return [QSeries(c, prec) for c in _window_generators(k, prec, f2_pows)]
+
+
 def halfint_generators_by_rounds(k: int, prec: int) -> list[QSeries]:
     """Generator b, theta**(2k-1-4b) * f2**b, as 2k-1-4b rounds of ``sparse_times_by_terms``."""
     wnum = 2 * k - 1
@@ -409,6 +430,12 @@ def plus_space_basis_by_steps(k: int, prec: int, constraint_bound: int | None = 
     return out
 
 
+def hecke_matrix(weight: int, p: int, prec: int) -> RatMatrix:
+    """Matrix of T(p) on the echelonized level-one cusp basis, verified."""
+    basis = cusp_basis(weight, prec)
+    return staircase_matrix([f.series for f in basis], [hecke_Tp(f, p).series for f in basis], p)
+
+
 def plus_hecke_matrix(basis: list[PlusSpaceForm], p: int) -> RatMatrix:
     """Matrix of the square-index operator at p on a staircase basis, verified."""
     images = [plus_hecke(g, p).series for g in basis]
@@ -446,6 +473,20 @@ def plus_eigenforms(k: int, prec: int, constraint_bound: int | None = None):
 # Jacobi forms
 # ---------------------------------------------------------------------------
 
+def jacobi_coeff(phi: JacobiForm, n: int, r: int):
+    """c(n, r), zero outside the cuspidal support 4n - r*r > 0."""
+    disc = 4 * n - r * r
+    if disc <= 0:
+        return 0
+    if disc > phi.max_disc:
+        raise TruncationError(
+            f"coefficient at discriminant {disc} beyond tabulated range "
+            f"{phi.max_disc}",
+            required=disc,
+        )
+    return phi.by_disc.get(disc, 0)
+
+
 def plus_form_from_jacobi(phi: JacobiForm) -> PlusSpaceForm:
     """Read the discriminant-indexed data back as a plus-space expansion."""
     coeffs = [0] * (phi.max_disc + 1)
@@ -458,6 +499,29 @@ def plus_form_from_jacobi(phi: JacobiForm) -> PlusSpaceForm:
 # Siegel tables: edits, the lookup by exception, and the lift and checkers
 # that look up through it
 # ---------------------------------------------------------------------------
+
+class SiegelIndex(NamedTuple):
+    """Index triple for the half-integral matrix [[n, r/2], [r/2, m]].
+
+    It hashes and compares as the plain ``(n, r, m)`` tuple tables key by.
+    """
+
+    n: int
+    r: int
+    m: int
+
+    @property
+    def disc(self) -> int:
+        return 4 * self.n * self.m - self.r * self.r
+
+
+def misstored(table: SiegelFourierTable) -> list:
+    """The entries not in stored form: a value is an int exactly when it is integral."""
+    return [
+        (key, v) for key, v in table.entries.items()
+        if (type(v) is int) != (not isinstance(v, QuadExt) and Fraction(v).denominator == 1)
+    ]
+
 
 def scaled(table: SiegelFourierTable, factor) -> SiegelFourierTable:
     """A copy with every coefficient multiplied by ``factor``."""
@@ -512,7 +576,7 @@ def table_entries(weight: int, bound: int, entries: dict) -> dict:
 
 
 def maass_lift(phi: JacobiForm, bound: int) -> SiegelFourierTable:
-    """The divisor-sum lift, one ``phi.coeff(n*m/d**2, r/d)`` per divisor."""
+    """The divisor-sum lift, one ``jacobi_coeff(phi, n*m/d**2, r/d)`` per divisor."""
     needed = 4 * bound * bound
     if phi.max_disc < needed:
         raise TruncationError(
@@ -527,7 +591,7 @@ def maass_lift(phi: JacobiForm, bound: int) -> SiegelFourierTable:
         n, r, m = idx
         acc = 0
         for d in divs[math.gcd(n, r, m)]:
-            acc += d ** (k - 1) * phi.coeff(n * m // (d * d), r // d)
+            acc += d ** (k - 1) * jacobi_coeff(phi, n * m // (d * d), r // d)
         if acc != 0:
             entries[idx] = acc
     return SiegelFourierTable(k, bound, entries)

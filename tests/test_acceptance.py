@@ -22,7 +22,6 @@ from sklift.characterize import (
     theorem41,
 )
 from sklift.cli import main
-from sklift.elliptic import hecke_matrix
 from sklift.errors import NotAnEigenformError
 from sklift.kohnen import plus_space_basis
 from sklift.numeric import QuadExt, value_sign
@@ -32,7 +31,14 @@ from sklift.siegel import (
     hecke_eigenvalue,
 )
 
-from oracles import charpoly, coset_decomposition_Tp, matmul, perturbed, plus_hecke_matrix
+from oracles import (
+    charpoly,
+    coset_decomposition_Tp,
+    hecke_matrix,
+    matmul,
+    perturbed,
+    plus_hecke_matrix,
+)
 
 
 def report(n, text):

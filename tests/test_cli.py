@@ -461,6 +461,24 @@ class TestUnreadableFiles:
             assert rc == 2 and self.out == ""
             assert err == f"error: table file {bad}: table index (1, 0, 1) is listed twice\n"
 
+    def test_table_bound_past_the_cap(self, table10, tmp_path):
+        # refused as the file is read; each command once ran past 5 s here, so
+        # a child process under a timeout fails a regression without a hang
+        data = json.loads(table10.read_text())
+        data["bound"] = 100000
+        bad = tmp_path / "wide.json"
+        bad.write_text(json.dumps(data))
+        for args in (["check", "--maass"], ["check", "--maass-p", "2"], ["eigen", "--primes", "2"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "sklift.cli", args[0], str(bad), *args[1:]],
+                capture_output=True, text=True, timeout=5,
+            )
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr == (
+                f"error: table file {bad}: table bound 100000 is past the cap on the work a "
+                "table can demand; the largest bound that fits is 100\n"
+            )
+
     def test_table_not_utf8(self, tmp_path, capsys):
         bad = tmp_path / "latin1.json"
         bad.write_bytes(b'{"weight": "\xe9"}')
@@ -537,6 +555,19 @@ class TestTableWeight:
         rc = main(["eigen", str(self.write(table10, tmp_path, -2)), "--primes", "2"])
         assert rc == 2
         assert "weight -2 is below 1" in capsys.readouterr().err
+
+    def test_hecke_sums_at_weight_2000000(self, table10, tmp_path):
+        # integer class weights over s**3; the Fraction sums they replaced
+        # ran past 100 s on this table, so a child process under a timeout
+        proc = subprocess.run(
+            [sys.executable, "-m", "sklift.cli", "eigen",
+             str(self.write(table10, tmp_path, 2000000)), "--primes", "2"],
+            capture_output=True, text=True, timeout=5,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == (
+            "error: table is not an eigenform of the similitude-2 operator (witness (1, 0, 1))\n"
+        )
 
     def test_violation_past_digit_limit_exits_2(self, table10, tmp_path, capsys):
         # at weight 200000 the relation's sides have more digits than

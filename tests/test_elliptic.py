@@ -11,13 +11,12 @@ from sklift.elliptic import (
     eigenforms,
     eisenstein,
     hecke_Tp,
-    hecke_matrix,
 )
 from sklift.errors import TruncationError, UnsupportedFieldError, UsageError
 from sklift.numeric import QuadExt
 from sklift.qseries import QSeries
 
-from oracles import charpoly, divisors, matmul
+from oracles import charpoly, divisors, hecke_matrix, matmul
 
 # level-one cusp dimensions, frozen from the classical formula
 KNOWN_CUSP_DIMS = {

@@ -19,6 +19,7 @@ from oracles import (
     generator_classes,
     generator_test,
     hecke_operator_oracle,
+    misstored,
     perturbed,
     scaled,
     similitude_of,
@@ -338,14 +339,26 @@ class TestOperatorAgainstSmithOracle:
         from sklift.siegel import SiegelFourierTable, reduced_indices
 
         rng = random.Random(61)
+        # the integer sums against the oracle's Fraction class weights, with
+        # each image value an int exactly when it is integral
+        fractional = scaled(perturbed(lift10, (1, 0, 2), Fraction(1, 5)), Fraction(-7, 3))
+        heavy = SiegelFourierTable(20000, lift10.bound, perturbed(lift10, (1, 1, 2), 1).entries)
         for m in (2, 3, 4, 9, 5, 25):
             bound = min(2 * m, 25)
             random_table = SiegelFourierTable(
                 10, bound, {idx: rng.randint(-9, 9) for idx in reduced_indices(bound)}
             )
-            for table in (lift10, perturbed(lift10, (1, 1, 2), 7), random_table):
+            tables = [lift10, perturbed(lift10, (1, 1, 2), 7), random_table]
+            if m in (2, 3, 4, 9):
+                tables += [fractional, heavy]
+            for table in tables:
                 got = operator_outcome(hecke_operator, table, m)
-                assert got == operator_outcome(hecke_operator_oracle, table, m), m
+                want = operator_outcome(hecke_operator_oracle, table, m)
+                assert got == want, m
+                if isinstance(got, tuple):
+                    continue
+                assert misstored(got) == [] and misstored(want) == [], (table.weight, m)
+                assert [type(v) for v in got.entries.values()] == [type(v) for v in want.entries.values()]
 
     def test_same_lookups_in_same_order(self, monkeypatch, lift10_b12, jacobi12):
         # the benchmark counts these lookups as siegel.hecke_lookups

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sklift import kohnen, qseries
-from sklift.elliptic import dim_cusp_forms, eigenforms, hecke_matrix
+from sklift.elliptic import dim_cusp_forms, eigenforms
 from sklift.errors import (
     DimensionMismatchError,
     NotAnEigenformError,
@@ -17,7 +17,6 @@ from sklift.kohnen import (
     _eigenvalue_on,
     _f2_powers,
     _odd_sigma_half,
-    halfint_generators,
     plus_hecke,
     plus_space_basis,
     shimura_match,
@@ -28,7 +27,9 @@ from sklift.qseries import QSeries, RatMatrix
 from oracles import (
     charpoly,
     f2_powers_by_series,
+    halfint_generators,
     halfint_generators_by_rounds,
+    hecke_matrix,
     kernel,
     matmul,
     odd_sigma_series,

@@ -17,6 +17,7 @@ from sklift.numeric import (
     bernoulli_number,
     divisor_lists,
     exact_div,
+    int_if_integral,
     is_prime,
     kronecker_symbol,
     sqrt_if_square,
@@ -31,6 +32,7 @@ from oracles import (
     abs_within,
     cmp_halfpower,
     cmp_sqrt_multiple,
+    conjugate,
     divisors,
     factorize,
     noncanonical,
@@ -140,6 +142,15 @@ class TestElementary:
         with pytest.raises(ZeroDivisionError):
             exact_div(1, 0)
 
+    def test_int_if_integral(self):
+        # a stored value is an int when integral; a quotient stays a Fraction
+        for x, want in [(Fraction(6, 3), 2), (Fraction(-10**40), -10**40), (Fraction(0), 0), (7, 7)]:
+            got = int_if_integral(x)
+            assert type(got) is int and got == want
+        for x in (Fraction(1, 2), Fraction(-7, 3), QuadExt(1, 1, 5)):
+            assert int_if_integral(x) is x
+        assert int_if_integral(exact_div(4, 2)) == 2 and type(exact_div(4, 2)) is Fraction
+
     def test_squarefree_core(self):
         assert squarefree_core(18) == (3, 2)
         assert squarefree_core(1) == (1, 1)
@@ -242,7 +253,7 @@ class TestQuadExt:
     @given(quad_elems)
     @settings(max_examples=100, deadline=None)
     def test_conjugate_norm(self, x):
-        assert x * x.conjugate() == norm(x)
+        assert x * conjugate(x) == norm(x)
 
     def test_division(self):
         x = QuadExt(1, 2, 3)
@@ -285,7 +296,7 @@ class TestOneRepresentation:
     def test_arithmetic_and_square_roots(self, d, parts, r):
         # a rational result is an int or a Fraction, never a QuadExt with b == 0
         x, y = (QuadExt(a, b, d) for a, b in parts)
-        values = [x, y, -x, x.conjugate(), x + y, x - y, x * y, x * x.conjugate(), x + r, r - x, x * r]
+        values = [x, y, -x, conjugate(x), x + y, x - y, x * y, x * conjugate(x), x + r, r - x, x * r]
         values += [x**e for e in range(4)]
         values += [x / y, r / y, y**-2] if y != 0 else []
         values += [x / r, r / x] if r != 0 and x != 0 else []

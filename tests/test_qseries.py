@@ -25,6 +25,7 @@ from oracles import (
     HOSTILE_P,
     HOSTILE_Q,
     charpoly,
+    hecke_matrix,
     identity,
     is_zero,
     noncanonical,
@@ -348,8 +349,6 @@ class TestRatMatrix:
         ]
 
     def test_charpoly_t2_weight30_irreducible(self):
-        from sklift.elliptic import hecke_matrix
-
         poly = charpoly(hecke_matrix(30, 2, 24))
         assert len(poly) == 3 and poly[2] == 1
         disc = poly[1] * poly[1] - 4 * poly[0]

@@ -10,8 +10,8 @@ from sklift.jacobi import JacobiForm, ez_lift
 from sklift.kohnen import plus_space_basis
 from sklift.numeric import QuadExt
 from sklift.siegel import (
+    BOUND_CAP,
     SiegelFourierTable,
-    SiegelIndex,
     check_maass_p_space,
     check_maass_space,
     maass_lift,
@@ -20,7 +20,7 @@ from sklift.siegel import (
 )
 
 import oracles
-from oracles import perturbed, scaled
+from oracles import jacobi_coeff, misstored, perturbed, scaled
 
 
 def unimodular_image(n, r, m, u):
@@ -135,6 +135,18 @@ class TestTable:
         del data["entries"][1]
         assert SiegelFourierTable.from_json_dict(data).entries == {(1, 1, 1): 1}
 
+    def test_bound_past_the_cap_refused(self):
+        data = {"schema_version": 1, "weight": 10, "bound": BOUND_CAP, "entries": [[1, 1, 1, "1", "1"]]}
+        assert BOUND_CAP == 100 and SiegelFourierTable.from_json_dict(data).bound == BOUND_CAP
+        for bound in (BOUND_CAP + 1, 100000, 10**40):
+            data["bound"] = bound
+            with pytest.raises(UsageError) as err:
+                SiegelFourierTable.from_json_dict(data)
+            assert str(err.value) == (
+                f"table bound {bound} is past the cap on the work a table can demand; "
+                "the largest bound that fits is 100"
+            )
+
     def test_weight_below_one_rejected(self):
         for weight in (0, -2):
             with pytest.raises(UsageError, match="below 1"):
@@ -201,12 +213,12 @@ class TestLookupOracle:
 
 class TestMaassLift:
     def test_single_divisor_cases(self, lift10, jacobi10):
-        assert lift10.value(1, 1, 1) == jacobi10.coeff(1, 1)
-        assert lift10.value(1, 0, 2) == jacobi10.coeff(2, 0)
+        assert lift10.value(1, 1, 1) == jacobi_coeff(jacobi10, 1, 1)
+        assert lift10.value(1, 0, 2) == jacobi_coeff(jacobi10, 2, 0)
 
     def test_two_divisor_case(self, lift10, jacobi10):
         k = 10
-        want = jacobi10.coeff(4, 2) + 2 ** (k - 1) * jacobi10.coeff(1, 1)
+        want = jacobi_coeff(jacobi10, 4, 2) + 2 ** (k - 1) * jacobi_coeff(jacobi10, 1, 1)
         assert lift10.value(2, 2, 2) == want
 
     def test_known_head(self, lift10):
@@ -313,21 +325,48 @@ def assert_same_report(got, want):
         assert getattr(got, field) == getattr(want, field), field
 
 
-reduced_entries = st.integers(min_value=1, max_value=8).flatmap(
-    lambda bound: st.tuples(
-        st.just(bound),
-        st.integers(min_value=1, max_value=24),
-        st.dictionaries(
-            st.sampled_from(list(reduced_indices(bound))),
-            st.one_of(
-                st.integers(-3, 3),
-                st.integers(-(2**300), 2**300),
-                st.fractions(min_value=-9, max_value=9, max_denominator=7),
-            ),
-            max_size=12,
-        ),
+def table_data(values):
+    """``(bound, weight, entries)`` at reduced keys, with values drawn from ``values``."""
+    return st.integers(min_value=1, max_value=8).flatmap(
+        lambda bound: st.tuples(
+            st.just(bound),
+            st.integers(min_value=1, max_value=24),
+            st.dictionaries(st.sampled_from(list(reduced_indices(bound))), values, max_size=12),
+        )
     )
+
+
+table_values = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**300), 2**300),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
 )
+reduced_entries = table_data(table_values)
+
+
+def through_file(table):
+    return SiegelFourierTable.from_json_dict(json.loads(json.dumps(table.to_json_dict())))
+
+
+class TestStoredValues:
+    """A table read from a file equals the table written, value for value and type for type."""
+
+    @pytest.mark.parametrize("bound", [1, 6, 12])
+    def test_lift_through_file(self, jacobi10_b12, bound):
+        lift = maass_lift(jacobi10_b12, bound)
+        assert_same_lift(through_file(lift), lift)
+
+    def test_lift12_through_file(self, lift12):
+        assert_same_lift(through_file(lift12), lift12)
+
+    @given(table_data(st.one_of(table_values, st.integers(-(2**300), 2**300).map(Fraction))))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_table_through_file(self, data):
+        bound, weight, entries = data
+        table = SiegelFourierTable(weight, bound, entries)
+        assert table.entries == {key: v for key, v in entries.items() if v != 0}
+        assert misstored(table) == []
+        assert_same_lift(through_file(table), table)
 
 
 class TestDiscriminantIndexedOracles:

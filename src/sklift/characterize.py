@@ -5,10 +5,12 @@ square) at one prime.  The local spectral parameters are recovered exactly,
 the record is classified as lifted-type versus unimodular-type, the single
 prime criteria and the exact eigenvalue identity are evaluated, the full
 prime-power eigenvalue sequence is generated from the degree-4 local data,
-and the growth bounds and sign behavior of that sequence are scanned.  The
-sequence and both scans run in integers, on the sequence scaled by powers of
-the lcm of the local data's denominators; a record file's scan is refused
-up front when its size or work would pass a fixed budget.
+and the growth bounds and sign behavior of that sequence are scanned.  All
+of it reads one integer form of a record, the local data scaled by the lcm L
+of its denominators (``_scaled_record``): each criterion is the sign of an
+integer, and the sequence runs scaled by powers of L.  A record file's scan
+is refused up front when its size or work would pass a fixed budget, and a
+``classify`` record when its report could not be printed.
 
 No floating point: every inequality involving sqrt(p) is settled by sign
 splitting and squaring.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +29,7 @@ from .numeric import (
     PRIME_TEST_BITS,
     QuadExt,
     _sgn,
-    _surd_sign,
+    exact_div,
     format_value,
     is_prime,
     json_int,
@@ -111,6 +114,54 @@ def load_records(path, scan: int | None = None) -> list[EigenvalueRecord]:
     the budgets ``_SCAN_BITS`` and ``_SCAN_WORK`` is refused too, with the
     deepest scan that fits.
     """
+    return [rec for _, rec in _numbered_records(path, scan)]
+
+
+def load_report_records(path, scan: int) -> list[EigenvalueRecord]:
+    """``load_records``, also refusing up front a record whose report could not be printed.
+
+    File values are below 10**D in numerator and denominator, with
+    D = ``sys.get_int_max_str_digits()`` (0 lifts the limit, and nothing is
+    refused); a report value with a denominator of 10**D or more cannot be
+    printed.  With mu(p) = a/b and mu(p**2) = c/e in lowest terms, that holds:
+
+    - for trace_over_sqrt_p = a / (b p**(k-1)) when a != 0 and
+      p**(k-1) >= 10**D |a|, as it reduces by gcd(a, p**(k-1)) <= |a|;
+    - for pair_product = -N / (e p**(2k-3)), N = c + (2p + 1) e p**(2k-4),
+      when a = 0, c != 0 and p**(2k-4) >= 10**D |c|.  N = c mod e is prime
+      to e, and v_p(N) = v_p(c) as |c| < p**(2k-4), so it reduces by
+      p**v_p(c) <= |c| at most, to a denominator of at least p 10**D.
+    """
+    digits = sys.get_int_max_str_digits()
+    limit = 10**digits
+    records = []
+    for lineno, rec in _numbered_records(path, scan):
+        a, c = rec.mu_p.numerator, rec.mu_p2.numerator
+        # trace_over_sqrt_p when a != 0, else pair_product
+        e, num = (rec.weight - 1, a) if a else (2 * rec.weight - 4, c)
+        if digits and num and _power_at_least(rec.p, e, limit * abs(num)):
+            raise UsageError(
+                f"{path}:{lineno}: the report of this record would hold a value with more digits "
+                f"than Python converts to text ({digits}); refused before any work"
+            )
+        records.append(rec)
+    return records
+
+
+def _power_at_least(p: int, e: int, x: int) -> bool:
+    """Whether p**e >= x, for p >= 2, e >= 1 and x >= 1, from bit lengths where they settle it.
+
+    As 2**(e (bitlen(p) - 1)) <= p**e < 2**(e bitlen(p)), p**e > x when
+    e (bitlen(p) - 1) >= bitlen(x), and p**e < x when e bitlen(p) < bitlen(x).
+    Otherwise p**e has fewer than e bitlen(p) < 2 bitlen(x) bits, and is computed.
+    """
+    if e * (p.bit_length() - 1) >= x.bit_length():
+        return True
+    return e * p.bit_length() >= x.bit_length() and p**e >= x
+
+
+def _numbered_records(path, scan: int | None):
+    """``(line number, record)`` for each record of the file, checked as ``load_records`` describes."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -118,7 +169,6 @@ def load_records(path, scan: int | None = None) -> list[EigenvalueRecord]:
         raise UsageError(f"cannot read records file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise UsageError(f"records file {path} is not UTF-8: {exc}") from exc
-    records = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -142,8 +192,7 @@ def load_records(path, scan: int | None = None) -> list[EigenvalueRecord]:
                     f"2**{_SCAN_WORK.bit_length() - 1}; the largest --scan that fits is "
                     f"{_deepest_scan(sizes, scan)}"
                 )
-        records.append(rec)
-    return records
+        yield lineno, rec
 
 
 # ---------------------------------------------------------------------------
@@ -225,32 +274,36 @@ def solve_satake(rec: EigenvalueRecord) -> SatakeParams:
     c = u**2 - v - 2 - 1/p, v = mu_p2 / p**(2k-3).  Lifted type means
     sqrt(p) + 1/sqrt(p) is a member of the pair; unimodular type means both
     members are real and in [-2, 2].  Records fitting neither certificate
-    cannot come from an eigenform and are tagged accordingly.
+    cannot come from an eigenform and are tagged accordingly.  With
+    S = L**2 p**(2k-3), u**2 = c1**2 / S and c = c2 / S - 2 in the record's
+    integer form (``_scaled_record``), so each test is the sign of an integer.
     """
     k, p = rec.weight, rec.p
-    w = rec.mu_p / p ** (k - 1)
-    v = rec.mu_p2 / p ** (2 * k - 3)
-    u_sq = p * w * w
-    c = u_sq - v - 2 - Fraction(1, p)
-    disc = u_sq - 4 * c
+    scale, c1, c2, tail = _scaled_record(rec)
+    s = tail * p
+    c1_sq = c1 * c1
+    pk = p ** (k - 2)
 
-    # membership of the lifted trace in the pair, evaluated inside Q(sqrt d)
-    z0_sq = Fraction((p + 1) ** 2, p)
-    q_at_z0 = z0_sq - (p + 1) * w + c
+    # q(z0) S for z0 = sqrt(p) + 1/sqrt(p) and q(Z) = Z**2 - u Z + c: L**2
+    # times the identity gap, by another formula, which theorem41 checks
+    q_at_z0 = (p + 1) ** 2 * tail - (p + 1) * pk * scale * c1 + c2 - 2 * s
     if value_sign(q_at_z0) == 0:
         classification = SK_TYPE
     else:
-        real_pair = value_sign(disc) >= 0
-        # 4 + c >= 2|w|sqrt(p), that is, 4 + c >= 0 and (4 + c)**2 >= 4 p w**2
+        real_pair = value_sign(c1_sq - 4 * c2 + 8 * s) >= 0
+        # u**2 <= 16 and 4 + c >= 2|u|, that is, 4 + c >= 0 and (4 + c)**2 >= 4 u**2
+        shifted = c2 + 2 * s
         inside = (
-            value_sign(16 - u_sq) >= 0
-            and value_sign(4 + c) >= 0
-            and value_sign((4 + c) ** 2 - 4 * u_sq) >= 0
+            value_sign(16 * s - c1_sq) >= 0
+            and value_sign(shifted) >= 0
+            and value_sign(shifted * shifted - 4 * s * c1_sq) >= 0
         )
         classification = RAMANUJAN_TYPE if (real_pair and inside) else NEITHER_TYPE
 
+    w = exact_div(c1, scale * pk * p)
+    disc = exact_div(c1_sq - 4 * c2, s) + 8
     x, y = _explicit_pair(p, w, disc, classification)
-    return SatakeParams(k, p, w, c, disc, classification, x, y)
+    return SatakeParams(k, p, w, exact_div(c2, s) - 2, disc, classification, x, y)
 
 
 def _explicit_pair(p, w, disc, classification):
@@ -314,21 +367,25 @@ def theorem41(rec: EigenvalueRecord) -> Theorem41Certificate:
 
     Conditions: the prime eigenvalue exceeds 4 p**(k-3/2); the prime-square
     eigenvalue exceeds 10 p**(2k-3); the identity
-    mu(p**2) = mu(p)**2 - (p**(k-1)+p**(k-2)) mu(p) + p**(2k-2).
+    mu(p**2) = mu(p)**2 - (p**(k-1)+p**(k-2)) mu(p) + p**(2k-2).  Each is
+    decided on L**2 times it, in the record's integer form (``_scaled_record``).
     """
     k, p = rec.weight, rec.p
+    scale, c1, c2, tail = _scaled_record(rec)
+    s = tail * p
+    c1_sq = c1 * c1
     fired = []
-    mu_sq = rec.mu_p * rec.mu_p
     # mu(p) > 4 p**(k-2) sqrt(p), that is, mu(p) > 0 and mu(p)**2 > 16 p**(2k-3)
-    cond_ii = value_sign(rec.mu_p) > 0 and value_sign(mu_sq - 16 * p ** (2 * k - 3)) > 0
+    cond_ii = value_sign(c1) > 0 and value_sign(c1_sq - 16 * s) > 0
     if cond_ii:
         fired.append(COND_PRIME_THRESHOLD)
-    cond_iv = value_sign(rec.mu_p2 - 10 * p ** (2 * k - 3)) > 0
+    # L**2 mu(p**2) = c1**2 - c2 - L**2 p**(2k-4)
+    cond_iv = value_sign(c1_sq - c2 - tail - 10 * s) > 0
     if cond_iv:
         fired.append(COND_PRIME_SQUARE_THRESHOLD)
-    t = p ** (k - 1) + p ** (k - 2)
-    identity_gap = mu_sq - t * rec.mu_p + p ** (2 * k - 2) - rec.mu_p2
-    cond_vii = value_sign(identity_gap) == 0
+    # L**2 (mu(p)**2 - t mu(p) + p**(2k-2) - mu(p**2)) with t = p**(k-1) + p**(k-2)
+    t = (p + 1) * p ** (k - 2)
+    cond_vii = value_sign(c2 + tail - t * scale * c1 + tail * p * p) == 0
     if cond_vii:
         fired.append(COND_EIGENVALUE_IDENTITY)
     satake = solve_satake(rec)
@@ -369,55 +426,38 @@ def spin_euler_data(rec: EigenvalueRecord) -> SpinEulerData:
     return SpinEulerData(e1, e2, e3, e4)
 
 
-class _Surd:
-    """``a + b*sqrt(d)`` with integer a, b: Z[sqrt d], where the scaled sequence of a Q(sqrt d) record runs."""
+def _scaled(x, scale: int):
+    """``x * scale`` in integers, for ``scale`` a multiple of the denominators of x's parts."""
+    if isinstance(x, QuadExt):
+        return QuadExt(_scaled(x.a, scale), _scaled(x.b, scale), x.d)
+    return x.numerator * (scale // x.denominator)
 
-    __slots__ = ("a", "b", "d")
 
-    def __init__(self, a: int, b: int, d: int):
-        self.a, self.b, self.d = a, b, d
+def _scaled_record(rec: EigenvalueRecord):
+    """``(L, c1, c2, L**2 p**(2k-4))``, L the lcm of the denominators of e1 and e2, c_i = L**i e_i.
 
-    def __add__(self, other):
-        return _Surd(self.a + other.a, self.b + other.b, self.d)
-
-    def __sub__(self, other):
-        return _Surd(self.a - other.a, self.b - other.b, self.d)
-
-    def __mul__(self, other):
-        a, b, oa, ob = self.a, self.b, other.a, other.b
-        return _Surd(a * oa + self.d * b * ob, a * ob + b * oa, self.d)
+    e1 and e2 are ``spin_euler_data``'s; c1 and c2 are integers, or
+    ``QuadExt``s with int parts when the record lies in Q(sqrt d).
+    """
+    k, p = rec.weight, rec.p
+    power = p ** (2 * k - 4)
+    e1 = rec.mu_p
+    # values from two different fields refuse to combine here
+    e2 = e1 * e1 - rec.mu_p2 - power
+    scale = math.lcm(*(x.denominator for e in (e1, e2) for x in ((e.a, e.b) if isinstance(e, QuadExt) else (e,))))
+    sq = scale * scale
+    return scale, _scaled(e1, scale), _scaled(e2, sq), sq * power
 
 
 def _scaled_data(rec: EigenvalueRecord):
-    """``(L, (c1, c2, c3, c4), one, n2)``: the recurrence of s_r = L**r mu(p**r).
+    """``(L, (c1, c2, c3, c4), tail)``: the recurrence of s_r = L**r mu(p**r).
 
-    L is the lcm of the denominators of e1 and e2, so c_i = L**i e_i and
-    n2 = -L**2 p**(2k-4) are integers, or integer pairs in Z[sqrt d] when
-    the record lies in Q(sqrt d).
+    L, c1, c2 and tail = L**2 p**(2k-4) are ``_scaled_record``'s; with
+    S = L**2 p**(2k-3) = p tail, c3 = S c1 = L**3 e3 and c4 = S**2 = L**4 e4.
     """
-    k, p = rec.weight, rec.p
-    ed = spin_euler_data(rec)
-    # spin_euler_data refuses values from two different fields
-    d = next((e.d for e in (ed.e1, ed.e2) if isinstance(e, QuadExt)), None)
-    if d is None:
-        parts = (ed.e1, ed.e2)
-    else:
-        parts = [x for e in (ed.e1, ed.e2) for x in ((e.a, e.b) if isinstance(e, QuadExt) else (e, 0))]
-    scale = math.lcm(*(x.denominator for x in parts))
-    nums = [x.numerator * (scale // x.denominator) for x in parts]
-    if d is None:
-        c1, c2 = nums[0], nums[1] * scale
-        lift = int
-    else:
-        c1, c2 = _Surd(nums[0], nums[1], d), _Surd(nums[2] * scale, nums[3] * scale, d)
-
-        def lift(n):
-            return _Surd(n, 0, d)
-
-    sq = scale * scale
-    c3 = c1 * lift(sq * p ** (2 * k - 3))
-    c4 = lift(sq * sq * p ** (4 * k - 6))
-    return scale, (c1, c2, c3, c4), lift(1), lift(-sq * p ** (2 * k - 4))
+    scale, c1, c2, tail = _scaled_record(rec)
+    s = tail * rec.p
+    return scale, (c1, c2, c1 * s, s * s), tail
 
 
 def _scan_sizes(rec: EigenvalueRecord) -> tuple[int, int]:
@@ -425,12 +465,12 @@ def _scan_sizes(rec: EigenvalueRecord) -> tuple[int, int]:
 
     Every root z of X**4 - c1 X**3 + c2 X**2 - c3 X + c4 has
     |z| <= 2 max |c_i|**(1/i) (Fujiwara's bound), so |z| < 2**rho with
-    rho = 1 + max ceil(bitlen(c_i) / i).  As s_r = h_r + n2 h_(r-2) in the
+    rho = 1 + max ceil(bitlen(c_i) / i).  As s_r = h_r - tail h_(r-2) in the
     complete symmetric polynomials h of the four roots, and
-    |n2| < |c4|**(1/2) < 2**(2 rho), |s_r| <= 2 C(r+3,3) 2**(rho r).  lam is
+    tail < |c4|**(1/2) < 2**(2 rho), |s_r| <= 2 C(r+3,3) 2**(rho r).  lam is
     bitlen(L) when L > 1, else 0, so L**r has at most lam r bits.
     """
-    scale, coefficients, _, _ = _scaled_data(rec)
+    scale, coefficients, _ = _scaled_data(rec)
     rho = 1 + max(-(-c.bit_length() // i) for i, c in enumerate(coefficients, start=1))
     return rho, 0 if scale == 1 else scale.bit_length()
 
@@ -483,22 +523,19 @@ def mu_sequence(rec: EigenvalueRecord, rmax: int) -> list:
     """
     if rmax < 0:
         raise UsageError("the scan depth must be nonnegative")
-    scale, (c1, c2, c3, c4), one, n2 = _scaled_data(rec)
-    s1 = s2 = s3 = s4 = one - one  # s_(r-1) .. s_(r-4)
+    scale, (c1, c2, c3, c4), tail = _scaled_data(rec)
+    s1 = s2 = s3 = s4 = 0  # s_(r-1) .. s_(r-4)
     seq: list = []
     den = 1
     for r in range(rmax + 1):
         if r == 0:
-            s = one
+            s = 1
         else:
             s = c1 * s1 - c2 * s2 + c3 * s3 - c4 * s4
             if r == 2:
-                s = s + n2
+                s = s - tail
             den *= scale
-        if type(s) is int:
-            seq.append(Fraction(s, den))
-        else:
-            seq.append(QuadExt(Fraction(s.a, den), Fraction(s.b, den), s.d))
+        seq.append(s / den if isinstance(s, QuadExt) else Fraction(s, den))
         s1, s2, s3, s4 = s, s1, s2, s3
     if rmax >= 1 and seq[1] != rec.mu_p:
         raise InconsistencyError("prime-power sequence fails to reproduce mu(p)")
@@ -544,9 +581,7 @@ def _exceeds(mu, m: int, n: int, scale: int) -> bool:
     """
     if isinstance(mu, QuadExt):
         e = math.lcm(mu.a.denominator, mu.b.denominator)
-        a, b = mu.a.numerator * (e // mu.a.denominator), mu.b.numerator * (e // mu.b.denominator)
-        mm = m * m
-        return _surd_sign(mm * (a * a + mu.d * b * b) - (n * e) ** 2 * scale, 2 * mm * a * b, mu.d) > 0
+        return value_sign(m * m * _scaled(mu, e) ** 2 - (n * e) ** 2 * scale) > 0
     u = m * abs(mu.numerator)
     w = (n * mu.denominator) ** 2 * scale
     gap = 2 * u.bit_length() - w.bit_length()

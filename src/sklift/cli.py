@@ -33,7 +33,7 @@ from .characterize import (
     EigenvalueRecord,
     format_exact,
     growth_check,
-    load_records,
+    load_report_records,
     positivity_scan,
     theorem41,
 )
@@ -305,7 +305,7 @@ def cmd_eigen(config: RunConfig, args) -> int:
 
 
 def cmd_classify(config: RunConfig, args) -> int:
-    records = load_records(args.records, args.scan)
+    records = load_report_records(args.records, args.scan)
     if not records:
         raise UsageError(f"{args.records}: no records found")
     depth = args.scan

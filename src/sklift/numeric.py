@@ -9,8 +9,8 @@ functions the rest of the package needs.
 Each exact value has one representation: an int or a Fraction when it is
 rational, a ``QuadExt`` with ``b != 0`` only when it is not.  ``QuadExt``
 alone enforces this, so no caller tests whether a value is "really" rational.
-A stored coefficient is an int when it is integral (``int_if_integral``);
-a quotient stays a Fraction.
+A stored coefficient, and each part of a ``QuadExt``, is an int when it is
+integral (``int_if_integral``); a quotient stays a Fraction.
 
 All values are immutable and all functions are pure.
 """
@@ -260,8 +260,9 @@ class QuadExt:
 
     ``d`` is a squarefree integer >= 2.  ``QuadExt(a, b, d)`` with ``b == 0``
     is the Fraction ``a``, and every operation builds its result through the
-    class, so a rational value is never a QuadExt.  QuadExt values mix freely
-    with ints and Fractions; values of two different fields refuse to combine.
+    class, so a rational value is never a QuadExt.  a and b are ints when
+    integral, and are divided as Fractions.  QuadExt values mix freely with
+    ints and Fractions; values of two different fields refuse to combine.
     """
 
     __slots__ = ("a", "b", "d")
@@ -270,6 +271,7 @@ class QuadExt:
         a, b = rat(a), rat(b)
         if b == 0:
             return a
+        a, b = int_if_integral(a), int_if_integral(b)
         self = object.__new__(cls)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -328,7 +330,7 @@ class QuadExt:
         if isinstance(other, QuadExt):
             return self * (1 / other)
         if isinstance(other, (int, Fraction)):
-            return QuadExt(self.a / other, self.b / other, self.d)
+            return QuadExt(Fraction(self.a, other), Fraction(self.b, other), self.d)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -336,7 +338,7 @@ class QuadExt:
             return NotImplemented
         # the norm a**2 - b**2 d is nonzero: d is not a rational square
         nrm = self.a * self.a - self.b * self.b * self.d
-        return QuadExt(self.a / nrm, -self.b / nrm, self.d) * other
+        return QuadExt(Fraction(self.a, nrm), Fraction(-self.b, nrm), self.d) * other
 
     def __pow__(self, e: int):
         if e < 0:

@@ -212,7 +212,8 @@ class SiegelFourierTable:
                 index = tuple(json_int(x, "an entry index") for x in (n, r, m))
                 if index in entries:
                     raise UsageError(f"table index {index} is listed twice")
-                entries[index] = Fraction(json_int(num, "a numerator"), json_int(den, "a denominator"))
+                num, den = json_int(num, "a numerator"), json_int(den, "a denominator")
+                entries[index] = num if den == 1 else Fraction(num, den)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"malformed table file: {exc}") from exc
         return cls(weight, bound, entries)

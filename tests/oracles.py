@@ -134,15 +134,23 @@ def noncanonical(value) -> list:
     """The exact values inside ``value`` that are not in their one representation.
 
     Walks dataclasses, lists and tuples.  An int or a Fraction is canonical,
-    and so is a QuadExt with b != 0; a QuadExt with b == 0 and a float are not.
+    and so is a QuadExt with b != 0 whose parts a and b are each an int or a
+    non-integral Fraction.  A float is not, and neither is a QuadExt with
+    b == 0, an integral Fraction part or a float part.
     """
     if dataclasses.is_dataclass(value):
         return [x for f in dataclasses.fields(value) for x in noncanonical(getattr(value, f.name))]
     if isinstance(value, (list, tuple)):
         return [x for v in value for x in noncanonical(v)]
-    if isinstance(value, float) or (isinstance(value, QuadExt) and value.b == 0):
+    if isinstance(value, float):
+        return [value]
+    if isinstance(value, QuadExt) and (value.b == 0 or not all(map(_canonical_part, (value.a, value.b)))):
         return [value]
     return []
+
+
+def _canonical_part(x) -> bool:
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
 def fpow(base: int, e: int) -> Fraction:

@@ -33,6 +33,7 @@ from sklift.characterize import (
     _SCAN_BITS,
     _SCAN_WORK,
     _deepest_scan,
+    _power_at_least,
     _scaled_data,
     _scan_cost,
     _scan_sizes,
@@ -208,6 +209,16 @@ class TestScaledIntegerScan:
         assert _deepest_scan(_scan_sizes(SK10), 200) == 200
 
 
+class TestReportRefusal:
+    @given(st.sampled_from([2, 3, 5, 7, 101, 2**61 - 1]), st.integers(1, 300), st.integers(-8, 8), st.integers(0, 3))
+    @example(2, 1, 0, 0)
+    @settings(max_examples=300, deadline=None)
+    def test_power_at_least_is_exact(self, p, e, shift, which):
+        # x near p**e, near a power of two, or far off either way
+        x = max(1, [p**e + shift, 2 ** (p**e).bit_length() + shift, abs(shift) + 1, p ** (2 * e) + shift][which])
+        assert _power_at_least(p, e, x) == (p**e >= x)
+
+
 class TestSolveSatake:
     def test_sk_record_k10(self):
         sp = solve_satake(SK10)
@@ -345,18 +356,19 @@ class TestOneRepresentation:
 
 
 class TestTheorem41:
-    @given(growth_records())
+    @given(st.one_of(growth_records(), scan_records()))
     # thresholds met exactly: mu(p) = 4 p**(k-3/2), and a trace at the window's edge
     @example(record_from_pair(10, 2, 2, 2))
     @example(record_from_pair(12, 3, Fraction(1, 2), -2))
     @example(record_from_pair(14, 5, 2, QuadExt(0, Fraction(1, 3), 5)))
+    @example(EigenvalueRecord(12, 5, Fraction(7, 10**30 + 3), Fraction(-3, 10**30)))
     @settings(max_examples=200, deadline=None)
     def test_squared_thresholds_match_sqrt_multiple_oracle(self, rec):
-        got = theorem41(rec).to_json_dict()
-        want = theorem41_by_sqrt_multiples(rec).to_json_dict()
-        assert got.keys() == want.keys()
-        for field in want:
-            assert got[field] == want[field], field
+        # the scaled-integer decisions against the Fraction ones, type for type
+        got, want = theorem41(rec), theorem41_by_sqrt_multiples(rec)
+        assert fields(got) == fields(want)
+        assert fields(got.satake) == fields(solve_satake(rec)) == fields(want.satake)
+        assert got.to_json_dict() == want.to_json_dict()
 
     def test_sk_at_2_only_identity_fires(self):
         cert = theorem41(SK10)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from sklift import characterize
 from sklift.cache import ExpansionCache
-from sklift.characterize import EigenvalueRecord, load_records
+from sklift.characterize import EigenvalueRecord, load_records, theorem41
 from sklift.cli import main
 from sklift.elliptic import eigenforms
 from sklift.errors import UsageError
@@ -401,6 +401,71 @@ class TestClassify:
         assert len(load_records(rec_path, scan)) == 1
         with pytest.raises(UsageError, match="largest --scan that fits"):
             load_records(rec_path, 10**6)
+
+    @pytest.fixture
+    def digit_limit(self):
+        # the least nonzero limit Python allows, so the edge records stay small
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        yield 640
+        sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("p", [2, 3, 101])
+    @pytest.mark.parametrize("field", ["mu_p", "mu_p2"])
+    def test_unprintable_report_refused_at_the_edge(self, tmp_path, digit_limit, p, field):
+        # the least even weight whose power p**e passes 10**(D + 3): then
+        # |v| = p**e // 10**D is refused and |v| + 1 is not, for
+        # v = mu(p) with e = k - 1, and v = mu(p**2) with mu(p) = 0 and e = 2k - 4
+        k = 10
+        exponent = (lambda k: k - 1) if field == "mu_p" else (lambda k: 2 * k - 4)
+        while p ** exponent(k) < 10 ** (digit_limit + 3):
+            k += 2
+        edge = p ** exponent(k) // 10**digit_limit
+        rec_path = tmp_path / "records.jsonl"
+        for value, refused in ((edge, True), (-edge, True), (edge + 1, False), (-edge - 1, False)):
+            fields = {"weight": k, "p": p, "mu_p": "0", "mu_p2": "1", field: str(value)}
+            rec_path.write_text(json.dumps({"weight": 10, "p": 2, "mu_p": "1", "mu_p2": "1"}) + "\n"
+                                + json.dumps(fields) + "\n")
+            if not refused:
+                assert len(characterize.load_report_records(rec_path, 0)) == 2
+                continue
+            with pytest.raises(UsageError) as err:
+                characterize.load_report_records(rec_path, 0)
+            assert str(err.value).startswith(f"{rec_path}:2: the report of this record would hold a value "
+                                              f"with more digits than Python converts to text ({digit_limit})")
+            # the refused report is indeed past the limit
+            rec = load_records(rec_path)[1]
+            with pytest.raises(UsageError, match="more digits than Python converts"):
+                theorem41(rec).to_json_dict()
+            # and without a limit nothing is refused
+            sys.set_int_max_str_digits(0)
+            assert len(characterize.load_report_records(rec_path, 0)) == 2
+            sys.set_int_max_str_digits(digit_limit)
+
+    @pytest.mark.parametrize("scan", ["0", "50"])
+    def test_unprintable_report_refused_at_every_scan(self, tmp_path, scan):
+        # at --scan 0 the scan budget refuses nothing; this record's report
+        # cannot be printed, which classifying it once took about 25 s to show
+        rec_path = tmp_path / "records.jsonl"
+        rec_path.write_text('{"weight": 2000000, "p": 2, "mu_p": "1", "mu_p2": "1"}\n')
+        proc = subprocess.run(
+            [sys.executable, "-m", "sklift.cli", "classify", str(rec_path), "--scan", scan],
+            capture_output=True, text=True, timeout=5,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(f"error: {rec_path}:1: ")
+
+    def test_printable_heavy_record_classifies(self, tmp_path):
+        # mu(p) = mu(p**2) = 0 gives small report values at any weight
+        rec_path = tmp_path / "records.jsonl"
+        rec_path.write_text('{"weight": 2000000, "p": 2, "mu_p": "0", "mu_p2": "0"}\n')
+        proc = subprocess.run(
+            [sys.executable, "-m", "sklift.cli", "--output", "json", "classify", str(rec_path), "--scan", "0"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        satake = json.loads(proc.stdout)["records"][0]["satake"]
+        assert (satake["trace_over_sqrt_p"], satake["pair_product"]) == ("0", "-5/2")
 
     def test_value_past_digit_limit_exits_2(self, tmp_path, capsys):
         rec_path = tmp_path / "records.jsonl"

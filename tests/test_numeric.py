@@ -303,6 +303,46 @@ class TestOneRepresentation:
         values.append(sqrt_rational(abs(r)))
         assert noncanonical(values) == []
 
+    @given(
+        radicands,
+        st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50).filter(bool)), min_size=2, max_size=2),
+        st.one_of(st.integers(-50, 50), rationals).filter(bool),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_int_parts_divide_as_fractions(self, d, parts, r, e):
+        # int parts never meet a float division: each quotient equals the one
+        # worked out on Fraction parts, and its parts are canonical
+        (a, b), (c, f) = parts
+        x, y = QuadExt(a, b, d), QuadExt(c, f, d)
+        assert (type(x.a), type(x.b)) == (int, int)
+
+        def inverse(u, v):
+            nrm = Fraction(u * u - v * v * d)
+            return u / nrm, -v / nrm
+
+        def times(u, v, s, t):
+            return u * s + v * t * d, u * t + v * s
+
+        def power(u, v, n):
+            out = (Fraction(1), Fraction(0))
+            for _ in range(n):
+                out = times(*out, u, v)
+            return out
+
+        quotients = {
+            "x / r": (x / r, (Fraction(a) / r, Fraction(b) / r)),
+            "r / x": (r / x, tuple(r * z for z in inverse(a, b))),
+            "1 / x": (1 / x, inverse(a, b)),
+            "x / y": (x / y, times(a, b, *inverse(c, f))),
+            "x ** -e": (x**-e, inverse(*power(a, b, e))),
+        }
+        for name, (got, (want_a, want_b)) in quotients.items():
+            assert noncanonical([got]) == [], name
+            assert got == QuadExt(want_a, want_b, d), name
+            got_a, got_b = (got.a, got.b) if isinstance(got, QuadExt) else (got, 0)
+            assert (Fraction(got_a), Fraction(got_b)) == (want_a, want_b), name
+
     def test_rational_is_a_fraction(self):
         assert type(QuadExt(3, 0, 7)) is Fraction and QuadExt(3, 0, 7) == 3
         assert type(QuadExt(0, 1, 2) ** 2) is Fraction

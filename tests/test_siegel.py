@@ -127,6 +127,17 @@ class TestTable:
                 {"schema_version": 1, "weight": 10, "bound": 1, "entries": [[1, 1, 1, "1", "0"]]}
             )
 
+    def test_entries_load_as_ints_when_integral(self):
+        data = {"schema_version": 1, "weight": 10, "bound": 2, "entries": [
+            [1, 1, 1, "7", "1"], [1, 0, 1, "-6", "-2"], [1, 0, 2, "3", "-6"], [1, 1, 2, "4", "6"], [2, 2, 2, "0", "1"]]}
+        entries = SiegelFourierTable.from_json_dict(data).entries
+        assert {key: (v, type(v)) for key, v in entries.items()} == {
+            (1, 1, 1): (7, int), (1, 0, 1): (3, int), (1, 0, 2): (Fraction(-1, 2), Fraction),
+            (1, 1, 2): (Fraction(2, 3), Fraction)}
+        data["entries"][0][4] = "0"
+        with pytest.raises(UsageError, match="malformed"):
+            SiegelFourierTable.from_json_dict(data)
+
     def test_repeated_index_rejected(self):
         data = {"schema_version": 1, "weight": 10, "bound": 1,
                 "entries": [[1, 1, 1, "1", "1"], [1, 1, 1, "7", "1"]]}

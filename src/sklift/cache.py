@@ -4,7 +4,10 @@ Entries are keyed by (module, name, weight, truncation) plus a schema
 version; values are lists of exact rationals.  Because the data is exact,
 a repeated write to an existing key must agree bit for bit; disagreement is
 an error, never a silent overwrite.  A request may be served from any
-cached entry of the same object at a larger truncation.
+cached entry of the same object at a larger truncation.  A lift stores only
+its plus-space form; its elliptic seed is rebuilt in integers each time,
+faster than a read, and elliptic entries earlier versions wrote are never
+read.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import characterize
-from .cache import ExpansionCache, OneShotEncoder
+from .cache import ExpansionCache
 from .characterize import (
     EigenvalueRecord,
     format_exact,
@@ -37,7 +37,7 @@ from .characterize import (
     positivity_scan,
     theorem41,
 )
-from .elliptic import EllipticEigenform, dim_cusp_forms, eigenforms
+from .elliptic import dim_cusp_forms, eigenforms
 from .errors import (
     EXIT_OK,
     EXIT_USAGE,
@@ -100,21 +100,18 @@ def build_lift(config: RunConfig, weight: int, bound: int, log) -> SiegelFourier
     log(f"plan: elliptic truncation {ELLIPTIC_PREC}")
     cache = config.cache()
 
-    def cached(module, name, form_weight, prec, build):
-        if cache is None:
-            return build(prec)
-        return cache.series(module, name, form_weight, prec, build)
+    def build_plus(n):
+        return plus_space_basis(k, n)[0].series
 
-    # both spaces are one-dimensional here, so each side has exactly one form
-    g_series = cached(
-        "kohnen", "plus_basis_0", k, halfint_prec, lambda n: plus_space_basis(k, n)[0].series
-    )
+    # both spaces are one-dimensional here, so each side has exactly one form;
+    # only the plus-space form is cached, as the elliptic one is cheaper to
+    # build in integers than to read back
+    if cache is None:
+        g_series = build_plus(halfint_prec)
+    else:
+        g_series = cache.series("kohnen", "plus_basis_0", k, halfint_prec, build_plus)
     g = PlusSpaceForm(k, g_series)
-    w = 2 * k - 2
-    f_series = cached(
-        "elliptic", "eigenform_0", w, ELLIPTIC_PREC, lambda n: eigenforms(w, n)[0].series
-    )
-    f = shimura_match(g, [EllipticEigenform(w, f_series)])
+    f = shimura_match(g, eigenforms(2 * k - 2, ELLIPTIC_PREC))
     log(f"matched eigenform of weight {f.weight} with a(2) = {f.a(2)}")
     phi = ez_lift(g)
     table = maass_lift(phi, bound)
@@ -163,6 +160,13 @@ def _load_table(path: str) -> SiegelFourierTable:
         raise UsageError(f"table file {path}: {exc}") from exc
 
 
+class _TextEncoder(json.JSONEncoder):
+    """Encoder for ``json.dump`` whose document is already JSON text; writes it as given."""
+
+    def iterencode(self, o, _one_shot=False):
+        return (o,)
+
+
 def _check_out_dir(path: str) -> None:
     """Refuse an output path in a missing directory before any work is done."""
     parent = Path(path).parent
@@ -196,8 +200,10 @@ def cmd_lift(config: RunConfig, args) -> int:
     _check_out_dir(out_path)
     log = (lambda s: None) if config.output != "human" else lambda s: print(s)
     table = build_lift(config, args.weight, args.bound, log)
+    # rendered before the file is opened, so a table that cannot be written leaves no file
+    text = table.to_json_text()
     with _open_out(out_path) as handle:
-        json.dump(table.to_json_dict(), handle, cls=OneShotEncoder)
+        json.dump(text, handle, cls=_TextEncoder)
     payload = {
         "table": out_path,
         "weight": table.weight,

@@ -1,7 +1,9 @@
 """Level-one elliptic modular forms with exact q-expansions.
 
-Cusp form bases are built from monomials in the discriminant form and the
-two Eisenstein generators, then row reduced to a staircase basis.  Hecke
+Cusp form bases are built from integer monomials in the discriminant form
+and the two Eisenstein generators E4 = 1 + 240 sigma_3 and
+E6 = 1 - 504 sigma_5, then row reduced by ``qseries.echelon`` to a staircase
+basis whose coefficients are ints wherever they are integral.  Hecke
 operators act directly on coefficients, and eigenforms are extracted from
 the exact characteristic polynomial of the prime-2 Hecke matrix; quadratic
 eigenvalue fields are handled symbolically, anything of higher degree is
@@ -19,8 +21,8 @@ from .errors import (
     UnsupportedFieldError,
     UsageError,
 )
-from .numeric import QuadExt, bernoulli_number, divisor_lists, exact_div, int_if_integral, is_prime
-from .qseries import QSeries, RatMatrix, eigen_split_2x2, staircase_matrix
+from .numeric import QuadExt, bernoulli_number, exact_div, int_if_integral, is_prime
+from .qseries import QSeries, echelon, eigen_split_2x2, staircase_matrix
 
 
 def dim_modular_forms(weight: int) -> int:
@@ -91,16 +93,23 @@ class EllipticEigenform(EllipticForm):
         return f"EllipticEigenform(weight={self.weight}, prec={self.prec}, field={tag})"
 
 
+def _divisor_power_sums(power: int, prec: int) -> list[int]:
+    """sigma_power(n) at index n = 1..prec, 0 at index 0, by a divisor sieve."""
+    sums = [0] * (prec + 1)
+    for d in range(1, prec + 1):
+        term = d**power
+        for multiple in range(d, prec + 1, d):
+            sums[multiple] += term
+    return sums
+
+
 def eisenstein(weight: int, prec: int) -> EllipticForm:
     """Normalized Eisenstein series of even weight >= 4."""
     if weight % 2 or weight < 4:
         raise UsageError(f"no Eisenstein series of weight {weight} here")
-    factor = Fraction(-2 * weight) / bernoulli_number(weight)
-    divs = divisor_lists(prec)
-    coeffs = [Fraction(1)] + [
-        factor * sum(d ** (weight - 1) for d in divs[n]) for n in range(1, prec + 1)
-    ]
-    return EllipticForm(weight, QSeries(list(map(int_if_integral, coeffs)), prec))
+    factor = int_if_integral(Fraction(-2 * weight) / bernoulli_number(weight))
+    sums = _divisor_power_sums(weight - 1, prec)
+    return EllipticForm(weight, QSeries([1] + [int_if_integral(factor * s) for s in sums[1:]], prec))
 
 
 def _eta_power24(prec: int) -> QSeries:
@@ -145,21 +154,28 @@ def cusp_basis(weight: int, prec: int) -> list[EllipticForm]:
             f"weight {weight} needs validity to q**{expected + 1}", required=expected + 1
         )
     d = delta(prec).series
-    e4 = eisenstein(4, prec).series
-    e6 = eisenstein(6, prec).series
+    # E4 = 1 + 240 sigma_3 and E6 = 1 - 504 sigma_5, in integers
+    e4 = QSeries([1] + [240 * s for s in _divisor_power_sums(3, prec)[1:]], prec)
+    e6 = QSeries([1] + [-504 * s for s in _divisor_power_sums(5, prec)[1:]], prec)
     rows = []
     for a, b, c in _monomial_exponents(weight):
-        s = d**a * e4**b * e6**c
-        rows.append([s.coefficient(n) for n in range(1, prec + 1)])
-    red, pivots = RatMatrix(rows).rref()
+        s = d**a
+        if b:
+            s = s * e4**b
+        if c:
+            s = s * e6**c
+        rows.append(s.coeffs[1:])
+    red, pivots = echelon(rows)
     if len(pivots) != expected:
         raise DimensionMismatchError(
             f"cusp space of weight {weight}: got rank {len(pivots)}, expected {expected}"
         )
     basis = []
-    for r in range(expected):
-        coeffs = [0] + red.entries[r]
-        basis.append(EllipticForm(weight, QSeries(coeffs, prec)))
+    for row, c in zip(red, pivots):
+        # the row of the rational RREF, an int wherever it is integral
+        pv = row[c]
+        coeffs = [x // pv if x % pv == 0 else Fraction(x, pv) for x in row]
+        basis.append(EllipticForm(weight, QSeries([0] + coeffs, prec)))
     return basis
 
 

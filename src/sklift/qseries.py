@@ -14,7 +14,8 @@ taken from a proven bound on the result, packing each input once and
 reading the result back once.
 
 ``echelon``, fraction-free Gauss-Jordan returning primitive integer rows, is
-the one row reduction; ``RatMatrix.rref`` clears denominators and calls it.
+the one row reduction; the elliptic and plus-space bases call it directly,
+and ``RatMatrix.rref`` clears denominators and calls it.
 ``staircase_matrix`` and ``eigen_split_2x2`` turn the Hecke images of a
 staircase basis into a verified matrix and split a 2x2 one into eigenvectors,
 for the elliptic and the plus-space side alike.

@@ -5,10 +5,10 @@ with 0 <= r <= n <= m, keyed by plain int tuples; lookups at arbitrary
 triples route through binary form reduction.  A stored value is an int
 whenever it is integral, so a table read from a file equals the lifted one
 type for type.  Keys are checked once, where they come in from outside: the
-public constructor refuses unreduced and out-of-bound keys, and
-``from_json_dict`` also an index listed twice and a bound past
-``BOUND_CAP``.  The lift and the Hecke operators produce reduced keys by
-construction and build their tables through the trusted
+public constructor refuses keys that are not int triples, unreduced keys
+and out-of-bound keys, and ``from_json_dict`` also an index listed twice
+and a bound past ``BOUND_CAP``.  The lift and the Hecke operators produce
+reduced keys by construction and build their tables through the trusted
 ``SiegelFourierTable._trusted``.
 
 On top of the tables this module provides the divisor-sum lift from index-1
@@ -80,6 +80,19 @@ def _check_weight(weight: int) -> None:
         raise UsageError(f"table weight {weight} is below 1")
 
 
+def _stored_parts(v) -> tuple[str, str]:
+    """The numerator and denominator text schema v1 stores for a table value."""
+    if type(v) is int:
+        return str(v), "1"
+    if isinstance(v, QuadExt):
+        raise UsageError(
+            "schema v1 stores rational coefficients only; "
+            "this table has quadratic-irrational entries"
+        )
+    v = rat(v)
+    return str(v.numerator), str(v.denominator)
+
+
 class SiegelFourierTable:
     """Sparse exact coefficient table of a degree-2 cusp form, complete to ``bound``.
 
@@ -94,6 +107,9 @@ class SiegelFourierTable:
         clean = {}
         for key, value in entries.items():
             n, r, m = key
+            # a bool or float index would be written as JSON that no reader takes back
+            if not type(n) is type(r) is type(m) is int:
+                raise UsageError(f"table key {key!r} is not a triple of ints")
             # 0 <= r <= n <= m with n >= 1 is reduced and positive definite;
             # reduction decides the rest, and refuses non-positive-definite keys
             if not (n >= 1 and 0 <= r <= n <= m) and reduce_index(n, r, m) != (n, r, m):
@@ -170,25 +186,34 @@ class SiegelFourierTable:
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        entries = []
         # keys are unique, so the sort never compares two values
-        for (n, r, m), v in sorted(self.entries.items()):
-            if type(v) is int:
-                entries.append([n, r, m, str(v), "1"])
-                continue
-            if isinstance(v, QuadExt):
-                raise UsageError(
-                    "schema v1 stores rational coefficients only; "
-                    "this table has quadratic-irrational entries"
-                )
-            v = rat(v)
-            entries.append([n, r, m, str(v.numerator), str(v.denominator)])
         return {
             "schema_version": SCHEMA_VERSION,
             "weight": self.weight,
             "bound": self.bound,
-            "entries": entries,
+            "entries": [[*key, *_stored_parts(v)] for key, v in sorted(self.entries.items())],
         }
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json_dict())``, each entry one f-string and one join.
+
+        No per-entry list is built, so writing a large table allocates no
+        containers for the garbage collector to walk.
+        """
+        entries = self.entries
+        rows = []
+        for key in sorted(entries):
+            n, r, m = key
+            v = entries[key]
+            if type(v) is int:
+                rows.append(f'[{n}, {r}, {m}, "{v}", "1"]')
+            else:
+                num, den = _stored_parts(v)
+                rows.append(f'[{n}, {r}, {m}, "{num}", "{den}"]')
+        return (
+            f'{{"schema_version": {SCHEMA_VERSION}, "weight": {self.weight}, '
+            f'"bound": {self.bound}, "entries": [{", ".join(rows)}]}}'
+        )
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SiegelFourierTable":
@@ -250,9 +275,14 @@ def maass_lift(phi: JacobiForm, bound: int) -> SiegelFourierTable:
             g = math.gcd(n, r)
             for m in range(n, bound + 1):
                 disc = 4 * n * m - r * r
-                acc = 0
-                for d in divs[math.gcd(g, m)]:
-                    acc += powers[d] * get(disc // (d * d), 0)
+                e = math.gcd(g, m)
+                if e == 1:
+                    # the d = 1 term alone
+                    acc = get(disc, 0)
+                else:
+                    acc = 0
+                    for d in divs[e]:
+                        acc += powers[d] * get(disc // (d * d), 0)
                 if acc != 0:
                     entries[(n, r, m)] = acc
     return SiegelFourierTable._trusted(k, bound, entries)
@@ -305,11 +335,17 @@ def check_maass_space(table: SiegelFourierTable) -> CheckReport:
             skipped += low
             for r in range(low, n + 1):
                 disc = 4 * n * m - r * r
-                rhs = 0
-                for d in divs[math.gcd(n, r, m)]:
-                    dd = disc // (d * d)
-                    rho = dd & 1
-                    rhs += powers[d] * get((1, rho, (dd + rho) // 4), 0)
+                e = math.gcd(n, r, m)
+                if e == 1:
+                    # the d = 1 term alone
+                    rho = disc & 1
+                    rhs = get((1, rho, (disc + rho) // 4), 0)
+                else:
+                    rhs = 0
+                    for d in divs[e]:
+                        dd = disc // (d * d)
+                        rho = dd & 1
+                        rhs += powers[d] * get((1, rho, (dd + rho) // 4), 0)
                 lhs = get((n, r, m), 0)
                 checked += 1
                 if lhs != rhs:

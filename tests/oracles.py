@@ -45,7 +45,15 @@ from sklift.characterize import (
     _explicit_pair,
     spin_euler_data,
 )
-from sklift.elliptic import cusp_basis, dim_cusp_forms, hecke_Tp
+from sklift.elliptic import (
+    EllipticEigenform,
+    EllipticForm,
+    _monomial_exponents,
+    cusp_basis,
+    delta,
+    dim_cusp_forms,
+    hecke_Tp,
+)
 from sklift.errors import (
     DimensionMismatchError,
     InconsistencyError,
@@ -63,7 +71,16 @@ from sklift.kohnen import (
     plus_hecke,
     plus_space_basis,
 )
-from sklift.numeric import QuadExt, divisor_lists, exact_div, is_prime, rat, value_sign
+from sklift.numeric import (
+    QuadExt,
+    bernoulli_number,
+    divisor_lists,
+    exact_div,
+    int_if_integral,
+    is_prime,
+    rat,
+    value_sign,
+)
 from sklift.qseries import (
     QSeries,
     RatMatrix,
@@ -438,6 +455,60 @@ def plus_space_basis_by_steps(k: int, prec: int, constraint_bound: int | None = 
     return out
 
 
+def eisenstein_by_fractions(weight: int, prec: int) -> QSeries:
+    """E_k as -2k/B_k times the divisor sums, every coefficient a Fraction."""
+    factor = Fraction(-2 * weight) / bernoulli_number(weight)
+    return QSeries([Fraction(1)] + [factor * sigma(weight - 1, n) for n in range(1, prec + 1)], prec)
+
+
+def cusp_basis_by_fractions(weight: int, prec: int) -> list[EllipticForm]:
+    """The staircase cusp basis from Fraction Eisenstein series and Gauss-Jordan over Fractions.
+
+    Entries are stored as ints where integral, the library's type rule.
+    """
+    expected = dim_cusp_forms(weight)
+    if expected == 0:
+        return []
+    if prec < expected + 1:
+        raise TruncationError(
+            f"weight {weight} needs validity to q**{expected + 1}", required=expected + 1
+        )
+    d = delta(prec).series
+    e4, e6 = eisenstein_by_fractions(4, prec), eisenstein_by_fractions(6, prec)
+    rows = []
+    for a, b, c in _monomial_exponents(weight):
+        s = d**a * e4**b * e6**c
+        rows.append([s.coefficient(n) for n in range(1, prec + 1)])
+    red, pivots = rref(RatMatrix(rows))
+    if len(pivots) != expected:
+        raise DimensionMismatchError(
+            f"cusp space of weight {weight}: got rank {len(pivots)}, expected {expected}"
+        )
+    return [
+        EllipticForm(weight, QSeries([0] + [int_if_integral(x) for x in red.entries[r]], prec))
+        for r in range(expected)
+    ]
+
+
+def eigenforms_by_fractions(weight: int, prec: int) -> list[EllipticEigenform]:
+    """The normalized eigenbasis split from ``cusp_basis_by_fractions``, as the library splits it."""
+    basis = cusp_basis_by_fractions(weight, prec)
+    if len(basis) < 2:
+        return [EllipticEigenform(weight, f.series) for f in basis]
+    if len(basis) > 2:
+        raise UnsupportedFieldError(
+            f"weight {weight} has a {len(basis)}-dimensional cusp space; "
+            "eigenvalue fields beyond degree 2 are not supported"
+        )
+    t2 = staircase_matrix([f.series for f in basis], [hecke_Tp(f, 2).series for f in basis], 2)
+    out = []
+    for lam, (v0, v1) in eigen_split_2x2(t2):
+        series = v0 * basis[0].series + v1 * basis[1].series
+        series = series * exact_div(1, series.coefficient(1))
+        out.append(EllipticEigenform(weight, series, lam.d if isinstance(lam, QuadExt) else None))
+    return out
+
+
 def hecke_matrix(weight: int, p: int, prec: int) -> RatMatrix:
     """Matrix of T(p) on the echelonized level-one cusp basis, verified."""
     basis = cusp_basis(weight, prec)
@@ -573,6 +644,8 @@ def table_entries(weight: int, bound: int, entries: dict) -> dict:
         raise UsageError(f"table weight {weight} is below 1")
     clean = {}
     for key, value in entries.items():
+        if any(type(x) is not int for x in key):
+            raise UsageError(f"table key {key!r} is not a triple of ints")
         idx = SiegelIndex(*key)
         if reduce_index(*idx) != tuple(idx):
             raise UsageError(f"table key {tuple(idx)} is not reduced")
@@ -628,6 +701,61 @@ def check_maass_space(table: SiegelFourierTable) -> CheckReport:
         checked += 1
         if lhs != rhs:
             violations.append((tuple(idx), lhs, rhs))
+    return CheckReport("maass", None, table.bound, checked, skipped, tuple(violations))
+
+
+def maass_lift_by_all_divisors(phi: JacobiForm, bound: int) -> SiegelFourierTable:
+    """The divisor-sum lift by discriminant, running the divisor loop at gcd 1 too."""
+    needed = 4 * bound * bound
+    if phi.max_disc < needed:
+        raise TruncationError(
+            f"lift to bound {bound} needs Jacobi discriminants up to {needed}, "
+            f"table stops at {phi.max_disc}",
+            required=needed,
+        )
+    k = phi.weight
+    divs = divisor_lists(bound)
+    powers = {d: d ** (k - 1) for d in range(1, bound + 1)}
+    get = phi.by_disc.get
+    entries = {}
+    for n in range(1, bound + 1):
+        for r in range(n + 1):
+            g = math.gcd(n, r)
+            for m in range(n, bound + 1):
+                disc = 4 * n * m - r * r
+                acc = 0
+                for d in divs[math.gcd(g, m)]:
+                    acc += powers[d] * get(disc // (d * d), 0)
+                if acc != 0:
+                    entries[(n, r, m)] = acc
+    return SiegelFourierTable._trusted(k, bound, entries)
+
+
+def check_maass_by_all_divisors(table: SiegelFourierTable) -> CheckReport:
+    """The divisor-sum checker by discriminant, running the divisor loop at gcd 1 too."""
+    k = table.weight
+    bound = table.bound
+    divs = divisor_lists(bound)
+    powers = {d: d ** (k - 1) for d in range(1, math.isqrt(4 * max(bound, 0)) + 1)}
+    get = table.entries.get
+    checked = skipped = 0
+    violations = []
+    for m in range(1, bound + 1):
+        for n in range(1, m + 1):
+            excess = 4 * (n * m - bound)
+            low = min(math.isqrt(excess - 1) + 1, n + 1) if excess > 0 else 0
+            skipped += low
+            for r in range(low, n + 1):
+                disc = 4 * n * m - r * r
+                rhs = 0
+                for d in divs[math.gcd(n, r, m)]:
+                    dd = disc // (d * d)
+                    rho = dd & 1
+                    rhs += powers[d] * get((1, rho, (dd + rho) // 4), 0)
+                lhs = get((n, r, m), 0)
+                checked += 1
+                if lhs != rhs:
+                    violations.append(((n, r, m), lhs, rhs))
     return CheckReport("maass", None, table.bound, checked, skipped, tuple(violations))
 
 

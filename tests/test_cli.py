@@ -87,24 +87,56 @@ class TestLift:
             "plan: elliptic truncation 16",
         ]
 
-    def test_elliptic_entry_at_larger_truncation_is_served(self, tmp_path, table10):
-        # an elliptic entry stored at 8 * bound, as earlier versions wrote
-        # it, serves the truncation-16 request: no new elliptic entry
+    def test_lift_caches_only_the_plus_space_form(self, tmp_path, table10, monkeypatch):
+        # the elliptic seed is built in integers on every lift: an elliptic
+        # entry written by earlier versions is neither read nor touched, a
+        # cold lift writes the plus-space form alone and a warm one nothing
         cache_dir = tmp_path / "old_cache"
         ExpansionCache(cache_dir).store(
             "elliptic", "eigenform_0", 18, 48, eigenforms(18, 48)[0].series.coeffs
         )
+        old = "elliptic__eigenform_0__w18__n48__s1.json"
+        before = ((cache_dir / old).read_bytes(), (cache_dir / old).stat().st_mtime_ns)
+        calls = []
+
+        def recorded(name, method):
+            def wrapper(self, module, *args):
+                calls.append((name, module))
+                return method(self, module, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(ExpansionCache, "fetch", recorded("fetch", ExpansionCache.fetch))
+        monkeypatch.setattr(ExpansionCache, "store", recorded("store", ExpansionCache.store))
+
+        def lift():
+            calls.clear()
+            out = tmp_path / "t.json"
+            assert main(["--cache-dir", str(cache_dir), "lift", "--weight", "10",
+                         "--bound", "6", "--out", str(out)]) == 0
+            assert out.read_text() == table10.read_text()
+            return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in cache_dir.iterdir()}
+
+        cold = lift()
+        assert calls == [("fetch", "kohnen"), ("store", "kohnen")]
+        assert sorted(cold) == [old, "kohnen__plus_basis_0__w10__n144__s1.json"]
+        assert cold[old] == before
+        warm = lift()
+        assert calls == [("fetch", "kohnen")]
+        assert warm == cold
+
+    def test_unwritable_table_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # the table text is rendered before --out is opened
+        from sklift.siegel import SiegelFourierTable
+
+        def refuse(table):
+            raise UsageError("schema v1 stores rational coefficients only")
+
+        monkeypatch.setattr(SiegelFourierTable, "to_json_text", refuse)
         out = tmp_path / "t.json"
-        assert main(["--cache-dir", str(cache_dir), "lift", "--weight", "10",
-                     "--bound", "6", "--out", str(out)]) == 0
-        assert out.read_text() == table10.read_text()
-        names = sorted(path.name for path in cache_dir.iterdir())
-        assert [n for n in names if n.startswith("elliptic")] == [
-            "elliptic__eigenform_0__w18__n48__s1.json"
-        ]
-        assert [n for n in names if n.startswith("kohnen")] == [
-            "kohnen__plus_basis_0__w10__n144__s1.json"
-        ]
+        assert main(["--no-cache", "lift", "--weight", "10", "--bound", "2", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: schema v1 stores rational coefficients only\n"
 
     def test_minimal_bound(self, tmp_path, capsys):
         out = tmp_path / "b1.json"

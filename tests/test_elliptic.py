@@ -13,9 +13,10 @@ from sklift.elliptic import (
     hecke_Tp,
 )
 from sklift.errors import TruncationError, UnsupportedFieldError, UsageError
-from sklift.numeric import QuadExt
+from sklift.numeric import QuadExt, int_if_integral
 from sklift.qseries import QSeries
 
+import oracles
 from oracles import charpoly, divisors, hecke_matrix, matmul
 
 # level-one cusp dimensions, frozen from the classical formula
@@ -164,3 +165,54 @@ class TestEigenforms:
         monkeypatch.setattr(elliptic, "cusp_basis", counted)
         assert len(eigenforms(24, 200)) == 2
         assert calls == [(24, 200)]
+
+
+def typed(forms):
+    """Each form's weight, validity, field and coefficients, with the type of each coefficient."""
+    return [
+        (f.weight, f.prec, getattr(f, "field_disc", None), f.series.coeffs, list(map(type, f.series.coeffs)))
+        for f in forms
+    ]
+
+
+def outcome(build, *args):
+    try:
+        return ("returned", typed(build(*args)))
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+
+
+class TestIntegerSeed:
+    """The integer Eisenstein series and cusp basis against the Fraction ones they replaced."""
+
+    @pytest.mark.parametrize("weight", range(4, 42, 2))
+    def test_eisenstein_matches_fraction_oracle(self, weight):
+        got = eisenstein(weight, 24).series.coeffs
+        want = oracles.eisenstein_by_fractions(weight, 24).coeffs
+        assert got == want
+        assert list(map(type, got)) == [type(int_if_integral(c)) for c in want]
+
+    def test_eisenstein_in_ints_where_the_factor_is_integral(self):
+        for weight in (4, 6, 8, 10, 14):
+            assert {type(c) for c in eisenstein(weight, 30).series.coeffs} == {int}, weight
+        assert Fraction in {type(c) for c in eisenstein(12, 30).series.coeffs}
+
+    @pytest.mark.parametrize("prec", [16, 48])
+    @pytest.mark.parametrize("weight", range(12, 42, 2))
+    def test_cusp_basis_matches_fraction_oracle(self, weight, prec):
+        assert outcome(cusp_basis, weight, prec) == outcome(oracles.cusp_basis_by_fractions, weight, prec)
+
+    @pytest.mark.parametrize("prec", [16, 48])
+    @pytest.mark.parametrize("weight", range(12, 42, 2))
+    def test_eigenforms_match_fraction_oracle(self, weight, prec):
+        got = outcome(eigenforms, weight, prec)
+        assert got == outcome(oracles.eigenforms_by_fractions, weight, prec)
+        # every weight with a lift (one-dimensional input space) is seeded in ints
+        if dim_cusp_forms(weight) == 1:
+            assert set(got[1][0][4]) == {int}
+
+    def test_refusals_match_fraction_oracle(self):
+        for weight, prec in ((24, 2), (36, 3), (12, 0)):
+            got = outcome(cusp_basis, weight, prec)
+            assert got[0] == "raised"
+            assert got == outcome(oracles.cusp_basis_by_fractions, weight, prec)

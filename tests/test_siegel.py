@@ -455,6 +455,7 @@ class TestTableKeys:
     ] + [
         (10**9, 0, 10**9 + 1), (10**9, 10**9, 10**9), (10**9, 10**9 + 1, 10**9),
         (1, 1, 10**12), (3, 7, 6), (6, -6, 6), (2, 1, 1), (1, 2, 1), (1, 2, 4),
+        (True, 0, 1), (1, False, 1), (1.0, 0, 1), (1, 0, 2.0), (2, 1.5, 2),
     ]
 
     def test_grid(self):
@@ -468,9 +469,92 @@ class TestTableKeys:
         assert 0 < accepted < 4 * len(self.GRID)
 
     def test_refusal_messages(self):
+        with pytest.raises(UsageError, match=r"^table key \(True, 0, 1\) is not a triple of ints$"):
+            SiegelFourierTable(10, 5, {(True, 0, 1): 1})
+        with pytest.raises(UsageError, match=r"^table key \(1\.0, 0, 1\) is not a triple of ints$"):
+            SiegelFourierTable(10, 5, {(1.0, 0, 1): 1})
         with pytest.raises(UsageError, match=r"^table key \(2, 1, 1\) is not reduced$"):
             SiegelFourierTable(10, 5, {(2, 1, 1): 1})
         with pytest.raises(UsageError, match=r"^\(1,2,1\) is not positive definite$"):
             SiegelFourierTable(10, 5, {(1, 2, 1): 1})
         with pytest.raises(UsageError, match=r"^table key \(1, 0, 6\) beyond bound 5$"):
             SiegelFourierTable(10, 5, {(1, 0, 6): 1})
+
+
+@pytest.fixture(scope="module")
+def jacobi_b20():
+    """The Jacobi forms of weights 10, 12 and 14 to discriminant 1600 = 4 * 20**2."""
+    return {k: ez_lift(plus_space_basis(k, 1600)[0]) for k in (10, 12, 14)}
+
+
+def scaled_jacobi(phi, factor):
+    return JacobiForm(phi.weight, {disc: factor * v for disc, v in phi.by_disc.items()}, phi.max_disc)
+
+
+def assert_same_typed_report(got, want):
+    assert_same_report(got, want)
+    assert [tuple(map(type, v)) for v in got.violations] == [tuple(map(type, v)) for v in want.violations]
+
+
+class TestOneLookupAtGcdOne:
+    """The lift and self-check reading one coefficient at gcd 1, against the full divisor loops."""
+
+    @given(
+        st.sampled_from((10, 12, 14)),
+        st.integers(min_value=1, max_value=20),
+        st.sampled_from((1, -1, Fraction(-7, 3), Fraction(4))),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lift_matches_oracle(self, jacobi_b20, weight, bound, factor):
+        phi = scaled_jacobi(jacobi_b20[weight], factor)
+        got, want = maass_lift(phi, bound), oracles.maass_lift_by_all_divisors(phi, bound)
+        assert (got.weight, got.bound) == (want.weight, want.bound)
+        assert list(got.entries.items()) == list(want.entries.items())
+        assert list(map(type, got.entries.values())) == list(map(type, want.entries.values()))
+
+    @given(st.sampled_from((10, 12, 14)), st.integers(min_value=1, max_value=20))
+    @settings(max_examples=30, deadline=None)
+    def test_self_check_matches_oracle(self, jacobi_b20, weight, bound):
+        tables = lift_tables(jacobi_b20[weight], bound)
+        # a table of Fraction entries equal to ints
+        tables.append(scaled(tables[0], Fraction(1)))
+        for table in tables:
+            assert_same_typed_report(check_maass_space(table), oracles.check_maass_by_all_divisors(table))
+
+    @given(reduced_entries)
+    @settings(max_examples=200, deadline=None)
+    def test_self_check_on_arbitrary_tables(self, data):
+        bound, weight, entries = data
+        table = SiegelFourierTable(weight, bound, entries)
+        assert_same_typed_report(check_maass_space(table), oracles.check_maass_by_all_divisors(table))
+
+
+class TestTableText:
+    """``to_json_text`` writes what ``json.dumps(to_json_dict())`` writes, byte for byte."""
+
+    def test_lifted_tables(self, lift10, lift12):
+        for table in (lift10, lift12, scaled(lift10, -1), scaled(lift12, Fraction(-7, 3))):
+            assert table.to_json_text() == json.dumps(table.to_json_dict())
+
+    def test_empty_table(self):
+        table = SiegelFourierTable(10, 4, {})
+        assert table.to_json_text() == json.dumps(table.to_json_dict())
+        assert table.to_json_text() == '{"schema_version": 1, "weight": 10, "bound": 4, "entries": []}'
+
+    @given(reduced_entries)
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_tables(self, data):
+        # entries in any insertion order, ints, negatives, huge ints and Fractions
+        bound, weight, entries = data
+        table = SiegelFourierTable(weight, bound, entries)
+        assert table.to_json_text() == json.dumps(table.to_json_dict())
+
+    def test_quadratic_entry_refused_alike(self):
+        entries = {(1, 0, 1): 2, (1, 1, 1): QuadExt(5, 1, 2), (1, 1, 2): Fraction(1, 3)}
+        table = SiegelFourierTable(10, 2, entries)
+        with pytest.raises(UsageError) as from_dict:
+            table.to_json_dict()
+        with pytest.raises(UsageError) as from_text:
+            table.to_json_text()
+        assert str(from_text.value) == str(from_dict.value)
+        assert "quadratic-irrational" in str(from_text.value)

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .numeric import QuadExt, Rational, kronecker_symbol
+from .numeric import QuadExt, kronecker_symbol
 from .qseries import QSeries, RatMatrix
 from .elliptic import (
     EllipticEigenform,
@@ -33,7 +33,6 @@ from .siegel import (
 from .characterize import (
     EigenvalueRecord,
     SatakeParams,
-    SpinEulerData,
     growth_check,
     mu_sequence,
     positivity_scan,

@@ -29,16 +29,15 @@ CACHE_ENV_VAR = "SKLIFT_CACHE_DIR"
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
 
-class OneShotEncoder(json.JSONEncoder):
-    """Encoder for ``json.dump`` that writes the bytes ``json.dumps`` would.
+# the fraction strings ``_encode`` writes, with a nonzero denominator
+_FRACTION_RE = re.compile(r"-?[0-9]+/[0-9]*[1-9][0-9]*")
 
-    ``json.dump`` streams through the pure-Python encoder; this one builds
-    the whole document with the C encoder behind ``json.dumps`` and hands
-    it over in a few chunks.
-    """
+
+class TextEncoder(json.JSONEncoder):
+    """Encoder for ``json.dump`` whose document is already JSON text; writes it as given."""
 
     def iterencode(self, o, _one_shot=False):
-        return super().iterencode(o, _one_shot=True)
+        return (o,)
 
 
 def default_cache_dir() -> Path:
@@ -69,14 +68,34 @@ class ExpansionCache:
 
     @staticmethod
     def _decode(data) -> list:
+        """The values of the strings ``_encode`` writes; anything else is a ValueError."""
+        if type(data) is not list:
+            raise ValueError(f"coeffs is a JSON {type(data).__name__}, not a list")
         out = []
         for text in data:
+            if type(text) is not str:
+                raise ValueError(f"a coefficient is a JSON {type(text).__name__}, not a string")
             # plain (optionally negative) digit strings parse the same by int
-            if type(text) is str and text.lstrip("-").isdigit():
+            if text.lstrip("-").isdigit():
                 out.append(int(text))
-                continue
-            out.append(int_if_integral(Fraction(text)))
+            elif _FRACTION_RE.fullmatch(text):
+                out.append(int_if_integral(Fraction(text)))
+            else:
+                raise ValueError(f"bad coefficient {text[:20]!r}")
         return out
+
+    @classmethod
+    def _read(cls, path: Path) -> tuple[list[str], list]:
+        """An entry's coefficient strings and their values; ``CacheMismatchError`` when unreadable."""
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+            if type(payload) is not dict:
+                raise ValueError(f"the entry is a JSON {type(payload).__name__}, not an object")
+            texts = payload["coeffs"]
+            return texts, cls._decode(texts)
+        except (OSError, ValueError, KeyError) as exc:
+            raise CacheMismatchError(f"unreadable cache entry {path}: {exc}") from exc
 
     def fetch(self, module: str, name: str, weight: int, truncation: int):
         """Coefficients 0..truncation, reusing any entry at larger truncation."""
@@ -99,12 +118,7 @@ class ExpansionCache:
         if best is None:
             return None
         path = self._path(module, name, weight, best)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            coeffs = self._decode(payload["coeffs"])
-        except (OSError, ValueError, KeyError) as exc:
-            raise CacheMismatchError(f"unreadable cache entry {path}: {exc}") from exc
+        _, coeffs = self._read(path)
         if len(coeffs) < truncation + 1:
             raise CacheMismatchError(f"cache entry {path} shorter than its key claims")
         return coeffs[: truncation + 1]
@@ -117,27 +131,26 @@ class ExpansionCache:
         path = self._path(module, name, weight, truncation)
         encoded = self._encode(coeffs)
         if path.exists():
-            with open(path, "r", encoding="utf-8") as handle:
-                existing = json.load(handle).get("coeffs")
+            existing, _ = self._read(path)
             if existing != encoded:
                 raise CacheMismatchError(
                     f"cache entry {path} already exists with different data"
                 )
             return
-        payload = {
+        text = json.dumps({
             "schema_version": CACHE_SCHEMA,
             "module": module,
             "name": name,
             "weight": weight,
             "truncation": truncation,
             "coeffs": encoded,
-        }
+        })
         tmp = None
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, cls=OneShotEncoder)
+                json.dump(text, handle, cls=TextEncoder)
             os.replace(tmp, path)
         except OSError as exc:
             raise UsageError(f"cannot write cache entry {path}: {exc}") from exc

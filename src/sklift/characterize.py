@@ -8,9 +8,10 @@ prime-power eigenvalue sequence is generated from the degree-4 local data,
 and the growth bounds and sign behavior of that sequence are scanned.  All
 of it reads one integer form of a record, the local data scaled by the lcm L
 of its denominators (``_scaled_record``): each criterion is the sign of an
-integer, and the sequence runs scaled by powers of L.  A record file's scan
-is refused up front when its size or work would pass a fixed budget, and a
-``classify`` record when its report could not be printed.
+integer, and the sequence runs scaled by powers of L.  A record file is
+read by one loader, ``load_records``, which refuses a record up front when
+its scan would pass a fixed size or work budget, or when its report could
+not be printed.
 
 No floating point: every inequality involving sqrt(p) is settled by sign
 splitting and squaring.
@@ -34,6 +35,7 @@ from .numeric import (
     is_prime,
     json_int,
     rat,
+    refuse_past_digit_limit,
     sqrt_if_square,
     sqrt_rational,
     value_sign,
@@ -101,41 +103,65 @@ def parse_exact(text) -> Fraction:
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
+            refuse_past_digit_limit(text, "an exact value")
             raise UsageError(f"not an exact rational: {text!r}") from exc
     return Fraction(json_int(text, "an exact value"))
 
 
-def load_records(path, scan: int | None = None) -> list[EigenvalueRecord]:
+def load_records(path, scan: int) -> list[EigenvalueRecord]:
     """Read newline-delimited JSON records; errors carry the line number and the field.
 
     ``weight`` and ``p`` are JSON integers or strings of one; ``mu_p`` and
-    ``mu_p2`` are JSON integers or exact decimal/fraction strings.  With
-    ``scan`` given, a record whose prime-power scan to that depth is past
-    the budgets ``_SCAN_BITS`` and ``_SCAN_WORK`` is refused too, with the
-    deepest scan that fits.
+    ``mu_p2`` are JSON integers or exact decimal/fraction strings.  Two kinds
+    of record are refused up front, before any work:
+
+    - for ``scan`` > 0, one whose prime-power scan to that depth is past the
+      budgets ``_SCAN_BITS`` and ``_SCAN_WORK``, with the deepest scan that fits;
+    - one whose report could not be printed.  File values are below 10**D
+      in numerator and denominator, with D = ``sys.get_int_max_str_digits()``
+      (0 lifts the limit, and nothing is refused); a report value with a
+      denominator of 10**D or more cannot be printed.  With mu(p) = a/b and
+      mu(p**2) = c/e in lowest terms, that holds for trace_over_sqrt_p =
+      a / (b p**(k-1)) when a != 0 and p**(k-1) >= 10**D |a|, as it reduces
+      by gcd(a, p**(k-1)) <= |a|; and for pair_product = -N / (e p**(2k-3)),
+      N = c + (2p + 1) e p**(2k-4), when a = 0, c != 0 and
+      p**(2k-4) >= 10**D |c|.  N = c mod e is prime to e, and
+      v_p(N) = v_p(c) as |c| < p**(2k-4), so it reduces by p**v_p(c) <= |c|
+      at most, to a denominator of at least p 10**D.
     """
-    return [rec for _, rec in _numbered_records(path, scan)]
-
-
-def load_report_records(path, scan: int) -> list[EigenvalueRecord]:
-    """``load_records``, also refusing up front a record whose report could not be printed.
-
-    File values are below 10**D in numerator and denominator, with
-    D = ``sys.get_int_max_str_digits()`` (0 lifts the limit, and nothing is
-    refused); a report value with a denominator of 10**D or more cannot be
-    printed.  With mu(p) = a/b and mu(p**2) = c/e in lowest terms, that holds:
-
-    - for trace_over_sqrt_p = a / (b p**(k-1)) when a != 0 and
-      p**(k-1) >= 10**D |a|, as it reduces by gcd(a, p**(k-1)) <= |a|;
-    - for pair_product = -N / (e p**(2k-3)), N = c + (2p + 1) e p**(2k-4),
-      when a = 0, c != 0 and p**(2k-4) >= 10**D |c|.  N = c mod e is prime
-      to e, and v_p(N) = v_p(c) as |c| < p**(2k-4), so it reduces by
-      p**v_p(c) <= |c| at most, to a denominator of at least p 10**D.
-    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read records file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"records file {path} is not UTF-8: {exc}") from exc
     digits = sys.get_int_max_str_digits()
     limit = 10**digits
     records = []
-    for lineno, rec in _numbered_records(path, scan):
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            data = json.loads(line)
+            fields = {name: json_int(data[name], name) for name in ("weight", "p")}
+            for name in ("mu_p", "mu_p2"):
+                text = data[name]
+                fields[name] = parse_exact(text if isinstance(text, str) else json_int(text, name))
+            rec = EigenvalueRecord(**fields)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, UsageError) as exc:
+            raise UsageError(f"{path}:{lineno}: bad record ({exc})") from exc
+        if scan > 0:
+            sizes = _scan_sizes(rec)
+            if not _within_budget(sizes, scan):
+                bits, work = _scan_cost(sizes, scan)
+                raise UsageError(
+                    f"{path}:{lineno}: a scan to depth {scan} may hold {bits} bits and cost {work} "
+                    f"bit operations, past the budgets of 2**{_SCAN_BITS.bit_length() - 1} and "
+                    f"2**{_SCAN_WORK.bit_length() - 1}; the largest --scan that fits is "
+                    f"{_deepest_scan(sizes, scan)}"
+                )
         a, c = rec.mu_p.numerator, rec.mu_p2.numerator
         # trace_over_sqrt_p when a != 0, else pair_product
         e, num = (rec.weight - 1, a) if a else (2 * rec.weight - 4, c)
@@ -158,41 +184,6 @@ def _power_at_least(p: int, e: int, x: int) -> bool:
     if e * (p.bit_length() - 1) >= x.bit_length():
         return True
     return e * p.bit_length() >= x.bit_length() and p**e >= x
-
-
-def _numbered_records(path, scan: int | None):
-    """``(line number, record)`` for each record of the file, checked as ``load_records`` describes."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read records file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"records file {path} is not UTF-8: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            data = json.loads(line)
-            fields = {name: json_int(data[name], name) for name in ("weight", "p")}
-            for name in ("mu_p", "mu_p2"):
-                text = data[name]
-                fields[name] = parse_exact(text if isinstance(text, str) else json_int(text, name))
-            rec = EigenvalueRecord(**fields)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, UsageError) as exc:
-            raise UsageError(f"{path}:{lineno}: bad record ({exc})") from exc
-        if scan is not None and scan > 0:
-            sizes = _scan_sizes(rec)
-            if not _within_budget(sizes, scan):
-                bits, work = _scan_cost(sizes, scan)
-                raise UsageError(
-                    f"{path}:{lineno}: a scan to depth {scan} may hold {bits} bits and cost {work} "
-                    f"bit operations, past the budgets of 2**{_SCAN_BITS.bit_length() - 1} and "
-                    f"2**{_SCAN_WORK.bit_length() - 1}; the largest --scan that fits is "
-                    f"{_deepest_scan(sizes, scan)}"
-                )
-        yield lineno, rec
 
 
 # ---------------------------------------------------------------------------
@@ -403,29 +394,6 @@ def theorem41(rec: EigenvalueRecord) -> Theorem41Certificate:
 # the prime-power eigenvalue sequence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpinEulerData:
-    """Coefficients of the degree-4 local factor generating mu(p**r).
-
-    e1 and e2 come straight from the record; e3 and e4 are forced by the
-    similitude pairing of spectral parameters at scale p**(2k-3).
-    """
-
-    e1: object
-    e2: object
-    e3: object
-    e4: object
-
-
-def spin_euler_data(rec: EigenvalueRecord) -> SpinEulerData:
-    k, p = rec.weight, rec.p
-    e1 = rec.mu_p
-    e2 = rec.mu_p * rec.mu_p - rec.mu_p2 - p ** (2 * k - 4)
-    e3 = p ** (2 * k - 3) * rec.mu_p
-    e4 = p ** (4 * k - 6)
-    return SpinEulerData(e1, e2, e3, e4)
-
-
 def _scaled(x, scale: int):
     """``x * scale`` in integers, for ``scale`` a multiple of the denominators of x's parts."""
     if isinstance(x, QuadExt):
@@ -436,7 +404,10 @@ def _scaled(x, scale: int):
 def _scaled_record(rec: EigenvalueRecord):
     """``(L, c1, c2, L**2 p**(2k-4))``, L the lcm of the denominators of e1 and e2, c_i = L**i e_i.
 
-    e1 and e2 are ``spin_euler_data``'s; c1 and c2 are integers, or
+    e1 = mu(p) and e2 = mu(p)**2 - mu(p**2) - p**(2k-4) are the first two
+    coefficients of the degree-4 local factor 1 - e1 X + e2 X**2 - e3 X**3
+    + e4 X**4; the similitude pairing of the spectral parameters forces
+    e3 = p**(2k-3) e1 and e4 = p**(4k-6).  c1 and c2 are integers, or
     ``QuadExt``s with int parts when the record lies in Q(sqrt d).
     """
     k, p = rec.weight, rec.p

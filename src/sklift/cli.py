@@ -28,12 +28,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import characterize
-from .cache import ExpansionCache
+from .cache import ExpansionCache, TextEncoder
 from .characterize import (
     EigenvalueRecord,
     format_exact,
     growth_check,
-    load_report_records,
+    load_records,
     positivity_scan,
     theorem41,
 )
@@ -160,13 +160,6 @@ def _load_table(path: str) -> SiegelFourierTable:
         raise UsageError(f"table file {path}: {exc}") from exc
 
 
-class _TextEncoder(json.JSONEncoder):
-    """Encoder for ``json.dump`` whose document is already JSON text; writes it as given."""
-
-    def iterencode(self, o, _one_shot=False):
-        return (o,)
-
-
 def _check_out_dir(path: str) -> None:
     """Refuse an output path in a missing directory before any work is done."""
     parent = Path(path).parent
@@ -203,7 +196,7 @@ def cmd_lift(config: RunConfig, args) -> int:
     # rendered before the file is opened, so a table that cannot be written leaves no file
     text = table.to_json_text()
     with _open_out(out_path) as handle:
-        json.dump(text, handle, cls=_TextEncoder)
+        json.dump(text, handle, cls=TextEncoder)
     payload = {
         "table": out_path,
         "weight": table.weight,
@@ -311,7 +304,7 @@ def cmd_eigen(config: RunConfig, args) -> int:
 
 
 def cmd_classify(config: RunConfig, args) -> int:
-    records = load_report_records(args.records, args.scan)
+    records = load_records(args.records, args.scan)
     if not records:
         raise UsageError(f"{args.records}: no records found")
     depth = args.scan

@@ -2,12 +2,12 @@
 
 Cusp form bases are built from integer monomials in the discriminant form
 and the two Eisenstein generators E4 = 1 + 240 sigma_3 and
-E6 = 1 - 504 sigma_5, then row reduced by ``qseries.echelon`` to a staircase
-basis whose coefficients are ints wherever they are integral.  Hecke
-operators act directly on coefficients, and eigenforms are extracted from
-the exact characteristic polynomial of the prime-2 Hecke matrix; quadratic
-eigenvalue fields are handled symbolically, anything of higher degree is
-refused.
+E6 = 1 - 504 sigma_5, both from ``eisenstein``, then row reduced by
+``qseries.echelon`` to a staircase basis whose coefficients are ints
+wherever they are integral.  Hecke operators act directly on coefficients,
+and eigenforms are extracted from the exact characteristic polynomial of
+the prime-2 Hecke matrix; quadratic eigenvalue fields are handled
+symbolically, anything of higher degree is refused.
 """
 
 from __future__ import annotations
@@ -154,9 +154,7 @@ def cusp_basis(weight: int, prec: int) -> list[EllipticForm]:
             f"weight {weight} needs validity to q**{expected + 1}", required=expected + 1
         )
     d = delta(prec).series
-    # E4 = 1 + 240 sigma_3 and E6 = 1 - 504 sigma_5, in integers
-    e4 = QSeries([1] + [240 * s for s in _divisor_power_sums(3, prec)[1:]], prec)
-    e6 = QSeries([1] + [-504 * s for s in _divisor_power_sums(5, prec)[1:]], prec)
+    e4, e6 = eisenstein(4, prec).series, eisenstein(6, prec).series
     rows = []
     for a, b, c in _monomial_exponents(weight):
         s = d**a

@@ -19,7 +19,7 @@ import math
 from itertools import chain, repeat
 from operator import add, mul
 
-from .elliptic import EllipticEigenform, dim_cusp_forms, eigenforms
+from .elliptic import EllipticEigenform, dim_cusp_forms
 from .errors import (
     DimensionMismatchError,
     InconsistencyError,
@@ -245,18 +245,14 @@ def _eigenvalue_on(g: PlusSpaceForm, p: int):
     return lam
 
 
-def shimura_match(
-    g: PlusSpaceForm, candidates: list[EllipticEigenform] | None = None, prec: int = 16
-) -> EllipticEigenform:
-    """The integral-weight eigenform whose prime-2 eigenvalue matches ``g``.
+def shimura_match(g: PlusSpaceForm, candidates: list[EllipticEigenform]) -> EllipticEigenform:
+    """The eigenform among ``candidates`` whose prime-2 eigenvalue matches ``g``.
 
     ``g`` must be an eigenform of the index-4 operator; the correspondence is
     realized purely through eigenvalue matching, and a missing match is an
     internal error because the two spaces are isomorphic.
     """
     lam = _eigenvalue_on(g, 2)
-    if candidates is None:
-        candidates = eigenforms(2 * g.k - 2, prec)
     for f in candidates:
         if f.a(2) == lam:
             return f

@@ -17,12 +17,13 @@ All values are immutable and all functions are pure.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
+import sys
 from fractions import Fraction
 
 from .errors import UsageError
-
-Rational = Fraction
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least strong pseudoprime to all of _SMALL_PRIMES as bases
@@ -55,8 +56,22 @@ def json_int(value, field: str) -> int:
         try:
             return int(value)
         except ValueError:
-            pass
+            refuse_past_digit_limit(value, field)
     raise UsageError(f"{field} must be an integer, got {type(value).__name__} {value!r}")
+
+
+def refuse_past_digit_limit(text: str, field: str) -> None:
+    """Raise ``UsageError`` when ``text`` holds more digits in a row than Python converts.
+
+    ``int`` and ``Fraction`` refuse such a string, though it may well be a
+    number, when D = ``sys.get_int_max_str_digits()`` is not 0.  The error
+    names D and quotes only the start of the string.
+    """
+    digits = sys.get_int_max_str_digits()
+    if digits and re.search(rf"\d{{{digits + 1}}}", text.replace("_", "")):
+        raise UsageError(
+            f"{field} has more digits than Python converts to an integer ({digits}): {text[:20]!r}..."
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +189,7 @@ def squarefree_core(n: int) -> tuple[int, int] | None:
     return None
 
 
+@functools.cache
 def bernoulli_number(n: int) -> Fraction:
     """Bernoulli number B_n (B_1 = -1/2 convention), by the defining recurrence."""
     bs = [Fraction(1)]

@@ -145,12 +145,9 @@ class QSeries:
 
     # -- comparison -----------------------------------------------------
 
-    def agrees_with(self, other: "QSeries", upto: int | None = None) -> bool:
+    def agrees_with(self, other: "QSeries") -> bool:
+        """Whether the coefficients agree up to the smaller of the two precisions."""
         n = min(self.prec, other.prec)
-        if upto is not None:
-            if upto > n:
-                raise TruncationError("agreement requested beyond common validity", required=upto)
-            n = upto
         return all(self.coeffs[i] == other.coeffs[i] for i in range(n + 1))
 
     def __eq__(self, other):

@@ -5,8 +5,8 @@ the table edits the tests build bad input with, the lift, divisor-sum checker
 and key test that look coefficients up through binary form reduction where
 the library reads them by discriminant, the comparisons with multiples
 of sqrt(p) that the squared threshold and growth tests replaced, the
-Fraction prime-power recurrence and scans that the scaled-integer ones
-replaced, the general characteristic polynomial the 2x2 closed form
+Fraction prime-power recurrence, with the unscaled degree-4 local data it
+reads, and scans that the scaled-integer ones replaced, the general characteristic polynomial the 2x2 closed form
 replaced, the Smith-form coset algebra the Hecke operators' closed-form
 class sizes and character test replaced, the coset families and explicit
 coset matrices that pin the coset classes, the Gauss-Jordan over
@@ -43,7 +43,6 @@ from sklift.characterize import (
     SatakeParams,
     Theorem41Certificate,
     _explicit_pair,
-    spin_euler_data,
 )
 from sklift.elliptic import (
     EllipticEigenform,
@@ -860,6 +859,30 @@ def growth_by_half_powers(rec: EigenvalueRecord, seq: list) -> GrowthReport:
         if first_weak is None and not abs_within(mu, weak, p, e):
             first_weak = r
     return GrowthReport(len(seq) - 1, first_sharp, first_weak)
+
+
+@dataclasses.dataclass(frozen=True)
+class SpinEulerData:
+    """Coefficients of the degree-4 local factor generating mu(p**r).
+
+    e1 and e2 come straight from the record; e3 and e4 are forced by the
+    similitude pairing of spectral parameters at scale p**(2k-3).
+    """
+
+    e1: object
+    e2: object
+    e3: object
+    e4: object
+
+
+def spin_euler_data(rec: EigenvalueRecord) -> SpinEulerData:
+    """The local factor's coefficients in the record's own values, unscaled."""
+    k, p = rec.weight, rec.p
+    e1 = rec.mu_p
+    e2 = rec.mu_p * rec.mu_p - rec.mu_p2 - p ** (2 * k - 4)
+    e3 = p ** (2 * k - 3) * rec.mu_p
+    e4 = p ** (4 * k - 6)
+    return SpinEulerData(e1, e2, e3, e4)
 
 
 def mu_sequence_by_fractions(rec: EigenvalueRecord, rmax: int) -> list:

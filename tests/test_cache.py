@@ -47,20 +47,39 @@ class TestExpansionCache:
         assert [type(c) for c in got] == [int] * 5 + [Fraction] + [int] * 2
 
     def test_decode_matches_fraction_parse(self):
-        # integer strings skip the Fraction parse; everything else, including
-        # forms int() alone would accept differently, goes through it
+        # integer strings skip the Fraction parse, fraction strings go through
+        # it; only the forms _encode writes are read, anything else is refused
         def by_fraction(text):
             value = Fraction(text)
             return int(value) if value.denominator == 1 else value
 
-        texts = ["0", "-0", "007", "-12", str(7**300), "3/6", "-4/2", " 12 ", "+5", "1_0", "1.5"]
-        texts += [7, 1.5]  # a hand-edited entry may hold JSON numbers
+        texts = ["0", "-0", "007", "-12", str(7**300), "-3/7", "3/6", "-4/2"]
         for text in texts:
             got = ExpansionCache._decode([text])
             assert got == [by_fraction(text)] and type(got[0]) is type(by_fraction(text)), text
-        for bad in ["--5", "-", "", "1/0x", "12a"]:
-            with pytest.raises((ValueError, ZeroDivisionError)):
-                ExpansionCache._decode([bad])
+        bad = ["--5", "-", "", "1/0", "1/0x", "12a", " 12 ", "+5", "1_0", "1.5", "1e3", 7, 1.5, None, True, ["1"]]
+        for text in bad:
+            with pytest.raises(ValueError):
+                ExpansionCache._decode([text])
+        for data in ({"0": "1"}, "1", None):
+            with pytest.raises(ValueError, match="not a list"):
+                ExpansionCache._decode(data)
+
+    @pytest.mark.parametrize("body", [
+        "[1, 2, 3]", '{"coeffs": [1, null]}', '{"coeffs": ["1", 0.5]}', '{"coeffs": "12"}',
+        '{"coeffs": ["1", "2"', "{}",
+    ], ids=["list", "null", "float", "string", "bad-json", "no-coeffs"])
+    def test_malformed_entry_is_unreadable(self, cache, body):
+        # fetch and the existing-entry read of store refuse the entry alike
+        path = cache.root / "kohnen__probe__w10__n1__s1.json"
+        cache.root.mkdir()
+        path.write_text(body)
+        for call in (lambda: cache.fetch("kohnen", "probe", 10, 1),
+                     lambda: cache.store("kohnen", "probe", 10, 1, [1, 2])):
+            with pytest.raises(CacheMismatchError, match="unreadable cache entry") as err:
+                call()
+            assert "\n" not in str(err.value) and len(str(err.value)) < 300
+        assert path.read_text() == body
 
     def test_rewrite_same_data_ok(self, cache):
         cache.store("elliptic", "e4", 4, 2, [1, 240, 2160])

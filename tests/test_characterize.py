@@ -26,7 +26,6 @@ from sklift.characterize import (
     sk_record,
     sk_trace,
     solve_satake,
-    spin_euler_data,
     theorem41,
 )
 from sklift.characterize import (
@@ -55,6 +54,7 @@ from oracles import (
     record_with_discriminant,
     scaled,
     series_inverse,
+    spin_euler_data,
     theorem41_by_sqrt_multiples,
 )
 
@@ -556,7 +556,7 @@ class TestRecordIO:
             '{"weight": 10, "p": 2, "mu_p": "240", "mu_p2": "135424"}\n'
             '{"weight": 12, "p": 3, "mu_p": "107352", "mu_p2": "17549398521"}\n'
         )
-        recs = load_records(path)
+        recs = load_records(path, 0)
         assert recs[0] == SK10
         assert recs[1].p == 3
 
@@ -564,7 +564,7 @@ class TestRecordIO:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"weight": 10, "p": 2, "mu_p": "240", "mu_p2": "1"}\nnope\n')
         with pytest.raises(UsageError) as err:
-            load_records(path)
+            load_records(path, 0)
         assert ":2:" in str(err.value)
 
     def test_record_validation(self):

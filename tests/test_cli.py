@@ -16,7 +16,7 @@ from sklift.cache import ExpansionCache
 from sklift.characterize import EigenvalueRecord, load_records, theorem41
 from sklift.cli import main
 from sklift.elliptic import eigenforms
-from sklift.errors import UsageError
+from sklift.errors import CacheMismatchError, UsageError
 
 from oracles import HOSTILE_P, HOSTILE_Q, record_with_discriminant, scaled
 
@@ -430,9 +430,16 @@ class TestClassify:
     def test_scan_within_the_budget_admitted(self, tmp_path, weight, p, mu_p, scan):
         rec_path = tmp_path / "records.jsonl"
         rec_path.write_text(json.dumps({"weight": weight, "p": p, "mu_p": str(mu_p), "mu_p2": "1/6"}) + "\n")
-        assert len(load_records(rec_path, scan)) == 1
-        with pytest.raises(UsageError, match="largest --scan that fits"):
-            load_records(rec_path, 10**6)
+        # the scan budget alone: without a digit limit no report is refused,
+        # as the weight-200000 record's would be under Python's default one
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert len(load_records(rec_path, scan)) == 1
+            with pytest.raises(UsageError, match="largest --scan that fits"):
+                load_records(rec_path, 10**6)
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     @pytest.fixture
     def digit_limit(self):
@@ -459,19 +466,19 @@ class TestClassify:
             rec_path.write_text(json.dumps({"weight": 10, "p": 2, "mu_p": "1", "mu_p2": "1"}) + "\n"
                                 + json.dumps(fields) + "\n")
             if not refused:
-                assert len(characterize.load_report_records(rec_path, 0)) == 2
+                assert len(load_records(rec_path, 0)) == 2
                 continue
             with pytest.raises(UsageError) as err:
-                characterize.load_report_records(rec_path, 0)
+                load_records(rec_path, 0)
             assert str(err.value).startswith(f"{rec_path}:2: the report of this record would hold a value "
                                               f"with more digits than Python converts to text ({digit_limit})")
             # the refused report is indeed past the limit
-            rec = load_records(rec_path)[1]
+            rec = EigenvalueRecord(**fields)
             with pytest.raises(UsageError, match="more digits than Python converts"):
                 theorem41(rec).to_json_dict()
             # and without a limit nothing is refused
             sys.set_int_max_str_digits(0)
-            assert len(characterize.load_report_records(rec_path, 0)) == 2
+            assert len(load_records(rec_path, 0)) == 2
             sys.set_int_max_str_digits(digit_limit)
 
     @pytest.mark.parametrize("scan", ["0", "50"])
@@ -587,6 +594,44 @@ class TestUnreadableFiles:
         bad.write_text('{"schema_version": 1, "weight": 1' + "0" * 5000 + "}")
         rc, err = self.run(["check", str(bad), "--maass"], capsys)
         assert rc == 2 and str(bad) in err
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda data: data["entries"][0].__setitem__(3, "1" * 5000), "a numerator"),
+        (lambda data: data.update(weight="1" * 5000), "weight"),
+    ], ids=["numerator", "weight"])
+    def test_digit_string_past_digit_limit(self, table10, tmp_path, capsys, edit, field):
+        # an integer all the same: the one line names the limit, not the value
+        data = json.loads(table10.read_text())
+        edit(data)
+        bad = tmp_path / "long.json"
+        bad.write_text(json.dumps(data))
+        rc, err = self.run(["check", str(bad), "--maass"], capsys)
+        assert rc == 2 and self.out == ""
+        assert err.count("\n") == 1 and len(err) < 300
+        assert f"{field} has more digits than Python converts to an integer ({sys.get_int_max_str_digits()})" in err
+
+    def test_record_value_past_digit_limit(self, tmp_path, capsys):
+        rec_path = tmp_path / "records.jsonl"
+        rec_path.write_text(json.dumps({"weight": 10, "p": 2, "mu_p": "1" * 5000, "mu_p2": "1"}) + "\n")
+        rc, err = self.run(["classify", str(rec_path)], capsys)
+        assert rc == 2 and self.out == ""
+        assert err.count("\n") == 1 and len(err) < 300
+        assert err.startswith(f"error: {rec_path}:1: bad record (an exact value has more digits than Python "
+                              f"converts to an integer ({sys.get_int_max_str_digits()}): '11111")
+
+    @pytest.mark.parametrize("body", [
+        "[1, 2, 3]", '{"coeffs": ["0", null]}', '{"coeffs": ["0", 0.5]}',
+    ], ids=["list", "null", "float"])
+    def test_malformed_cache_entry(self, tmp_path, capsys, body):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        # the plus-space form a weight-10 lift at bound 2 reads, to q**64
+        (cache_dir / "kohnen__plus_basis_0__w10__n64__s1.json").write_text(body)
+        rc, err = self.run(["--cache-dir", str(cache_dir), "lift", "--weight", "10", "--bound", "2",
+                            "--out", str(tmp_path / "t.json")], capsys)
+        assert rc == CacheMismatchError.exit_code and err.count("\n") == 1
+        assert err.startswith(f"error: unreadable cache entry {cache_dir}{os.sep}")
+        assert not (tmp_path / "t.json").exists()
 
     def test_records_missing_or_not_utf8(self, tmp_path, capsys):
         missing = tmp_path / "missing.jsonl"

@@ -284,9 +284,9 @@ class TestPlusHecke:
 
 class TestShimura:
     def test_dim_one_matches(self, plus10, plus12):
-        assert shimura_match(plus10).weight == 18
-        assert shimura_match(plus10).a(2) == -528
-        assert shimura_match(plus12).a(2) == -288
+        assert shimura_match(plus10, eigenforms(18, 16)).weight == 18
+        assert shimura_match(plus10, eigenforms(18, 16)).a(2) == -528
+        assert shimura_match(plus12, eigenforms(22, 16)).a(2) == -288
 
     def test_dim_two_quadratic_match(self):
         pairs = plus_eigenforms(16, 200)

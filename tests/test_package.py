@@ -13,12 +13,14 @@ import oracles
 # SiegelIndex, which nothing in the package produces since tables key by
 # plain (n, r, m) tuples, with the never re-exported elliptic.hecke_matrix,
 # kohnen.halfint_generators, JacobiForm.coeff and QuadExt.conjugate, which
-# only tests called
+# only tests called; so has SpinEulerData, with characterize.spin_euler_data,
+# as the scans read the record's scaled integers; and the numeric.Rational
+# alias of Fraction, which nothing in the package named
 PUBLIC_NAMES = [
     "EigenvalueRecord", "EllipticEigenform", "EllipticForm",
     "JacobiForm", "PlusSpaceForm", "QSeries", "QuadExt",
-    "RatMatrix", "Rational", "SatakeParams", "SiegelFourierTable",
-    "SpinEulerData", "characterize", "check_maass_p_space", "check_maass_space",
+    "RatMatrix", "SatakeParams", "SiegelFourierTable",
+    "characterize", "check_maass_p_space", "check_maass_space",
     "cusp_basis", "delta",
     "dim_cusp_forms", "eigenforms", "eisenstein", "elliptic", "errors", "ez_lift",
     "growth_check", "hecke_Tp", "hecke_eigenvalue", "hecke_operator", "jacobi",
@@ -30,14 +32,17 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_stay_importable():
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 42
     assert set(PUBLIC_NAMES) <= set(sklift.__all__)
-    gone = {"HeckeDoubleCoset", "coset_decomposition_Tp", "theta_series", "plus_eigenforms", "SiegelIndex"}
+    gone = {"HeckeDoubleCoset", "coset_decomposition_Tp", "theta_series", "plus_eigenforms", "SiegelIndex",
+            "SpinEulerData", "Rational"}
     assert not gone & set(sklift.__all__)
     for owner, name in [
         (sklift.kohnen, "plus_hecke_matrix"), (sklift.kohnen, "halfint_generators"),
         (sklift.elliptic, "hecke_matrix"), (sklift.siegel, "SiegelIndex"),
         (sklift.JacobiForm, "coeff"), (sklift.QuadExt, "conjugate"),
+        (sklift.characterize, "spin_euler_data"), (sklift.characterize, "SpinEulerData"),
+        (sklift.numeric, "Rational"),
     ]:
         assert not hasattr(owner, name), name
     for name in PUBLIC_NAMES:
@@ -74,3 +79,32 @@ def test_no_floating_point_in_the_package():
             if isinstance(node, ast.Call) and _called_name(node) in {"float", "math.sqrt", "math.log"}:
                 found.append((path.name, node.lineno, _called_name(node)))
     assert found == []
+
+
+def _names_in(node) -> set:
+    """Every name ``node`` mentions: a Name, an Attribute or an imported name."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+def test_no_definition_only_tests_call():
+    # every module-level function or class is named somewhere else in the
+    # package, or exported; code that only tests call lives in the oracles
+    used, defined = set(), []
+    for path in sorted(Path(sklift.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = _names_in(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+                # a recursive call is no use from elsewhere
+                names.discard(node.name)
+            used |= names
+    unused = [(module, name) for module, name in defined if name not in used and name not in sklift.__all__]
+    assert unused == []

@@ -12,7 +12,6 @@ from .elliptic import (
     dim_cusp_forms,
     eigenforms,
     eisenstein,
-    hecke_Tp,
 )
 from .kohnen import (
     PlusSpaceForm,

@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import CacheMismatchError, UsageError
-from .numeric import int_if_integral
+from .numeric import int_if_integral, short_repr
 from .qseries import QSeries
 
 CACHE_SCHEMA = 1
@@ -81,12 +81,12 @@ class ExpansionCache:
             elif _FRACTION_RE.fullmatch(text):
                 out.append(int_if_integral(Fraction(text)))
             else:
-                raise ValueError(f"bad coefficient {text[:20]!r}")
+                raise ValueError(f"bad coefficient {short_repr(text)}")
         return out
 
     @classmethod
     def _read(cls, path: Path) -> tuple[list[str], list]:
-        """An entry's coefficient strings and their values; ``CacheMismatchError`` when unreadable."""
+        """An entry's coefficient strings and their values; ``UsageError`` when unreadable."""
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
@@ -95,7 +95,7 @@ class ExpansionCache:
             texts = payload["coeffs"]
             return texts, cls._decode(texts)
         except (OSError, ValueError, KeyError) as exc:
-            raise CacheMismatchError(f"unreadable cache entry {path}: {exc}") from exc
+            raise UsageError(f"unreadable cache entry {path}: {exc}") from exc
 
     def fetch(self, module: str, name: str, weight: int, truncation: int):
         """Coefficients 0..truncation, reusing any entry at larger truncation."""
@@ -120,7 +120,7 @@ class ExpansionCache:
         path = self._path(module, name, weight, best)
         _, coeffs = self._read(path)
         if len(coeffs) < truncation + 1:
-            raise CacheMismatchError(f"cache entry {path} shorter than its key claims")
+            raise UsageError(f"cache entry {path} shorter than its key claims")
         return coeffs[: truncation + 1]
 
     def store(self, module: str, name: str, weight: int, truncation: int, coeffs) -> None:

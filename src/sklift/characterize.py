@@ -36,6 +36,7 @@ from .numeric import (
     json_int,
     rat,
     refuse_past_digit_limit,
+    short_repr,
     sqrt_if_square,
     sqrt_rational,
     value_sign,
@@ -104,7 +105,7 @@ def parse_exact(text) -> Fraction:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             refuse_past_digit_limit(text, "an exact value")
-            raise UsageError(f"not an exact rational: {text!r}") from exc
+            raise UsageError(f"not an exact rational: {short_repr(text)}") from exc
     return Fraction(json_int(text, "an exact value"))
 
 

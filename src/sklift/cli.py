@@ -48,7 +48,7 @@ from .errors import (
 )
 from .jacobi import ez_lift
 from .kohnen import PlusSpaceForm, plus_space_basis, shimura_match
-from .numeric import format_value, is_prime
+from .numeric import format_value, is_prime, short_repr
 from .siegel import (
     BOUND_CAP,
     SiegelFourierTable,
@@ -261,7 +261,7 @@ def _parse_primes(text: str) -> tuple:
     try:
         primes = tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
-        raise UsageError(f"bad prime list {text!r}") from exc
+        raise UsageError(f"bad prime list {short_repr(text)}") from exc
     if not primes:
         raise UsageError("empty prime list")
     for p in primes:

@@ -4,25 +4,19 @@ Cusp form bases are built from integer monomials in the discriminant form
 and the two Eisenstein generators E4 = 1 + 240 sigma_3 and
 E6 = 1 - 504 sigma_5, both from ``eisenstein``, then row reduced by
 ``qseries.echelon`` to a staircase basis whose coefficients are ints
-wherever they are integral.  Hecke operators act directly on coefficients,
-and eigenforms are extracted from the exact characteristic polynomial of
-the prime-2 Hecke matrix; quadratic eigenvalue fields are handled
-symbolically, anything of higher degree is refused.
+wherever they are integral.  A one-dimensional cusp space holds one
+normalized eigenform, its basis form, with rational coefficients; a space of
+dimension two or more is refused, as its eigenforms have irrational
+coefficients that nothing on the lift chain carries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (
-    DimensionMismatchError,
-    InconsistencyError,
-    TruncationError,
-    UnsupportedFieldError,
-    UsageError,
-)
-from .numeric import QuadExt, bernoulli_number, exact_div, int_if_integral, is_prime
-from .qseries import QSeries, echelon, eigen_split_2x2, staircase_matrix
+from .errors import DimensionMismatchError, TruncationError, UnsupportedFieldError, UsageError
+from .numeric import bernoulli_number, int_if_integral
+from .qseries import QSeries, echelon
 
 
 def dim_modular_forms(weight: int) -> int:
@@ -53,10 +47,6 @@ class EllipticForm:
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("EllipticForm values are immutable")
 
-    @property
-    def prec(self) -> int:
-        return self.series.prec
-
     def a(self, n: int):
         """Fourier coefficient at q**n."""
         return self.series.coefficient(n)
@@ -70,27 +60,18 @@ class EllipticForm:
         return hash((self.weight, self.series))
 
     def __repr__(self):
-        return f"EllipticForm(weight={self.weight}, prec={self.prec})"
+        return f"{type(self).__name__}(weight={self.weight}, prec={self.series.prec})"
 
 
 class EllipticEigenform(EllipticForm):
-    """A normalized Hecke eigenform; coefficients may be quadratic irrationals.
+    """A normalized Hecke eigenform; ``eigenforms`` builds rational ones only."""
 
-    ``field_disc`` is None for rational eigenforms and the squarefree radicand
-    of the coefficient field otherwise.
-    """
+    __slots__ = ()
 
-    __slots__ = ("field_disc",)
-
-    def __init__(self, weight: int, series: QSeries, field_disc: int | None = None):
+    def __init__(self, weight: int, series: QSeries):
         if series.coefficient(1) != 1:
             raise UsageError("eigenforms must be normalized with leading coefficient 1")
         super().__init__(weight, series)
-        object.__setattr__(self, "field_disc", field_disc)
-
-    def __repr__(self):
-        tag = "rational" if self.field_disc is None else f"Q(sqrt({self.field_disc}))"
-        return f"EllipticEigenform(weight={self.weight}, prec={self.prec}, field={tag})"
 
 
 def _divisor_power_sums(power: int, prec: int) -> list[int]:
@@ -177,63 +158,16 @@ def cusp_basis(weight: int, prec: int) -> list[EllipticForm]:
     return basis
 
 
-def hecke_Tp(f: EllipticForm, p: int) -> EllipticForm:
-    """Prime Hecke operator on coefficients; output valid to prec // p."""
-    if not is_prime(p):
-        raise UsageError(f"{p} is not prime")
-    out_prec = f.prec // p
-    if out_prec < 1:
-        raise TruncationError(
-            f"applying T({p}) needs input validity >= {p}", required=p
-        )
-    pk = p ** (f.weight - 1)
-    coeffs = []
-    for n in range(out_prec + 1):
-        c = f.a(p * n)
-        if n % p == 0:
-            c = c + pk * f.a(n // p)
-        coeffs.append(c)
-    return EllipticForm(f.weight, QSeries(coeffs, out_prec))
-
-
 def eigenforms(weight: int, prec: int) -> list[EllipticEigenform]:
-    """Simultaneous normalized eigenbasis of the level-one cusp space.
+    """Normalized eigenbasis of a level-one cusp space of dimension at most one.
 
-    Spaces of dimension two are split through the exact characteristic
-    polynomial of the prime-2 Hecke matrix; eigenvalue fields of degree
-    three or more raise ``UnsupportedFieldError``.
+    The basis form of a one-dimensional space is its eigenform; a space of
+    dimension two or more raises ``UnsupportedFieldError``.
     """
     basis = cusp_basis(weight, prec)
-    d = len(basis)
-    if d == 0:
-        return []
-    if d == 1:
-        return [EllipticEigenform(weight, basis[0].series)]
-    if d > 2:
+    if len(basis) > 1:
         raise UnsupportedFieldError(
-            f"weight {weight} has a {d}-dimensional cusp space; "
-            "eigenvalue fields beyond degree 2 are not supported"
+            f"weight {weight} has a {len(basis)}-dimensional cusp space; "
+            "eigenvalue fields beyond degree 1 are not supported"
         )
-    out = []
-    t2 = staircase_matrix([f.series for f in basis], [hecke_Tp(f, 2).series for f in basis], 2)
-    for lam, (v0, v1) in eigen_split_2x2(t2):
-        series = v0 * basis[0].series + v1 * basis[1].series
-        lead = series.coefficient(1)
-        if lead == 0:
-            raise InconsistencyError("eigenvector with vanishing leading coefficient")
-        series = series * exact_div(1, lead)
-        disc = lam.d if isinstance(lam, QuadExt) else None
-        form = EllipticEigenform(weight, series, field_disc=disc)
-        _verify_eigenform(form, 2)
-        out.append(form)
-    return out
-
-
-def _verify_eigenform(f: EllipticEigenform, p: int) -> None:
-    tf = hecke_Tp(f, p)
-    expected = f.series.truncate(tf.prec) * f.a(p)
-    if expected != tf.series:
-        raise InconsistencyError(
-            f"claimed eigenform of weight {f.weight} is not a T({p}) eigenvector"
-        )
-
+    return [EllipticEigenform(weight, f.series) for f in basis]

@@ -36,7 +36,7 @@ class DimensionMismatchError(SkliftError):
 
 
 class UnsupportedFieldError(SkliftError):
-    """Eigenvalue data generates a number field of degree larger than two."""
+    """A cusp space of dimension two or more, whose eigenforms are not rational."""
 
     exit_code = EXIT_USAGE
 

@@ -57,7 +57,18 @@ def json_int(value, field: str) -> int:
             return int(value)
         except ValueError:
             refuse_past_digit_limit(value, field)
-    raise UsageError(f"{field} must be an integer, got {type(value).__name__} {value!r}")
+    raise UsageError(f"{field} must be an integer, got {type(value).__name__} {short_repr(value)}")
+
+
+def short_repr(value) -> str:
+    """``repr(value)`` for an error line; past 20 characters, only its start and ``...``.
+
+    A string is cut before it is quoted, so the quote stays closed.
+    """
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 20 else f"{value[:20]!r}..."
+    text = repr(value)
+    return text if len(text) <= 20 else f"{text[:20]}..."
 
 
 def refuse_past_digit_limit(text: str, field: str) -> None:
@@ -70,7 +81,7 @@ def refuse_past_digit_limit(text: str, field: str) -> None:
     digits = sys.get_int_max_str_digits()
     if digits and re.search(rf"\d{{{digits + 1}}}", text.replace("_", "")):
         raise UsageError(
-            f"{field} has more digits than Python converts to an integer ({digits}): {text[:20]!r}..."
+            f"{field} has more digits than Python converts to an integer ({digits}): {short_repr(text)}"
         )
 
 

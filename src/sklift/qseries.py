@@ -1,24 +1,21 @@
 """Truncated power series with exact coefficients, and exact linear algebra.
 
 A ``QSeries`` knows the largest exponent to which it is valid and refuses to
-hand out coefficients beyond it.  Binary operations take the minimum of the
-two validity bounds, so a silent loss of precision cannot happen.
-Coefficients are ints, Fractions, or quadratic irrationals; the arithmetic is
-generic over all three.  Products of two all-int series, the hot case of the
-lift chain, take one big-integer multiplication by Kronecker substitution;
-every other product runs the term-by-term loop.  ``sparse_times`` multiplies
-an integer list by a power of a series with few terms, such as theta, as
-shifted adds on one packed integer; ``_sparse_horner`` evaluates a whole
-Horner scheme in such a series on one packed integer at one slot width,
-taken from a proven bound on the result, packing each input once and
+hand out coefficients beyond it.  A product takes the minimum of the two
+validity bounds, so a silent loss of precision cannot happen.  A series may
+hold ints, Fractions or quadratic irrationals, but products take int
+coefficients only, the case of the lift chain: a product of two all-int
+series is one big-integer multiplication by Kronecker substitution, and a
+product with any other coefficient raises ``UsageError``.  ``sparse_times``
+multiplies an integer list by a power of a series with few terms, such as
+theta, as shifted adds on one packed integer; ``_sparse_horner`` evaluates
+a whole Horner scheme in such a series on one packed integer at one slot
+width, taken from a proven bound on the result, packing each input once and
 reading the result back once.
 
 ``echelon``, fraction-free Gauss-Jordan returning primitive integer rows, is
 the one row reduction; the elliptic and plus-space bases call it directly,
 and ``RatMatrix.rref`` clears denominators and calls it.
-``staircase_matrix`` and ``eigen_split_2x2`` turn the Hecke images of a
-staircase basis into a verified matrix and split a 2x2 one into eigenvectors,
-for the elliptic and the plus-space side alike.
 """
 
 from __future__ import annotations
@@ -27,8 +24,8 @@ import math
 from fractions import Fraction
 from itertools import repeat
 
-from .errors import InconsistencyError, TruncationError, UnsupportedFieldError, UsageError
-from .numeric import QuadExt, exact_div, rat, sqrt_rational
+from .errors import TruncationError, UsageError
+from .numeric import rat
 
 
 class QSeries:
@@ -50,14 +47,6 @@ class QSeries:
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("QSeries values are immutable")
 
-    @classmethod
-    def zero(cls, prec: int) -> "QSeries":
-        return cls([0] * (prec + 1), prec)
-
-    @classmethod
-    def one(cls, prec: int) -> "QSeries":
-        return cls([1] + [0] * prec, prec)
-
     def coefficient(self, n: int):
         if n < 0:
             return 0
@@ -75,14 +64,6 @@ class QSeries:
                 return i
         return None
 
-    def truncate(self, prec: int) -> "QSeries":
-        if prec > self.prec:
-            raise TruncationError(
-                f"cannot extend a series valid to {self.prec} out to {prec}",
-                required=prec,
-            )
-        return QSeries(self.coeffs[: prec + 1], prec)
-
     def shift(self, j: int) -> "QSeries":
         """Multiply by q**j (j >= 0); validity grows with the shift."""
         if j < 0:
@@ -91,40 +72,17 @@ class QSeries:
 
     # -- arithmetic -----------------------------------------------------
 
-    def _binop(self, other, op):
-        if isinstance(other, QSeries):
-            n = min(self.prec, other.prec)
-            return QSeries([op(self.coeffs[i], other.coeffs[i]) for i in range(n + 1)], n)
-        if isinstance(other, (int, Fraction, QuadExt)):
-            coeffs = list(self.coeffs)
-            coeffs[0] = op(coeffs[0], other)
-            return QSeries(coeffs, self.prec)
-        return NotImplemented
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __neg__(self):
         return QSeries([-c for c in self.coeffs], self.prec)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QuadExt)):
-            return QSeries([c * other for c in self.coeffs], self.prec)
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.prec, other.prec)
         a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
         if set(map(type, a)) | set(map(type, b)) == {int}:
             return QSeries(_kronecker(a, b, n), n)
-        return QSeries(_schoolbook(a, b, n), n)
+        raise UsageError("a series product takes int coefficients only")
 
     __rmul__ = __mul__
 
@@ -132,7 +90,7 @@ class QSeries:
         if e < 0:
             raise UsageError("negative powers of a series are not supported")
         if e == 0:
-            return QSeries.one(self.prec)
+            return QSeries([1], self.prec)
         out = None
         base = self
         while True:
@@ -145,15 +103,10 @@ class QSeries:
 
     # -- comparison -----------------------------------------------------
 
-    def agrees_with(self, other: "QSeries") -> bool:
-        """Whether the coefficients agree up to the smaller of the two precisions."""
-        n = min(self.prec, other.prec)
-        return all(self.coeffs[i] == other.coeffs[i] for i in range(n + 1))
-
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.prec == other.prec and self.agrees_with(other)
+        return self.prec == other.prec and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.prec, tuple(self.coeffs)))
@@ -162,25 +115,6 @@ class QSeries:
         shown = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.prec > 5 else ""
         return f"QSeries([{shown}{tail}], prec={self.prec})"
-
-
-def _schoolbook(a: list, b: list, n: int) -> list:
-    """Coefficients 0..n of the product of two coefficient lists, term by term.
-
-    Works for any exact coefficient type; it is the only path for Fraction
-    and QuadExt coefficients and the reference the integer path is tested
-    against.
-    """
-    out = [0] * (n + 1)
-    for i in range(min(len(a) - 1, n) + 1):
-        ai = a[i]
-        if ai == 0:
-            continue
-        for j in range(min(len(b) - 1, n - i) + 1):
-            bj = b[j]
-            if bj != 0:
-                out[i + j] += ai * bj
-    return out
 
 
 def _pack(coeffs: list, width: int) -> int:
@@ -372,74 +306,3 @@ class RatMatrix:
                 v[pc] = -red.entries[r][free]
             basis.append(v)
         return basis
-
-
-def staircase_matrix(basis: list[QSeries], images: list[QSeries], scale: int) -> RatMatrix:
-    """Matrix of a linear map on a staircase basis, verified against every image.
-
-    Each basis series has its own pivot, its valuation, and vanishes at the
-    pivots of the others; ``images[j]`` is the image of ``basis[j]``, valid
-    to 1/``scale`` of the input validity.  The coordinate of an image along
-    a basis series is the ratio of their coefficients at that series' pivot,
-    and each image must equal the recombination of the basis with its
-    coordinates.  Column j of the result holds the coordinates of image j.
-    """
-    pivots = []
-    for b in basis:
-        val = b.valuation()
-        if val is None:
-            raise UsageError("zero series in a staircase basis")
-        pivots.append(val)
-    if len(set(pivots)) != len(pivots):
-        raise InconsistencyError("basis is not in staircase form")
-    last = max(pivots, default=0)
-    cols = []
-    for image in images:
-        if image.prec < last:
-            raise TruncationError(
-                f"an image valid to {image.prec} cannot be read at pivot {last}",
-                required=scale * last,
-            )
-        coords = [exact_div(image.coeffs[pos], b.coeffs[pos]) for pos, b in zip(pivots, basis)]
-        recombined = QSeries.zero(image.prec)
-        for x, b in zip(coords, basis):
-            recombined = recombined + x * b.truncate(image.prec)
-        if recombined != image:
-            raise InconsistencyError("the map does not stabilize the span of the basis")
-        cols.append(coords)
-    return RatMatrix([[col[i] for col in cols] for i in range(len(basis))])
-
-
-def eigen_split_2x2(m: RatMatrix) -> list[tuple]:
-    """Eigenvalues and eigenvectors ``[(lam, (v0, v1))]`` of a 2x2 rational matrix.
-
-    The eigenvalues are the roots ``(-c1 +- sqrt(c1**2 - 4*c0)) / 2`` of the
-    characteristic polynomial, + root first: rational, or a conjugate pair in
-    a real quadratic field.  A diagonal matrix keeps the unit vectors, a
-    scalar one both of them.  Complex roots, and a discriminant whose
-    squarefree part trial division cannot certify, raise
-    ``UnsupportedFieldError``; a repeated eigenvalue of a non-diagonal matrix
-    has one eigenvector only, and raises ``InconsistencyError`` (the Hecke
-    matrices split here are diagonalizable, so that is an internal fault).
-    """
-    (a, b), (c, d) = m.entries
-    c0, c1 = a * d - b * c, -(a + d)
-    disc = c1 * c1 - 4 * c0
-    if disc < 0:
-        raise UnsupportedFieldError("complex eigenvalues cannot occur for these operators")
-    if b == 0 and c == 0:
-        # diagonal: the larger entry is the + root; a scalar matrix keeps both unit vectors
-        return [(a, (1, 0)), (d, (0, 1))] if a >= d else [(d, (0, 1)), (a, (1, 0))]
-    if disc == 0:
-        raise InconsistencyError(
-            f"defective matrix: the repeated eigenvalue {-c1 / 2} has a single eigenvector"
-        )
-    root = sqrt_rational(disc)
-    if root is None:
-        raise UnsupportedFieldError(
-            "cannot certify the squarefree part of the discriminant by trial division"
-        )
-    out = []
-    for lam in ((-c1 + root) / 2, (-c1 - root) / 2):
-        out.append((lam, (b, lam - a) if b != 0 else (lam - d, c)))
-    return out

@@ -37,7 +37,7 @@ from .errors import (
     UsageError,
 )
 from .jacobi import JacobiForm
-from .numeric import QuadExt, divisor_lists, exact_div, int_if_integral, is_prime, json_int, rat
+from .numeric import QuadExt, divisor_lists, exact_div, int_if_integral, is_prime, json_int, rat, short_repr
 
 SCHEMA_VERSION = 1
 
@@ -221,7 +221,7 @@ class SiegelFourierTable:
             raise UsageError(f"a table is a JSON object, not a {type(data).__name__}")
         if data.get("schema_version") != SCHEMA_VERSION:
             raise UsageError(
-                f"unsupported table schema {data.get('schema_version')!r}; "
+                f"unsupported table schema {short_repr(data.get('schema_version'))}; "
                 f"expected {SCHEMA_VERSION}"
             )
         try:

@@ -14,7 +14,10 @@ Fractions and the denominator clearing that the fraction-free ``echelon``
 replaced, and the plus-space generators, theta products and Horner steps,
 each packed and read back apart, that the one packed Horner pass replaced,
 with the full-length odd-sigma sieve the half-length one replaced.  It also
-holds what only tests call: the theta series, the monomial generators at
+holds what only tests call: the schoolbook product of series with any exact
+coefficients, the prime Hecke operator on elliptic forms, the staircase
+matrix and the 2x2 eigen-split that split the two-dimensional spaces the
+library refuses, the theta series, the monomial generators at
 full validity, both Hecke matrices and the plus-space eigen-split, the
 Jacobi coefficient at (n, r), the ``SiegelIndex`` triple and the quadratic
 conjugate.  The oracle Hecke operator sums Fraction class weights, as the
@@ -51,7 +54,6 @@ from sklift.elliptic import (
     cusp_basis,
     delta,
     dim_cusp_forms,
-    hecke_Tp,
 )
 from sklift.errors import (
     DimensionMismatchError,
@@ -78,6 +80,7 @@ from sklift.numeric import (
     int_if_integral,
     is_prime,
     rat,
+    sqrt_rational,
     value_sign,
 )
 from sklift.qseries import (
@@ -86,8 +89,6 @@ from sklift.qseries import (
     _pack,
     _unpack,
     echelon,
-    eigen_split_2x2,
-    staircase_matrix,
 )
 from sklift.siegel import (
     CheckReport,
@@ -186,6 +187,36 @@ def _simplify(x):
 # ---------------------------------------------------------------------------
 # series and matrices
 # ---------------------------------------------------------------------------
+
+def _schoolbook(a: list, b: list, n: int) -> list:
+    """Coefficients 0..n of the product of two coefficient lists, term by term.
+
+    Works for any exact coefficient type; it is the reference the integer
+    Kronecker product is tested against.
+    """
+    out = [0] * (n + 1)
+    for i in range(min(len(a) - 1, n) + 1):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j in range(min(len(b) - 1, n - i) + 1):
+            bj = b[j]
+            if bj != 0:
+                out[i + j] += ai * bj
+    return out
+
+
+def series_product(*factors: QSeries) -> QSeries:
+    """The product of ``factors`` by ``_schoolbook``, for any exact coefficients.
+
+    Valid to the smallest validity among the factors, as a library product is.
+    """
+    out = factors[0]
+    for f in factors[1:]:
+        n = min(out.prec, f.prec)
+        out = QSeries(_schoolbook(out.coeffs, f.coeffs, n), n)
+    return out
+
 
 def series_inverse(s: QSeries) -> QSeries:
     """Multiplicative inverse term by term; requires an invertible constant term."""
@@ -328,6 +359,90 @@ def poly_eval_matrix(coeffs: list[Fraction], m: RatMatrix) -> RatMatrix:
         if c != 0:
             out = add(out, scale(power, c))
         power = matmul(power, m)
+    return out
+
+
+def staircase_matrix(basis: list[QSeries], images: list[QSeries], scale: int) -> RatMatrix:
+    """Matrix of a linear map on a staircase basis, verified against every image.
+
+    Each basis series has its own pivot, its valuation, and vanishes at the
+    pivots of the others; ``images[j]`` is the image of ``basis[j]``, valid
+    to 1/``scale`` of the input validity.  The coordinate of an image along
+    a basis series is the ratio of their coefficients at that series' pivot,
+    and each image must equal the recombination of the basis with its
+    coordinates.  Column j of the result holds the coordinates of image j.
+    """
+    pivots = []
+    for b in basis:
+        val = b.valuation()
+        if val is None:
+            raise UsageError("zero series in a staircase basis")
+        pivots.append(val)
+    if len(set(pivots)) != len(pivots):
+        raise InconsistencyError("basis is not in staircase form")
+    last = max(pivots, default=0)
+    cols = []
+    for image in images:
+        if image.prec < last:
+            raise TruncationError(
+                f"an image valid to {image.prec} cannot be read at pivot {last}",
+                required=scale * last,
+            )
+        coords = [exact_div(image.coeffs[pos], b.coeffs[pos]) for pos, b in zip(pivots, basis)]
+        recombined = [sum(x * b.coefficient(i) for x, b in zip(coords, basis)) for i in range(image.prec + 1)]
+        if recombined != image.coeffs:
+            raise InconsistencyError("the map does not stabilize the span of the basis")
+        cols.append(coords)
+    return RatMatrix([[col[i] for col in cols] for i in range(len(basis))])
+
+
+def eigen_split_2x2(m: RatMatrix) -> list[tuple]:
+    """Eigenvalues and eigenvectors ``[(lam, (v0, v1))]`` of a 2x2 rational matrix.
+
+    The eigenvalues are the roots ``(-c1 +- sqrt(c1**2 - 4*c0)) / 2`` of the
+    characteristic polynomial, + root first: rational, or a conjugate pair in
+    a real quadratic field.  A diagonal matrix keeps the unit vectors, a
+    scalar one both of them.  Complex roots, and a discriminant whose
+    squarefree part trial division cannot certify, raise
+    ``UnsupportedFieldError``; a repeated eigenvalue of a non-diagonal matrix
+    has one eigenvector only, and raises ``InconsistencyError`` (the Hecke
+    matrices split here are diagonalizable, so that is an internal fault).
+    """
+    (a, b), (c, d) = m.entries
+    c0, c1 = a * d - b * c, -(a + d)
+    disc = c1 * c1 - 4 * c0
+    if disc < 0:
+        raise UnsupportedFieldError("complex eigenvalues cannot occur for these operators")
+    if b == 0 and c == 0:
+        # diagonal: the larger entry is the + root; a scalar matrix keeps both unit vectors
+        return [(a, (1, 0)), (d, (0, 1))] if a >= d else [(d, (0, 1)), (a, (1, 0))]
+    if disc == 0:
+        raise InconsistencyError(
+            f"defective matrix: the repeated eigenvalue {-c1 / 2} has a single eigenvector"
+        )
+    root = sqrt_rational(disc)
+    if root is None:
+        raise UnsupportedFieldError(
+            "cannot certify the squarefree part of the discriminant by trial division"
+        )
+    out = []
+    for lam in ((-c1 + root) / 2, (-c1 - root) / 2):
+        out.append((lam, (b, lam - a) if b != 0 else (lam - d, c)))
+    return out
+
+
+def split_pair(basis: list[QSeries], m: RatMatrix) -> list[tuple]:
+    """``(lam, series)`` for each eigenvector ``(v0, v1)`` of ``m`` by ``eigen_split_2x2``.
+
+    The series is ``v0 * basis[0] + v1 * basis[1]``, coefficient by
+    coefficient, divided by its leading nonzero coefficient.
+    """
+    s0, s1 = basis
+    out = []
+    for lam, (v0, v1) in eigen_split_2x2(m):
+        coeffs = [x * v0 + y * v1 for x, y in zip(s0.coeffs, s1.coeffs)]
+        inv = exact_div(1, next(c for c in coeffs if c != 0))
+        out.append((lam, QSeries([c * inv for c in coeffs])))
     return out
 
 
@@ -476,7 +591,7 @@ def cusp_basis_by_fractions(weight: int, prec: int) -> list[EllipticForm]:
     e4, e6 = eisenstein_by_fractions(4, prec), eisenstein_by_fractions(6, prec)
     rows = []
     for a, b, c in _monomial_exponents(weight):
-        s = d**a * e4**b * e6**c
+        s = series_product(d**a, *[e4] * b, *[e6] * c)
         rows.append([s.coefficient(n) for n in range(1, prec + 1)])
     red, pivots = rref(RatMatrix(rows))
     if len(pivots) != expected:
@@ -500,12 +615,26 @@ def eigenforms_by_fractions(weight: int, prec: int) -> list[EllipticEigenform]:
             "eigenvalue fields beyond degree 2 are not supported"
         )
     t2 = staircase_matrix([f.series for f in basis], [hecke_Tp(f, 2).series for f in basis], 2)
-    out = []
-    for lam, (v0, v1) in eigen_split_2x2(t2):
-        series = v0 * basis[0].series + v1 * basis[1].series
-        series = series * exact_div(1, series.coefficient(1))
-        out.append(EllipticEigenform(weight, series, lam.d if isinstance(lam, QuadExt) else None))
-    return out
+    return [EllipticEigenform(weight, series) for _, series in split_pair([f.series for f in basis], t2)]
+
+
+def hecke_Tp(f: EllipticForm, p: int) -> EllipticForm:
+    """Prime Hecke operator on coefficients; output valid to prec // p."""
+    if not is_prime(p):
+        raise UsageError(f"{p} is not prime")
+    out_prec = f.series.prec // p
+    if out_prec < 1:
+        raise TruncationError(
+            f"applying T({p}) needs input validity >= {p}", required=p
+        )
+    pk = p ** (f.weight - 1)
+    coeffs = []
+    for n in range(out_prec + 1):
+        c = f.a(p * n)
+        if n % p == 0:
+            c = c + pk * f.a(n // p)
+        coeffs.append(c)
+    return EllipticForm(f.weight, QSeries(coeffs, out_prec))
 
 
 def hecke_matrix(weight: int, p: int, prec: int) -> RatMatrix:
@@ -537,10 +666,8 @@ def plus_eigenforms(k: int, prec: int, constraint_bound: int | None = None):
             f"plus space at k={k} has dimension {len(basis)}; fields beyond degree 2 unsupported"
         )
     out = []
-    for lam, (v0, v1) in eigen_split_2x2(plus_hecke_matrix(basis, 2)):
-        series = v0 * basis[0].series + v1 * basis[1].series
-        lead = series.coefficient(series.valuation())
-        form = PlusSpaceForm(k, series * exact_div(1, lead))
+    for lam, series in split_pair([g.series for g in basis], plus_hecke_matrix(basis, 2)):
+        form = PlusSpaceForm(k, series)
         if _eigenvalue_on(form, 2) != lam:
             raise InconsistencyError("plus-space eigenvector failed verification")
         out.append((form, lam))

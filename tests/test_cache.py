@@ -76,10 +76,17 @@ class TestExpansionCache:
         path.write_text(body)
         for call in (lambda: cache.fetch("kohnen", "probe", 10, 1),
                      lambda: cache.store("kohnen", "probe", 10, 1, [1, 2])):
-            with pytest.raises(CacheMismatchError, match="unreadable cache entry") as err:
+            with pytest.raises(UsageError, match="unreadable cache entry") as err:
                 call()
             assert "\n" not in str(err.value) and len(str(err.value)) < 300
         assert path.read_text() == body
+
+    def test_short_entry_is_a_usage_error(self, cache):
+        # an entry with fewer coefficients than its key claims is a bad input file
+        cache.root.mkdir()
+        (cache.root / "kohnen__probe__w10__n5__s1.json").write_text('{"coeffs": ["0", "1"]}')
+        with pytest.raises(UsageError, match="shorter than its key claims"):
+            cache.fetch("kohnen", "probe", 10, 5)
 
     def test_rewrite_same_data_ok(self, cache):
         cache.store("elliptic", "e4", 4, 2, [1, 240, 2160])

@@ -54,6 +54,7 @@ from oracles import (
     record_with_discriminant,
     scaled,
     series_inverse,
+    series_product,
     spin_euler_data,
     theorem41_by_sqrt_multiples,
 )
@@ -481,7 +482,7 @@ class TestMuSequence:
         rmax = 12
         den = QSeries([1, -e1, e2, -e3, e4], rmax)
         num = QSeries([1, 0, -Fraction(2) ** (2 * k - 4)], rmax)
-        expanded = num * series_inverse(den)
+        expanded = series_product(num, series_inverse(den))
         seq = mu_sequence(SK10, rmax)
         for r in range(rmax + 1):
             assert value_sign(expanded.coefficient(r) - seq[r]) == 0, r

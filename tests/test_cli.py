@@ -16,7 +16,7 @@ from sklift.cache import ExpansionCache
 from sklift.characterize import EigenvalueRecord, load_records, theorem41
 from sklift.cli import main
 from sklift.elliptic import eigenforms
-from sklift.errors import CacheMismatchError, UsageError
+from sklift.errors import UsageError
 
 from oracles import HOSTILE_P, HOSTILE_Q, record_with_discriminant, scaled
 
@@ -225,6 +225,10 @@ class TestEigen:
 
     def test_nonprime_rejected(self, table10):
         assert main(["eigen", str(table10), "--primes", "6"]) == 2
+
+    def test_bad_prime_list_quoted_short(self, table10, capsys):
+        assert main(["eigen", str(table10), "--primes", "2," + "x" * 5000]) == 2
+        assert capsys.readouterr().err == "error: bad prime list '2,xxxxxxxxxxxxxxxxxx'...\n"
 
     def test_two_primes_on_larger_table(self, tmp_path, capsys):
         table = tmp_path / "t10b9.json"
@@ -595,12 +599,16 @@ class TestUnreadableFiles:
         rc, err = self.run(["check", str(bad), "--maass"], capsys)
         assert rc == 2 and str(bad) in err
 
-    @pytest.mark.parametrize("edit, field", [
-        (lambda data: data["entries"][0].__setitem__(3, "1" * 5000), "a numerator"),
-        (lambda data: data.update(weight="1" * 5000), "weight"),
-    ], ids=["numerator", "weight"])
-    def test_digit_string_past_digit_limit(self, table10, tmp_path, capsys, edit, field):
-        # an integer all the same: the one line names the limit, not the value
+    @pytest.mark.parametrize("edit, want", [
+        (lambda data: data["entries"][0].__setitem__(3, "1" * 5000), "a numerator has more digits"),
+        (lambda data: data.update(weight="1" * 5000), "weight has more digits"),
+        (lambda data: data.update(weight=list(range(5000))), "weight must be an integer, got list [0, 1, 2,"),
+        (lambda data: data.update(weight="x" * 5000), "weight must be an integer, got str 'xxxx"),
+        (lambda data: data.update(schema_version=[1] * 5000), "unsupported table schema [1, 1, 1,"),
+    ], ids=["numerator", "weight", "weight-list", "weight-letters", "schema-list"])
+    def test_digit_string_past_digit_limit(self, table10, tmp_path, capsys, edit, want):
+        # an integer all the same, or no integer at all: the one line names
+        # the limit or the type, and quotes only the start of the value
         data = json.loads(table10.read_text())
         edit(data)
         bad = tmp_path / "long.json"
@@ -608,7 +616,9 @@ class TestUnreadableFiles:
         rc, err = self.run(["check", str(bad), "--maass"], capsys)
         assert rc == 2 and self.out == ""
         assert err.count("\n") == 1 and len(err) < 300
-        assert f"{field} has more digits than Python converts to an integer ({sys.get_int_max_str_digits()})" in err
+        assert want in err
+        if "more digits" in want:
+            assert f"converts to an integer ({sys.get_int_max_str_digits()}): '11111" in err
 
     def test_record_value_past_digit_limit(self, tmp_path, capsys):
         rec_path = tmp_path / "records.jsonl"
@@ -618,6 +628,22 @@ class TestUnreadableFiles:
         assert err.count("\n") == 1 and len(err) < 300
         assert err.startswith(f"error: {rec_path}:1: bad record (an exact value has more digits than Python "
                               f"converts to an integer ({sys.get_int_max_str_digits()}): '11111")
+
+    @pytest.mark.parametrize("field, value, want", [
+        ("mu_p", "x" * 5000, "not an exact rational: 'xxxxxxxxxxxxxxxxxxxx'..."),
+        ("mu_p", list(range(5000)), "mu_p must be an integer, got list [0, 1, 2, 3, 4, 5, 6...)"),
+        ("weight", list(range(5000)), "weight must be an integer, got list [0, 1, 2, 3, 4, 5, 6...)"),
+        ("p", "7" * 30 + "x", "p must be an integer, got str '77777777777777777777'..."),
+    ], ids=["mu_p-letters", "mu_p-list", "weight-list", "p-letters"])
+    def test_record_value_quoted_short(self, tmp_path, capsys, field, value, want):
+        # a long bad value is quoted by its start only, in one short line
+        record = {"weight": 10, "p": 2, "mu_p": "1", "mu_p2": "1", field: value}
+        rec_path = tmp_path / "records.jsonl"
+        rec_path.write_text(json.dumps(record) + "\n")
+        rc, err = self.run(["classify", str(rec_path)], capsys)
+        assert rc == 2 and self.out == ""
+        assert err.count("\n") == 1 and len(err) < 300
+        assert err.startswith(f"error: {rec_path}:1: bad record") and want in err
 
     @pytest.mark.parametrize("body", [
         "[1, 2, 3]", '{"coeffs": ["0", null]}', '{"coeffs": ["0", 0.5]}',
@@ -629,7 +655,8 @@ class TestUnreadableFiles:
         (cache_dir / "kohnen__plus_basis_0__w10__n64__s1.json").write_text(body)
         rc, err = self.run(["--cache-dir", str(cache_dir), "lift", "--weight", "10", "--bound", "2",
                             "--out", str(tmp_path / "t.json")], capsys)
-        assert rc == CacheMismatchError.exit_code and err.count("\n") == 1
+        # a bad input file, not an internal fault: exit 2
+        assert rc == UsageError.exit_code == 2 and err.count("\n") == 1
         assert err.startswith(f"error: unreadable cache entry {cache_dir}{os.sep}")
         assert not (tmp_path / "t.json").exists()
 

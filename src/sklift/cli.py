@@ -92,11 +92,11 @@ def build_lift(config: RunConfig, weight: int, bound: int, log) -> SiegelFourier
             "one-dimensional input space (10, 12, or 14)"
         )
     jacobi_disc = 4 * bound * bound
-    # at least the plus-space constraint window, and 16 * p**2 at p = 2 for
-    # the square-index operator that matches the two sides
-    halfint_prec = max(jacobi_disc, 4 * k, 64)
+    # at least 16 * p**2 at p = 2, for the square-index operator that
+    # matches the two sides
+    halfint_prec = max(jacobi_disc, 64)
     log(f"plan: degree-2 index bound {bound} (discriminants to {jacobi_disc})")
-    log(f"plan: half-integral truncation {halfint_prec}, plus-space constraint bound {4 * k}")
+    log(f"plan: half-integral truncation {halfint_prec}")
     log(f"plan: elliptic truncation {ELLIPTIC_PREC}")
     cache = config.cache()
 

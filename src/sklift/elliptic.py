@@ -12,6 +12,7 @@ coefficients that nothing on the lift chain carries.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, TruncationError, UnsupportedFieldError, UsageError
@@ -93,14 +94,21 @@ def eisenstein(weight: int, prec: int) -> EllipticForm:
     return EllipticForm(weight, QSeries([1] + [int_if_integral(factor * s) for s in sums[1:]], prec))
 
 
+def _eta_cube_terms(prec: int) -> list[tuple[int, int]]:
+    """The nonzero terms ``(e, c)`` to ``prec`` of prod(1 - q**n)**3.
+
+    By Jacobi's identity it is sum((-1)**j * (2j + 1) * q**(j(j+1)/2)), j >= 0.
+    """
+    # j*(j+1)/2 <= prec exactly when 2j + 1 <= isqrt(8 * prec + 1)
+    count = (math.isqrt(8 * prec + 1) + 1) // 2
+    return [(j * (j + 1) // 2, (-1) ** j * (2 * j + 1)) for j in range(count)]
+
+
 def _eta_power24(prec: int) -> QSeries:
-    # cube of the eta q-expansion (without the q**(1/8)) via the classical
-    # triangular-number identity, then three squarings
+    # the cube of the eta q-expansion (without the q**(1/8)), then three squarings
     cube = [0] * (prec + 1)
-    k = 0
-    while k * (k + 1) // 2 <= prec:
-        cube[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
-        k += 1
+    for e, c in _eta_cube_terms(prec):
+        cube[e] = c
     s = QSeries(cube, prec)
     for _ in range(3):
         s = s * s

@@ -1,94 +1,38 @@
 """Half-integral weight cusp forms on Gamma0(4) and the plus space.
 
-The full space of weight (2k-1)/2 forms is spanned by monomials in the unary
-theta series and the odd-divisor weight-2 form.  The plus space is carved out
-exactly as the kernel of the coefficient constraints, cross-checked against
-the dimension of the corresponding integral-weight cusp space, and carries
-the square-index Hecke action whose eigenvalues match the integral-weight
-prime eigenvalues (that matching is how the two sides are glued together).
-
-The kernel is found from the monomials at the constraint window only, built
-from one run of theta powers; each basis form is then evaluated at full
-validity in one packed Horner pass in theta**4 over powers of the weight-2
-form that are built once per basis.
+The plus space of weight (2k-1)/2 is isomorphic to the level-one cusp space
+of weight 2k - 2 under the Shimura correspondence; the lift chain uses only
+the one-dimensional spaces, at k = 10, 12 and 14, and builds each basis form
+from its Eichler-Zagier closed form: eta(4t)**18 * theta(t + 1/2) at k = 10,
+times E4(4t) at k = 14, and a Serre-derivative combination with E2(4t) at
+k = 12, all as shifted adds and integer products on the residues 0 and
+3 mod 4.  The square-index Hecke action carries eigenvalues that match the
+integral-weight prime eigenvalues, and that matching is how the two sides
+are glued together.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
-from operator import add, mul
+from itertools import repeat
+from operator import mul
 
-from .elliptic import EllipticEigenform, dim_cusp_forms
+from .elliptic import (
+    EllipticEigenform,
+    _divisor_power_sums,
+    _eta_cube_terms,
+    dim_cusp_forms,
+    eisenstein,
+)
 from .errors import (
-    DimensionMismatchError,
     InconsistencyError,
     NotAnEigenformError,
     TruncationError,
+    UnsupportedFieldError,
     UsageError,
 )
 from .numeric import exact_div, int_if_integral, is_prime, kronecker_symbol
-from .qseries import QSeries, _kronecker, _sparse_horner, echelon, sparse_times
-
-
-def _theta_terms(prec: int) -> list[tuple[int, int]]:
-    """The nonzero terms ``(e, c)`` of theta to ``prec``: 1 and 2*q**(n*n)."""
-    return [(0, 1)] + [(n * n, 2) for n in range(1, math.isqrt(prec) + 1)]
-
-
-def _odd_sigma_half(half: int) -> list:
-    """sigma_1(2i + 1) for i = 0..half.
-
-    These are the coefficients of g, where the weight-2 generator
-    f2 = sum of sigma_1(n) q**n over odd n is q * g(q**2).
-    """
-    g = [0] * (half + 1)
-    # each odd n = d*e with odd d <= e gets d + e, or d alone when e = d;
-    # n sits at index (n - 1)/2, so with d fixed and e = d, d + 2, ... the
-    # indices step by d and only the d up to sqrt(n) are run over
-    for d in range(1, math.isqrt(2 * half + 1) + 1, 2):
-        start = d * d // 2
-        count = len(range(start, half + 1, d))
-        g[start::d] = map(add, g[start::d], chain([d], range(2 * d + 2, 2 * d + 2 * count, 2)))
-    return g
-
-
-def _f2_powers(prec: int, count: int) -> list[list]:
-    """Coefficient lists of f2, f2**2, ..., f2**count to ``prec``, at half length.
-
-    f2 vanishes at even exponents, f2 = q * g(q**2), so f2**j is
-    q**j * g(q**2)**j: only powers of g, half as long, are multiplied,
-    each as the product of two lower ones, as integer lists.
-    """
-    half = max((prec - 1) // 2, 0)
-    g_pows = [[1], _odd_sigma_half(half)]
-    for j in range(2, count + 1):
-        # an even power squares the half power, which the product takes faster
-        g_pows.append(_kronecker(g_pows[j // 2], g_pows[j - j // 2], half))
-    out = []
-    for j in range(1, count + 1):
-        c = [0] * (prec + 1)
-        c[j::2] = g_pows[j][: len(range(j, prec + 1, 2))]
-        out.append(c)
-    return out
-
-
-def _window_generators(k: int, prec: int, f2_pows: list[list]) -> list[list]:
-    """Coefficient lists of the monomial generators to ``prec``, for ``f2_pows`` to at least it.
-
-    Generator b is theta**(wnum - 4b) * f2**b, wnum = 2k - 1; the powers of
-    theta run up from theta**(wnum % 4), four rounds of shifted adds each,
-    and each meets its f2 power in one product.
-    """
-    wnum = 2 * k - 1
-    squares = _theta_terms(prec)
-    theta_pow = sparse_times(squares, [1], prec, wnum % 4)
-    gens = []
-    for b in range(wnum // 4, 0, -1):
-        gens.append(_kronecker(theta_pow, f2_pows[b - 1][: prec + 1], prec))
-        theta_pow = sparse_times(squares, theta_pow, prec, 4)
-    gens.append(theta_pow)
-    return gens[::-1]
+from .qseries import QSeries, _kronecker, sparse_times
 
 
 class PlusSpaceForm:
@@ -135,64 +79,46 @@ def _plus_supported(n: int) -> bool:
     return n > 0 and n % 4 in (0, 3)
 
 
-def plus_space_basis(
-    k: int, prec: int, constraint_bound: int | None = None
-) -> list[PlusSpaceForm]:
-    """Exact basis of the cuspidal plus space of weight (2k-1)/2.
+def plus_space_basis(k: int, prec: int) -> list[PlusSpaceForm]:
+    """Exact basis of the cuspidal plus space of weight (2k-1)/2, to ``prec``.
 
-    The kernel of the support constraints (constant term zero, nothing in the
-    residue classes 1 and 2 mod 4 up to ``constraint_bound``) is computed
-    inside the monomial span; the resulting dimension must match the
-    integral-weight cusp dimension, otherwise the constraint bound was too
-    small or a convention is wrong, and we refuse loudly.
+    Empty where the cusp space S_(2k-2) is zero; a space of dimension two or
+    more raises ``UnsupportedFieldError``.  The one-dimensional spaces, at
+    k = 10, 12 and 14, are spanned by the closed forms of Eichler and
+    Zagier (The Theory of Jacobi Forms, 1985, sections 3, 5 and 9), each
+    with leading coefficient 1 at q**3:
+    g10 = eta(4t)**18 * theta(t + 1/2), g14 = E4(4t) * g10 and
+    g12 = 19 * E2(4t) * g10 - 6 * q * d/dq g10.  With x = q**4 a form is
+    B(x) + q**3 * A(x), and for g10 A = E * (1 + 2 * sum(x**(s*s))) and
+    B = -2 * E * sum(x**(j*j + j + 1)), where E = prod(1 - x**n)**18 is
+    the sixth power of Jacobi's series for the cube.
     """
     if k % 2:
         raise UsageError("odd weights do not occur on this lift chain")
-    bound = constraint_bound if constraint_bound is not None else 4 * k
-    if bound > prec:
-        raise TruncationError(
-            f"constraint bound {bound} exceeds series validity {prec}", required=bound
+    dim = dim_cusp_forms(2 * k - 2)
+    if dim == 0:
+        return []
+    if dim > 1:
+        raise UnsupportedFieldError(
+            f"weight {2 * k - 1}/2 has a {dim}-dimensional plus space; "
+            "eigenvalue fields beyond degree 1 are not supported"
         )
-    # one elimination over the constraint positions, the other exponents to
-    # the window, then the monomial coordinates: the rows with a pivot past
-    # the constraints span the kernel, echelonized over a window that does
-    # not depend on the requested validity, so the basis does not either
-    wnum = 2 * k - 1
-    f2_pows = _f2_powers(prec, wnum // 4)
-    positions = [0] + [n for n in range(1, bound + 1) if n % 4 in (1, 2)]
-    order = positions + [n for n in range(1, bound + 1) if n % 4 in (0, 3)]
-    gens = _window_generators(k, bound, f2_pows)
-    ident = [[int(i == j) for j in range(len(gens))] for i in range(len(gens))]
-    rows = [[g[n] for n in order] + e for g, e in zip(gens, ident)]
-    red, pivots = echelon(rows)
-    kernel = [(row, c) for row, c in zip(red, pivots) if c >= len(positions)]
-    expected = dim_cusp_forms(2 * k - 2)
-    if len(kernel) != expected:
-        raise DimensionMismatchError(
-            f"plus space at k={k}: kernel dimension {len(kernel)}, expected {expected} "
-            f"(constraint bound {bound} too small, or conventions wrong)"
-        )
-    if any(c > bound for _, c in kernel):
-        raise DimensionMismatchError(
-            f"plus space at k={k}: echelon pivots escape the constraint window"
-        )
-    # generator b is theta**(wnum - 4b) * f2**b, so sum(x_b * generator b) is
-    # theta**(wnum % 4) * Q with Q = sum(x_b * t4**(bmax - b) * f2**b),
-    # t4 = theta**4, evaluated at full validity by Horner in t4 on one
-    # packed integer: Q_0 = x_0, Q_j = t4 * Q_(j-1) + x_j * f2**j
-    squares = _theta_terms(prec)
-    out = []
-    for row, _ in kernel:
-        # primitive as the row is: its window entries are combinations of these
-        coords = row[bound + 1 :]
-        parts = list(zip(coords, [[1]] + f2_pows))
-        series = QSeries(_sparse_horner(squares, 4, wnum % 4, parts, prec), prec)
-        lead = series.coefficient(series.valuation())
-        if lead < 0:
-            series = -series
-        # full-validity support recheck, not just up to the constraint bound
-        out.append(PlusSpaceForm(k, series))
-    return out
+    m = prec // 4
+    e = sparse_times(_eta_cube_terms(m), [1], m, 6)
+    if k == 14:
+        e = _kronecker(eisenstein(4, m).series.coeffs, e, m)
+    squares = [(0, 1)] + [(s * s, 2) for s in range(1, math.isqrt(m) + 1)]
+    pronic = [(j * j + j + 1, -2) for j in range(math.isqrt(m) + 1)]
+    a, b = sparse_times(squares, e, m, 1), sparse_times(pronic, e, m, 1)
+    if k == 12:
+        # q * d/dq scales the coefficient at q**(4i + 3) by 4i + 3, at q**(4i) by 4i
+        e2 = [1] + [-24 * s for s in _divisor_power_sums(1, m)[1:]]
+        a = [19 * c - 6 * (4 * i + 3) * x for i, (c, x) in enumerate(zip(_kronecker(e2, a, m), a))]
+        b = [19 * c - 24 * i * x for i, (c, x) in enumerate(zip(_kronecker(e2, b, m), b))]
+    coeffs = [0] * (prec + 1)
+    coeffs[::4] = b[: len(coeffs[::4])]
+    coeffs[3::4] = a[: len(coeffs[3::4])]
+    return [PlusSpaceForm(k, QSeries(coeffs, prec))]
 
 
 def plus_hecke(g: PlusSpaceForm, p: int) -> PlusSpaceForm:

@@ -8,14 +8,13 @@ coefficients only, the case of the lift chain: a product of two all-int
 series is one big-integer multiplication by Kronecker substitution, and a
 product with any other coefficient raises ``UsageError``.  ``sparse_times``
 multiplies an integer list by a power of a series with few terms, such as
-theta, as shifted adds on one packed integer; ``_sparse_horner`` evaluates
-a whole Horner scheme in such a series on one packed integer at one slot
-width, taken from a proven bound on the result, packing each input once and
-reading the result back once.
+theta or Jacobi's series for the cube of eta, as shifted adds on one packed
+integer at one slot width, taken from a proven bound on the result, packing
+the list once and reading the result back once.
 
 ``echelon``, fraction-free Gauss-Jordan returning primitive integer rows, is
-the one row reduction; the elliptic and plus-space bases call it directly,
-and ``RatMatrix.rref`` clears denominators and calls it.
+the one row reduction; the elliptic cusp basis calls it directly, and
+``RatMatrix.rref`` clears denominators and calls it.
 """
 
 from __future__ import annotations
@@ -162,41 +161,24 @@ def _kronecker(a: list, b: list, n: int) -> list:
 
 
 def sparse_times(terms: list, coeffs: list, n: int, rounds: int) -> list:
-    """Coefficients 0..n of ``(sum(c * q**e for e, c in terms))**rounds * coeffs``.
+    """Coefficients 0..n of ``S**rounds * coeffs``, S = ``sum(c * q**e for e, c in terms)``.
 
     ``terms`` holds a few ``(e, c)`` pairs, e >= 0, such as the nonzero terms
-    of theta, and every c and coefficient is an int; it is ``_sparse_horner``
-    with one part.
+    of theta, and every c and coefficient is an int.  The list is packed
+    once, one ``width``-byte slot per coefficient, and read back once.  A
+    round, one product by S, adds the shifted copies of the packed integer
+    for each distinct c, multiplies each sum by its c, and masks to n + 1
+    slots.  Shifts, adds, products and the mask are exact modulo
+    256**(width*(n+1)), so the result is congruent to the truncated product.
+    ``width`` comes from a proven bound on the result, never from the
+    result: with N the sum of |c| over the terms up to q**n (or 1 if that
+    is 0), a round at most multiplies the largest |coefficient| by N, so
+    max|coeffs| * N**rounds bounds every result coefficient; ``width`` holds
+    it plus a sign bit, so each slot reads back signed.
     """
-    return _sparse_horner(terms, 0, rounds, [(1, coeffs)], n)
-
-
-def _sparse_horner(terms: list, step: int, tail: int, parts: list, n: int) -> list:
-    """Coefficients 0..n of ``S**tail * Q`` by Horner's rule on one packed integer.
-
-    S is ``sum(c * q**e for e, c in terms)`` and ``parts`` is a list of
-    ``(x, coeffs)`` pairs, int x and int lists: Q_0 = x_0 * coeffs_0,
-    Q_j = S**step * Q_(j-1) + x_j * coeffs_j, and Q is the last Q_j.  Each
-    coefficient list is packed once, one ``width``-byte slot per
-    coefficient, and the result is read back once.  A round, one product by
-    S, adds the shifted copies of the packed integer for each distinct c,
-    multiplies each sum by its c, and masks to n + 1 slots.  Shifts, adds,
-    products and the mask are exact modulo 256**(width*(n+1)), so the result
-    is congruent to the truncated product and intermediate slots may
-    overflow.  ``width`` comes from a proven bound on the result, never from
-    the result: with N the sum of |c| over the terms up to q**n (or 1 if
-    that is 0), a round at most multiplies the largest |coefficient| by N, so
-    ``bound = bound * N**step + |x_j| * max|coeffs_j|`` at each part, times
-    N**tail at the end, bounds every result coefficient; ``width`` holds it
-    plus a sign bit, so each slot reads back signed.
-    """
-    parts = [(x, coeffs[: n + 1]) for x, coeffs in parts]
-    # at least 1, so that the bound holds each packed part as well
+    coeffs = coeffs[: n + 1]
     total = max(sum(abs(c) for e, c in terms if e <= n), 1)
-    bound = 0
-    for x, coeffs in parts:
-        bound = bound * total**step + abs(x) * max(map(abs, coeffs), default=0)
-    bound *= total**tail
+    bound = max(map(abs, coeffs), default=0) * total**rounds
     if bound == 0:
         return [0] * (n + 1)
     width = (bound.bit_length() + 8) // 8
@@ -205,19 +187,10 @@ def _sparse_horner(terms: list, step: int, tail: int, parts: list, n: int) -> li
     for e, c in terms:
         if e <= n and c:
             groups.setdefault(c, []).append(8 * width * e)
-
-    def times_s(x: int, rounds: int) -> int:
-        for _ in range(rounds):
-            x = sum(c * sum(map(x.__lshift__, shifts)) for c, shifts in groups.items()) & mask
-        return x
-
-    x = 0
-    for j, (xj, coeffs) in enumerate(parts):
-        if j:
-            x = times_s(x, step)
-        if xj:
-            x += xj * _pack(coeffs, width)
-    return _unpack(times_s(x, tail), width, n)
+    x = _pack(coeffs, width)
+    for _ in range(rounds):
+        x = sum(c * sum(map(x.__lshift__, shifts)) for c, shifts in groups.items()) & mask
+    return _unpack(x, width, n)
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,8 @@ SCHEMA_VERSION = 1
 # ``lift``: ``check --maass`` and ``eigen`` visit about bound**3 / 6 reduced
 # indices, and a cold lift's work grows about as bound**4 (a half-integral
 # truncation of 4 * bound**2, series products of that length, and the table
-# entries); at bound 100 a cold weight-14 lift took 5.4 s and 95 MB, at 150
-# it took 20 s and 256 MB (2 cores, Python 3.11)
+# entries); at bound 100 a cold weight-14 lift takes 1.1-1.3 s and 74 MB, at
+# 150 it takes 2.7 s and 201 MB (2 cores, Python 3.11)
 BOUND_CAP = 100
 
 

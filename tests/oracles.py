@@ -11,9 +11,13 @@ replaced, the Smith-form coset algebra the Hecke operators' closed-form
 class sizes and character test replaced, the coset families and explicit
 coset matrices that pin the coset classes, the Gauss-Jordan over
 Fractions and the denominator clearing that the fraction-free ``echelon``
-replaced, and the plus-space generators, theta products and Horner steps,
-each packed and read back apart, that the one packed Horner pass replaced,
-with the full-length odd-sigma sieve the half-length one replaced.  It also
+replaced, the kernel construction of the plus-space basis that the
+Eichler-Zagier closed forms replaced (monomial generators at the constraint
+window, one fraction-free elimination and one packed Horner pass, which
+also gives the staircase bases of the spaces the library refuses), and the
+generators, theta products and Horner steps, each packed and read back
+apart, that the packed pass replaced, with the full-length odd-sigma sieve
+the half-length one replaced.  It also
 holds what only tests call: the schoolbook product of series with any exact
 coefficients, the prime Hecke operator on elliptic forms, the staircase
 matrix and the 2x2 eigen-split that split the two-dimensional spaces the
@@ -30,7 +34,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from sklift.characterize import (
@@ -66,11 +72,7 @@ from sklift.jacobi import JacobiForm
 from sklift.kohnen import (
     PlusSpaceForm,
     _eigenvalue_on,
-    _f2_powers,
-    _theta_terms,
-    _window_generators,
     plus_hecke,
-    plus_space_basis,
 )
 from sklift.numeric import (
     QuadExt,
@@ -86,9 +88,11 @@ from sklift.numeric import (
 from sklift.qseries import (
     QSeries,
     RatMatrix,
+    _kronecker,
     _pack,
     _unpack,
     echelon,
+    sparse_times,
 )
 from sklift.siegel import (
     CheckReport,
@@ -447,14 +451,177 @@ def split_pair(basis: list[QSeries], m: RatMatrix) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# the plus space: the step-by-step products the packed Horner pass replaced,
-# and the theta series, Hecke matrix and eigen-split that only tests call
+# the plus space: the kernel construction the closed forms replaced, the
+# step-by-step products the packed Horner pass replaced, and the theta
+# series, Hecke matrix and eigen-split that only tests call
 # ---------------------------------------------------------------------------
+
+def theta_terms(prec: int) -> list[tuple[int, int]]:
+    """The nonzero terms ``(e, c)`` of theta to ``prec``: 1 and 2*q**(n*n)."""
+    return [(0, 1)] + [(n * n, 2) for n in range(1, math.isqrt(prec) + 1)]
+
+
+def odd_sigma_half(half: int) -> list:
+    """sigma_1(2i + 1) for i = 0..half.
+
+    These are the coefficients of g, where the weight-2 generator
+    f2 = sum of sigma_1(n) q**n over odd n is q * g(q**2).
+    """
+    g = [0] * (half + 1)
+    # each odd n = d*e with odd d <= e gets d + e, or d alone when e = d;
+    # n sits at index (n - 1)/2, so with d fixed and e = d, d + 2, ... the
+    # indices step by d and only the d up to sqrt(n) are run over
+    for d in range(1, math.isqrt(2 * half + 1) + 1, 2):
+        start = d * d // 2
+        count = len(range(start, half + 1, d))
+        g[start::d] = map(operator.add, g[start::d], chain([d], range(2 * d + 2, 2 * d + 2 * count, 2)))
+    return g
+
+
+def f2_powers(prec: int, count: int) -> list[list]:
+    """Coefficient lists of f2, f2**2, ..., f2**count to ``prec``, at half length.
+
+    f2 vanishes at even exponents, f2 = q * g(q**2), so f2**j is
+    q**j * g(q**2)**j: only powers of g, half as long, are multiplied,
+    each as the product of two lower ones, as integer lists.
+    """
+    half = max((prec - 1) // 2, 0)
+    g_pows = [[1], odd_sigma_half(half)]
+    for j in range(2, count + 1):
+        # an even power squares the half power, which the product takes faster
+        g_pows.append(_kronecker(g_pows[j // 2], g_pows[j - j // 2], half))
+    out = []
+    for j in range(1, count + 1):
+        c = [0] * (prec + 1)
+        c[j::2] = g_pows[j][: len(range(j, prec + 1, 2))]
+        out.append(c)
+    return out
+
+
+def window_generators(k: int, prec: int, f2_pows: list[list]) -> list[list]:
+    """Coefficient lists of the monomial generators to ``prec``, for ``f2_pows`` to at least it.
+
+    Generator b is theta**(wnum - 4b) * f2**b, wnum = 2k - 1; the powers of
+    theta run up from theta**(wnum % 4), four rounds of shifted adds each,
+    and each meets its f2 power in one product.
+    """
+    wnum = 2 * k - 1
+    squares = theta_terms(prec)
+    theta_pow = sparse_times(squares, [1], prec, wnum % 4)
+    gens = []
+    for b in range(wnum // 4, 0, -1):
+        gens.append(_kronecker(theta_pow, f2_pows[b - 1][: prec + 1], prec))
+        theta_pow = sparse_times(squares, theta_pow, prec, 4)
+    gens.append(theta_pow)
+    return gens[::-1]
+
+
+def sparse_horner(terms: list, step: int, tail: int, parts: list, n: int) -> list:
+    """Coefficients 0..n of ``S**tail * Q`` by Horner's rule on one packed integer.
+
+    S is ``sum(c * q**e for e, c in terms)`` and ``parts`` is a list of
+    ``(x, coeffs)`` pairs, int x and int lists: Q_0 = x_0 * coeffs_0,
+    Q_j = S**step * Q_(j-1) + x_j * coeffs_j, and Q is the last Q_j.  Each
+    coefficient list is packed once and the result is read back once, at
+    ``sparse_times``' rounds and masks, so intermediate slots may overflow.
+    With N the sum of |c| over the terms up to q**n (or 1 if that is 0),
+    ``bound = bound * N**step + |x_j| * max|coeffs_j|`` at each part, times
+    N**tail at the end, bounds every result coefficient; the slot width
+    holds it plus a sign bit.
+    """
+    parts = [(x, coeffs[: n + 1]) for x, coeffs in parts]
+    # at least 1, so that the bound holds each packed part as well
+    total = max(sum(abs(c) for e, c in terms if e <= n), 1)
+    bound = 0
+    for x, coeffs in parts:
+        bound = bound * total**step + abs(x) * max(map(abs, coeffs), default=0)
+    bound *= total**tail
+    if bound == 0:
+        return [0] * (n + 1)
+    width = (bound.bit_length() + 8) // 8
+    mask = (1 << (8 * width * (n + 1))) - 1
+    groups: dict[int, list[int]] = {}
+    for e, c in terms:
+        if e <= n and c:
+            groups.setdefault(c, []).append(8 * width * e)
+
+    def times_s(x: int, rounds: int) -> int:
+        for _ in range(rounds):
+            x = sum(c * sum(map(x.__lshift__, shifts)) for c, shifts in groups.items()) & mask
+        return x
+
+    x = 0
+    for j, (xj, coeffs) in enumerate(parts):
+        if j:
+            x = times_s(x, step)
+        if xj:
+            x += xj * _pack(coeffs, width)
+    return _unpack(times_s(x, tail), width, n)
+
+
+def plus_space_basis_by_kernel(k: int, prec: int, constraint_bound: int | None = None):
+    """The plus-space basis as the kernel of the support constraints in the monomial span.
+
+    The kernel (constant term zero, nothing in the residue classes 1 and 2
+    mod 4 up to ``constraint_bound``, 4k by default) is found at that window
+    by one ``echelon`` call and must have the integral-weight cusp
+    dimension, or ``DimensionMismatchError`` is raised; each basis form is
+    then evaluated at full validity by one packed Horner pass in theta**4.
+    Any dimension is returned, as a staircase basis.
+    """
+    if k % 2:
+        raise UsageError("odd weights do not occur on this lift chain")
+    bound = constraint_bound if constraint_bound is not None else 4 * k
+    if bound > prec:
+        raise TruncationError(
+            f"constraint bound {bound} exceeds series validity {prec}", required=bound
+        )
+    # one elimination over the constraint positions, the other exponents to
+    # the window, then the monomial coordinates: the rows with a pivot past
+    # the constraints span the kernel, echelonized over a window that does
+    # not depend on the requested validity, so the basis does not either
+    wnum = 2 * k - 1
+    f2_pows = f2_powers(prec, wnum // 4)
+    positions = [0] + [n for n in range(1, bound + 1) if n % 4 in (1, 2)]
+    order = positions + [n for n in range(1, bound + 1) if n % 4 in (0, 3)]
+    gens = window_generators(k, bound, f2_pows)
+    ident = [[int(i == j) for j in range(len(gens))] for i in range(len(gens))]
+    rows = [[g[n] for n in order] + e for g, e in zip(gens, ident)]
+    red, pivots = echelon(rows)
+    kernel_rows = [(row, c) for row, c in zip(red, pivots) if c >= len(positions)]
+    expected = dim_cusp_forms(2 * k - 2)
+    if len(kernel_rows) != expected:
+        raise DimensionMismatchError(
+            f"plus space at k={k}: kernel dimension {len(kernel_rows)}, expected {expected} "
+            f"(constraint bound {bound} too small, or conventions wrong)"
+        )
+    if any(c > bound for _, c in kernel_rows):
+        raise DimensionMismatchError(
+            f"plus space at k={k}: echelon pivots escape the constraint window"
+        )
+    # generator b is theta**(wnum - 4b) * f2**b, so sum(x_b * generator b) is
+    # theta**(wnum % 4) * Q with Q = sum(x_b * t4**(bmax - b) * f2**b),
+    # t4 = theta**4, evaluated at full validity by Horner in t4 on one
+    # packed integer: Q_0 = x_0, Q_j = t4 * Q_(j-1) + x_j * f2**j
+    squares = theta_terms(prec)
+    out = []
+    for row, _ in kernel_rows:
+        # primitive as the row is: its window entries are combinations of these
+        coords = row[bound + 1 :]
+        parts = list(zip(coords, [[1]] + f2_pows))
+        series = QSeries(sparse_horner(squares, 4, wnum % 4, parts, prec), prec)
+        lead = series.coefficient(series.valuation())
+        if lead < 0:
+            series = -series
+        # full-validity support recheck, not just up to the constraint bound
+        out.append(PlusSpaceForm(k, series))
+    return out
+
 
 def theta_series(prec: int) -> QSeries:
     """The unary theta series 1 + 2*sum(q**(n*n))."""
     coeffs = [0] * (prec + 1)
-    for e, c in _theta_terms(prec):
+    for e, c in theta_terms(prec):
         coeffs[e] = c
     return QSeries(coeffs, prec)
 
@@ -489,7 +656,7 @@ def sparse_times_by_terms(terms: list, coeffs: list, n: int, rounds: int) -> lis
 
 
 def sparse_horner_by_steps(terms: list, step: int, tail: int, parts: list, n: int) -> list:
-    """``_sparse_horner`` as one ``sparse_times_by_terms`` call per step plus a list add."""
+    """``sparse_horner`` as one ``sparse_times_by_terms`` call per step plus a list add."""
     acc = [0] * (n + 1)
     for j, (x, coeffs) in enumerate(parts):
         if j:
@@ -516,14 +683,14 @@ def halfint_generators(k: int, prec: int) -> list[QSeries]:
 
     Generator b is theta**(2k-1-4b) * f2**b for b = 0..(2k-1)//4.
     """
-    f2_pows = _f2_powers(prec, (2 * k - 1) // 4)
-    return [QSeries(c, prec) for c in _window_generators(k, prec, f2_pows)]
+    f2_pows = f2_powers(prec, (2 * k - 1) // 4)
+    return [QSeries(c, prec) for c in window_generators(k, prec, f2_pows)]
 
 
 def halfint_generators_by_rounds(k: int, prec: int) -> list[QSeries]:
     """Generator b, theta**(2k-1-4b) * f2**b, as 2k-1-4b rounds of ``sparse_times_by_terms``."""
     wnum = 2 * k - 1
-    squares = _theta_terms(prec)
+    squares = theta_terms(prec)
     f2_pows = [[1]] + f2_powers_by_series(prec, wnum // 4)
     return [
         QSeries(sparse_times_by_terms(squares, f2_pow, prec, wnum - 4 * b), prec)
@@ -532,7 +699,7 @@ def halfint_generators_by_rounds(k: int, prec: int) -> list[QSeries]:
 
 
 def plus_space_basis_by_steps(k: int, prec: int, constraint_bound: int | None = None):
-    """``plus_space_basis`` with each generator built apart and Horner one call per step.
+    """``plus_space_basis_by_kernel`` with each generator built apart and Horner one call per step.
 
     The window generators come from ``halfint_generators_by_rounds`` and each
     Horner step from ``sparse_times_by_terms`` plus a list add.
@@ -552,7 +719,7 @@ def plus_space_basis_by_steps(k: int, prec: int, constraint_bound: int | None = 
     if any(c > bound for _, c in kernel_rows):
         raise DimensionMismatchError("pivots escape the window")
     wnum = 2 * k - 1
-    squares = _theta_terms(prec)
+    squares = theta_terms(prec)
     f2_pows = f2_powers_by_series(prec, wnum // 4)
     out = []
     for row, _ in kernel_rows:
@@ -655,7 +822,7 @@ def plus_eigenforms(k: int, prec: int, constraint_bound: int | None = None):
     Returns a list of ``(form, eigenvalue)`` pairs; for two-dimensional
     spaces the eigenvalues are exact conjugate quadratic irrationals.
     """
-    basis = plus_space_basis(k, prec, constraint_bound)
+    basis = plus_space_basis_by_kernel(k, prec, constraint_bound)
     if not basis:
         return []
     if len(basis) == 1:

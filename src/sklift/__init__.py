@@ -7,7 +7,6 @@ from .qseries import QSeries, RatMatrix
 from .elliptic import (
     EllipticEigenform,
     EllipticForm,
-    cusp_basis,
     delta,
     dim_cusp_forms,
     eigenforms,

@@ -1,13 +1,14 @@
 """Persistent on-disk cache for exact expansion data.
 
 Entries are keyed by (module, name, weight, truncation) plus a schema
-version; values are lists of exact rationals.  Because the data is exact,
+version; values are lists of ints, each written as its decimal string and
+read back only from the strings ``-?[0-9]+``.  Because the data is exact,
 a repeated write to an existing key must agree bit for bit; disagreement is
 an error, never a silent overwrite.  A request may be served from any
 cached entry of the same object at a larger truncation.  A lift stores only
-its plus-space form; its elliptic seed is rebuilt in integers each time,
-faster than a read, and elliptic entries earlier versions wrote are never
-read.
+its plus-space form, whose coefficients are integers; its elliptic seed is
+rebuilt in integers each time, faster than a read, and elliptic entries
+earlier versions wrote are never read.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import json
 import os
 import re
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import CacheMismatchError, UsageError
-from .numeric import int_if_integral, short_repr
+from .numeric import short_repr
 from .qseries import QSeries
 
 CACHE_SCHEMA = 1
@@ -28,9 +28,8 @@ CACHE_ENV_VAR = "SKLIFT_CACHE_DIR"
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
-
-# the fraction strings ``_encode`` writes, with a nonzero denominator
-_FRACTION_RE = re.compile(r"-?[0-9]+/[0-9]*[1-9][0-9]*")
+# the integer strings ``_encode`` writes
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 class TextEncoder(json.JSONEncoder):
@@ -64,7 +63,11 @@ class ExpansionCache:
 
     @staticmethod
     def _encode(coeffs) -> list[str]:
-        return [str(c) if type(c) is int else str(Fraction(c)) for c in coeffs]
+        """The decimal strings of int coefficients; any other value is a ``UsageError``."""
+        for c in coeffs:
+            if type(c) is not int:
+                raise UsageError(f"cache entries hold ints only, got {short_repr(c)}")
+        return list(map(str, coeffs))
 
     @staticmethod
     def _decode(data) -> list:
@@ -73,15 +76,9 @@ class ExpansionCache:
             raise ValueError(f"coeffs is a JSON {type(data).__name__}, not a list")
         out = []
         for text in data:
-            if type(text) is not str:
-                raise ValueError(f"a coefficient is a JSON {type(text).__name__}, not a string")
-            # plain (optionally negative) digit strings parse the same by int
-            if text.lstrip("-").isdigit():
-                out.append(int(text))
-            elif _FRACTION_RE.fullmatch(text):
-                out.append(int_if_integral(Fraction(text)))
-            else:
+            if type(text) is not str or not _INT_RE.fullmatch(text):
                 raise ValueError(f"bad coefficient {short_repr(text)}")
+            out.append(int(text))
         return out
 
     @classmethod

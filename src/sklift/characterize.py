@@ -73,7 +73,7 @@ class EigenvalueRecord:
         if self.p.bit_length() > PRIME_TEST_BITS:
             raise UsageError(f"p has {self.p.bit_length()} bits; primes are tested up to {PRIME_TEST_BITS}")
         if not is_prime(self.p):
-            raise UsageError(f"{self.p} is not prime")
+            raise UsageError(f"{short_repr(self.p)} is not prime")
         object.__setattr__(self, "mu_p", _as_value(self.mu_p))
         object.__setattr__(self, "mu_p2", _as_value(self.mu_p2))
 

@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import characterize
+from . import characterize, siegel
 from .cache import ExpansionCache, TextEncoder
 from .characterize import (
     EigenvalueRecord,
@@ -222,9 +222,16 @@ def cmd_check(config: RunConfig, args) -> int:
     if args.all:
         primes = sorted(set(primes) | {2, 3, 5})
     for p in primes:
+        # the work first, so that a huge p is refused before any primality test
+        if p > 1 and siegel.maass_p_instances(p, table.bound) > siegel.MAASS_P_CAP:
+            raise UsageError(
+                f"--maass-p {short_repr(p)} is past the cap on the checker's work, which grows as "
+                f"p**3.5 * bound**3; the largest --maass-p that fits table bound {table.bound} "
+                f"is {siegel.largest_maass_p(table.bound)}"
+            )
         if not is_prime(p):
-            raise UsageError(f"--maass-p got {p}, which is not prime")
-        reports.append(check_maass_p_space(table, p))
+            raise UsageError(f"--maass-p got {short_repr(p)}, which is not prime")
+    reports += [check_maass_p_space(table, p) for p in primes]
     if not reports:
         raise UsageError("nothing to do: pass --maass, --maass-p P, or --all")
     payload = {"table": args.table, "reports": []}
@@ -264,9 +271,6 @@ def _parse_primes(text: str) -> tuple:
         raise UsageError(f"bad prime list {short_repr(text)}") from exc
     if not primes:
         raise UsageError("empty prime list")
-    for p in primes:
-        if not is_prime(p):
-            raise UsageError(f"{p} is not prime")
     return primes
 
 
@@ -276,11 +280,15 @@ def cmd_eigen(config: RunConfig, args) -> int:
     if args.out:
         _check_out_dir(args.out)
     need = max(p * p for p in primes)
+    # the bound first, so that a huge p is refused before any primality test
     if table.bound < need:
         raise UsageError(
-            f"table bound {table.bound} too small for primes {list(primes)}; "
-            f"prime-square extraction needs bound >= {need}"
+            f"table bound {table.bound} too small for primes {short_repr(list(primes))}; "
+            f"prime-square extraction needs bound >= {short_repr(need)}"
         )
+    for p in primes:
+        if not is_prime(p):
+            raise UsageError(f"{short_repr(p)} is not prime")
     records = []
     for p in primes:
         mu_p = hecke_eigenvalue(table, p)

@@ -1,13 +1,12 @@
 """Level-one elliptic modular forms with exact q-expansions.
 
-Cusp form bases are built from integer monomials in the discriminant form
-and the two Eisenstein generators E4 = 1 + 240 sigma_3 and
-E6 = 1 - 504 sigma_5, both from ``eisenstein``, then row reduced by
-``qseries.echelon`` to a staircase basis whose coefficients are ints
-wherever they are integral.  A one-dimensional cusp space holds one
-normalized eigenform, its basis form, with rational coefficients; a space of
-dimension two or more is refused, as its eigenforms have irrational
-coefficients that nothing on the lift chain carries.
+The discriminant form Delta is q * prod(1 - q**n)**24, the eighth power of
+Jacobi's series for the cube of eta, built in integers by ``sparse_times``.
+A one-dimensional cusp space S_w = Delta * M_(w-12) holds one normalized
+eigenform, Delta * E_(w-12) (Serre, A Course in Arithmetic, VII 3), with
+E_0 = 1 at weight 12; on the weights a lift reaches its coefficients are
+ints.  A space of dimension two or more is refused, as its eigenforms have
+irrational coefficients that nothing on the lift chain carries.
 """
 
 from __future__ import annotations
@@ -15,9 +14,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DimensionMismatchError, TruncationError, UnsupportedFieldError, UsageError
+from .errors import TruncationError, UnsupportedFieldError, UsageError
 from .numeric import bernoulli_number, int_if_integral
-from .qseries import QSeries, echelon
+from .qseries import QSeries, sparse_times
 
 
 def dim_modular_forms(weight: int) -> int:
@@ -104,78 +103,28 @@ def _eta_cube_terms(prec: int) -> list[tuple[int, int]]:
     return [(j * (j + 1) // 2, (-1) ** j * (2 * j + 1)) for j in range(count)]
 
 
-def _eta_power24(prec: int) -> QSeries:
-    # the cube of the eta q-expansion (without the q**(1/8)), then three squarings
-    cube = [0] * (prec + 1)
-    for e, c in _eta_cube_terms(prec):
-        cube[e] = c
-    s = QSeries(cube, prec)
-    for _ in range(3):
-        s = s * s
-    return s
-
-
 def delta(prec: int) -> EllipticForm:
     """The weight-12 discriminant cusp form, from its eta-product expansion."""
     if prec < 1:
         raise UsageError("the discriminant form needs validity to at least q**1")
-    return EllipticForm(12, _eta_power24(prec - 1).shift(1))
-
-
-def _monomial_exponents(weight: int) -> list[tuple[int, int, int]]:
-    """All (a, b, c) with 12a + 4b + 6c = weight and a >= 1."""
-    out = []
-    for a in range(1, weight // 12 + 1):
-        rem = weight - 12 * a
-        for c in range(rem // 6 + 1):
-            if (rem - 6 * c) % 4 == 0:
-                out.append((a, (rem - 6 * c) // 4, c))
-    return out
-
-
-def cusp_basis(weight: int, prec: int) -> list[EllipticForm]:
-    """Echelonized exact basis of the level-one cusp space."""
-    expected = dim_cusp_forms(weight)
-    if expected == 0:
-        return []
-    if prec < expected + 1:
-        raise TruncationError(
-            f"weight {weight} needs validity to q**{expected + 1}", required=expected + 1
-        )
-    d = delta(prec).series
-    e4, e6 = eisenstein(4, prec).series, eisenstein(6, prec).series
-    rows = []
-    for a, b, c in _monomial_exponents(weight):
-        s = d**a
-        if b:
-            s = s * e4**b
-        if c:
-            s = s * e6**c
-        rows.append(s.coeffs[1:])
-    red, pivots = echelon(rows)
-    if len(pivots) != expected:
-        raise DimensionMismatchError(
-            f"cusp space of weight {weight}: got rank {len(pivots)}, expected {expected}"
-        )
-    basis = []
-    for row, c in zip(red, pivots):
-        # the row of the rational RREF, an int wherever it is integral
-        pv = row[c]
-        coeffs = [x // pv if x % pv == 0 else Fraction(x, pv) for x in row]
-        basis.append(EllipticForm(weight, QSeries([0] + coeffs, prec)))
-    return basis
+    eta24 = sparse_times(_eta_cube_terms(prec - 1), [1], prec - 1, 8)
+    return EllipticForm(12, QSeries(eta24, prec - 1).shift(1))
 
 
 def eigenforms(weight: int, prec: int) -> list[EllipticEigenform]:
-    """Normalized eigenbasis of a level-one cusp space of dimension at most one.
+    """``[Delta * E_(weight-12)]`` for a one-dimensional level-one cusp space, ``[]`` for an empty one.
 
-    The basis form of a one-dimensional space is its eigenform; a space of
-    dimension two or more raises ``UnsupportedFieldError``.
+    A space of dimension two or more raises ``UnsupportedFieldError`` before any series is built.
     """
-    basis = cusp_basis(weight, prec)
-    if len(basis) > 1:
+    dim = dim_cusp_forms(weight)
+    if dim > 1:
         raise UnsupportedFieldError(
-            f"weight {weight} has a {len(basis)}-dimensional cusp space; "
+            f"weight {weight} has a {dim}-dimensional cusp space; "
             "eigenvalue fields beyond degree 1 are not supported"
         )
-    return [EllipticEigenform(weight, f.series) for f in basis]
+    if dim == 0:
+        return []
+    if prec < 2:
+        raise TruncationError(f"weight {weight} needs validity to q**2", required=2)
+    e = eisenstein(weight - 12, prec).series if weight > 12 else QSeries([1], prec)
+    return [EllipticEigenform(weight, delta(prec).series * e)]

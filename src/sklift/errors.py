@@ -31,10 +31,6 @@ class TruncationError(SkliftError):
         self.required = required
 
 
-class DimensionMismatchError(SkliftError):
-    """A computed space has a dimension that contradicts an independent formula."""
-
-
 class UnsupportedFieldError(SkliftError):
     """A cusp space of dimension two or more, whose eigenforms are not rational."""
 

@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedFieldError,
     UsageError,
 )
-from .numeric import exact_div, int_if_integral, is_prime, kronecker_symbol
+from .numeric import exact_div, int_if_integral, is_prime, kronecker_symbol, short_repr
 from .qseries import QSeries, _kronecker, sparse_times
 
 
@@ -134,7 +134,7 @@ def plus_hecke(g: PlusSpaceForm, p: int) -> PlusSpaceForm:
     README.
     """
     if not is_prime(p):
-        raise UsageError(f"{p} is not prime")
+        raise UsageError(f"{short_repr(p)} is not prime")
     out_prec = g.prec // (p * p)
     if out_prec < 1:
         raise TruncationError(

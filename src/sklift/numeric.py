@@ -67,6 +67,10 @@ def short_repr(value) -> str:
     """
     if isinstance(value, str):
         return repr(value) if len(value) <= 20 else f"{value[:20]!r}..."
+    if type(value) is int and value.bit_length() > 67:
+        # 21 digits or more; one division keeps 20 or more (3/10 < log10(2)), within Python's int-to-text limit
+        cut = value.bit_length() * 3 // 10 - 20
+        return str(-(-value // 10**cut) if value < 0 else value // 10**cut)[:20] + "..."
     text = repr(value)
     return text if len(text) <= 20 else f"{text[:20]}..."
 

@@ -13,8 +13,7 @@ integer at one slot width, taken from a proven bound on the result, packing
 the list once and reading the result back once.
 
 ``echelon``, fraction-free Gauss-Jordan returning primitive integer rows, is
-the one row reduction; the elliptic cusp basis calls it directly, and
-``RatMatrix.rref`` clears denominators and calls it.
+the one row reduction; ``RatMatrix.rref`` clears denominators and calls it.
 """
 
 from __future__ import annotations
@@ -85,21 +84,6 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "QSeries":
-        if e < 0:
-            raise UsageError("negative powers of a series are not supported")
-        if e == 0:
-            return QSeries([1], self.prec)
-        out = None
-        base = self
-        while True:
-            if e & 1:
-                out = base if out is None else out * base
-            e >>= 1
-            if not e:
-                return out
-            base = base * base
-
     # -- comparison -----------------------------------------------------
 
     def __eq__(self, other):
@@ -155,9 +139,7 @@ def _kronecker(a: list, b: list, n: int) -> list:
     if bound == 0:
         return [0] * (n + 1)
     width = (bound.bit_length() + 8) // 8
-    packed = _pack(a, width)
-    # a square multiplies one integer by itself, which takes a faster path
-    return _unpack(packed * (packed if b is a else _pack(b, width)), width, n)
+    return _unpack(_pack(a, width) * _pack(b, width), width, n)
 
 
 def sparse_times(terms: list, coeffs: list, n: int, rounds: int) -> list:

@@ -353,6 +353,38 @@ def check_maass_space(table: SiegelFourierTable) -> CheckReport:
     return CheckReport("maass", None, table.bound, checked, skipped, tuple(violations))
 
 
+def maass_p_instances(p: int, bound: int) -> int:
+    """An upper bound on the instances ``check_maass_p_space`` enumerates at p >= 2.
+
+    With T = p * bound it visits isqrt(4pnm) + 1 <= 2 sqrt(pnm) + 1 values of r
+    at each n, m <= T, and sum(sqrt(n) for n <= T) <= (2/3) (T + 1)**(3/2); so
+    it is T**2 + (8/9) sqrt(p) (T + 1)**3 at most, the least y with
+    81 y**2 >= 64 p (T + 1)**6 in place of the second term.
+    """
+    t = p * bound
+    return t * t + math.isqrt((64 * p * (t + 1) ** 6 - 1) // 81) + 1
+
+
+# check --all (p = 2, 3 and 5) fits on every table that lift can write
+MAASS_P_CAP = maass_p_instances(5, BOUND_CAP)
+
+
+def largest_maass_p(bound: int) -> int:
+    """The largest prime within ``MAASS_P_CAP`` at a ``bound`` <= ``BOUND_CAP``.
+
+    Bisection finds the largest integer that fits, below 4 * MAASS_P_CAP**2,
+    where (8/9) sqrt(p) alone passes the cap; the prime is the first at or
+    below it.
+    """
+    fits, past = 2, 4 * MAASS_P_CAP**2
+    while past - fits > 1:
+        mid = (fits + past) // 2
+        fits, past = (mid, past) if maass_p_instances(mid, bound) <= MAASS_P_CAP else (fits, mid)
+    while not is_prime(fits):
+        fits -= 1
+    return fits
+
+
 def check_maass_p_space(table: SiegelFourierTable, p: int) -> CheckReport:
     """Verify the single-prime coefficient relation
 
@@ -365,7 +397,7 @@ def check_maass_p_space(table: SiegelFourierTable, p: int) -> CheckReport:
     r >= 0 is enumerated.
     """
     if not is_prime(p):
-        raise UsageError(f"{p} is not prime")
+        raise UsageError(f"{short_repr(p)} is not prime")
     k = table.weight
     pk = p ** (k - 1)
     top = p * table.bound
@@ -436,7 +468,7 @@ def _coset_classes(p: int, e: int) -> tuple[CosetClass, ...]:
 
 def coset_classes(p: int, e: int = 1) -> tuple[CosetClass, ...]:
     if not is_prime(p):
-        raise UsageError(f"{p} is not prime")
+        raise UsageError(f"{short_repr(p)} is not prime")
     if e not in (1, 2):
         raise UsageError("only similitudes p and p**2 are implemented")
     classes = _coset_classes(p, e)

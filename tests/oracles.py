@@ -11,7 +11,10 @@ replaced, the Smith-form coset algebra the Hecke operators' closed-form
 class sizes and character test replaced, the coset families and explicit
 coset matrices that pin the coset classes, the Gauss-Jordan over
 Fractions and the denominator clearing that the fraction-free ``echelon``
-replaced, the kernel construction of the plus-space basis that the
+replaced, the monomial cusp basis in the discriminant form (squared out of
+the cube of eta) and E4 and E6 that the closed eigenform Delta * E_(w-12)
+replaced, which also gives the staircase bases of the spaces the library
+refuses, the kernel construction of the plus-space basis that the
 Eichler-Zagier closed forms replaced (monomial generators at the constraint
 window, one fraction-free elimination and one packed Horner pass, which
 also gives the staircase bases of the spaces the library refuses), and the
@@ -56,13 +59,10 @@ from sklift.characterize import (
 from sklift.elliptic import (
     EllipticEigenform,
     EllipticForm,
-    _monomial_exponents,
-    cusp_basis,
-    delta,
+    _eta_cube_terms,
     dim_cusp_forms,
 )
 from sklift.errors import (
-    DimensionMismatchError,
     InconsistencyError,
     TruncationError,
     UnsupportedFieldError,
@@ -102,6 +102,10 @@ from sklift.siegel import (
     reduce_index,
     reduced_indices,
 )
+
+
+class DimensionMismatchError(Exception):
+    """A space built here has a dimension that contradicts the classical formula."""
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +223,14 @@ def series_product(*factors: QSeries) -> QSeries:
     for f in factors[1:]:
         n = min(out.prec, f.prec)
         out = QSeries(_schoolbook(out.coeffs, f.coeffs, n), n)
+    return out
+
+
+def series_power(s: QSeries, e: int) -> QSeries:
+    """``s`` to the power e >= 0 as e library products, valid to the validity of ``s``."""
+    out = QSeries([1], s.prec)
+    for _ in range(e):
+        out = out * s
     return out
 
 
@@ -742,10 +754,35 @@ def eisenstein_by_fractions(weight: int, prec: int) -> QSeries:
     return QSeries([Fraction(1)] + [factor * sigma(weight - 1, n) for n in range(1, prec + 1)], prec)
 
 
-def cusp_basis_by_fractions(weight: int, prec: int) -> list[EllipticForm]:
-    """The staircase cusp basis from Fraction Eisenstein series and Gauss-Jordan over Fractions.
+def delta_by_squarings(prec: int) -> QSeries:
+    """The discriminant form as Jacobi's series for the cube of eta, squared three times, times q."""
+    cube = [0] * prec
+    for e, c in _eta_cube_terms(prec - 1):
+        cube[e] = c
+    s = QSeries(cube, prec - 1)
+    for _ in range(3):
+        s = s * s
+    return s.shift(1)
 
-    Entries are stored as ints where integral, the library's type rule.
+
+def _monomial_exponents(weight: int) -> list[tuple[int, int, int]]:
+    """All (a, b, c) with 12a + 4b + 6c = weight and a >= 1."""
+    out = []
+    for a in range(1, weight // 12 + 1):
+        rem = weight - 12 * a
+        for c in range(rem // 6 + 1):
+            if (rem - 6 * c) % 4 == 0:
+                out.append((a, (rem - 6 * c) // 4, c))
+    return out
+
+
+def cusp_basis_by_fractions(weight: int, prec: int) -> list[EllipticForm]:
+    """The staircase cusp basis: the monomials Delta**a E4**b E6**c, then Gauss-Jordan over Fractions.
+
+    Delta is ``delta_by_squarings`` and E4 and E6 are
+    ``eisenstein_by_fractions``, whose coefficients are integers, so the
+    monomials are integer products.  Entries are stored as ints where
+    integral, the library's type rule.  Any dimension is returned.
     """
     expected = dim_cusp_forms(weight)
     if expected == 0:
@@ -754,12 +791,14 @@ def cusp_basis_by_fractions(weight: int, prec: int) -> list[EllipticForm]:
         raise TruncationError(
             f"weight {weight} needs validity to q**{expected + 1}", required=expected + 1
         )
-    d = delta(prec).series
-    e4, e6 = eisenstein_by_fractions(4, prec), eisenstein_by_fractions(6, prec)
+    d = delta_by_squarings(prec)
+    e4, e6 = (QSeries(map(int_if_integral, eisenstein_by_fractions(w, prec).coeffs), prec) for w in (4, 6))
     rows = []
     for a, b, c in _monomial_exponents(weight):
-        s = series_product(d**a, *[e4] * b, *[e6] * c)
-        rows.append([s.coefficient(n) for n in range(1, prec + 1)])
+        s = d
+        for f in [d] * (a - 1) + [e4] * b + [e6] * c:
+            s = s * f
+        rows.append(s.coeffs[1:])
     red, pivots = rref(RatMatrix(rows))
     if len(pivots) != expected:
         raise DimensionMismatchError(
@@ -806,7 +845,7 @@ def hecke_Tp(f: EllipticForm, p: int) -> EllipticForm:
 
 def hecke_matrix(weight: int, p: int, prec: int) -> RatMatrix:
     """Matrix of T(p) on the echelonized level-one cusp basis, verified."""
-    basis = cusp_basis(weight, prec)
+    basis = cusp_basis_by_fractions(weight, prec)
     return staircase_matrix([f.series for f in basis], [hecke_Tp(f, p).series for f in basis], p)
 
 

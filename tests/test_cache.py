@@ -27,15 +27,18 @@ class TestExpansionCache:
         got = cache.fetch("elliptic", "delta", 12, 3)
         assert got == [0, 1, -24, 252]
 
-    def test_rational_values_roundtrip(self, cache):
-        coeffs = [Fraction(1), Fraction(-3, 7), Fraction(22, 5)]
-        cache.store("kohnen", "probe", 10, 2, coeffs)
-        assert cache.fetch("kohnen", "probe", 10, 2) == coeffs
+    def test_rational_values_refused(self, cache):
+        # entries hold ints only: any other value, an integral Fraction or a
+        # bool among them, is refused before anything is written
+        for value in (Fraction(-3, 7), Fraction(4, 2), True, 1.5, "1"):
+            with pytest.raises(UsageError, match="^cache entries hold ints only, got "):
+                cache.store("kohnen", "probe", 10, 2, [0, 1, value])
+        assert not cache.root.exists()
 
     def test_written_bytes_and_roundtrip(self, cache):
-        coeffs = [0, 1, -24, 2**200, -(3**150), Fraction(-3, 7), Fraction(4, 2), True]
+        coeffs = [0, 1, -24, 2**200, -(3**150), 2, 1, -7]
         cache.store("kohnen", "mixed", 10, 7, coeffs)
-        encoded = ["0", "1", "-24", str(2**200), str(-(3**150)), "-3/7", "2", "1"]
+        encoded = ["0", "1", "-24", str(2**200), str(-(3**150)), "2", "1", "-7"]
         expected = {
             "schema_version": 1, "module": "kohnen", "name": "mixed", "weight": 10,
             "truncation": 7, "coeffs": encoded,
@@ -44,20 +47,17 @@ class TestExpansionCache:
         assert path.read_text(encoding="utf-8") == json.dumps(expected)
         got = cache.fetch("kohnen", "mixed", 10, 7)
         assert got == coeffs
-        assert [type(c) for c in got] == [int] * 5 + [Fraction] + [int] * 2
+        assert [type(c) for c in got] == [int] * 8
 
-    def test_decode_matches_fraction_parse(self):
-        # integer strings skip the Fraction parse, fraction strings go through
-        # it; only the forms _encode writes are read, anything else is refused
-        def by_fraction(text):
-            value = Fraction(text)
-            return int(value) if value.denominator == 1 else value
-
-        texts = ["0", "-0", "007", "-12", str(7**300), "-3/7", "3/6", "-4/2"]
+    def test_decode_matches_int_parse(self):
+        # only the ASCII digit strings _encode writes are read, as int reads
+        # them; a fraction, a non-ASCII digit and anything else is refused
+        texts = ["0", "-0", "007", "-12", str(7**300)]
         for text in texts:
             got = ExpansionCache._decode([text])
-            assert got == [by_fraction(text)] and type(got[0]) is type(by_fraction(text)), text
-        bad = ["--5", "-", "", "1/0", "1/0x", "12a", " 12 ", "+5", "1_0", "1.5", "1e3", 7, 1.5, None, True, ["1"]]
+            assert got == [int(text)] and type(got[0]) is int, text
+        bad = ["--5", "-", "", "1/0", "1/0x", "12a", " 12 ", "+5", "1_0", "1.5", "1e3", 7, 1.5, None, True, ["1"],
+               "-3/7", "3/6", "-4/2", "\u0663", "1\u0663", "\uff11", "12\n"]
         for text in bad:
             with pytest.raises(ValueError):
                 ExpansionCache._decode([text])

@@ -206,6 +206,53 @@ class TestCheck:
     def test_requires_a_mode(self, table10):
         assert main(["check", str(table10)]) == 2
 
+    def test_maass_p_past_the_work_cap(self, tmp_path):
+        # --maass-p 101 on a bound-4 table enumerated 591 274 742 instances and
+        # ran past 20 s; a child process under a timeout fails a regression
+        # without a hang
+        table = tmp_path / "t4.json"
+        assert main(["--no-cache", "lift", "--weight", "10", "--bound", "4", "--out", str(table)]) == 0
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "sklift.cli", "check", str(table), "--all", "--maass-p", "101"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            "error: --maass-p 101 is past the cap on the checker's work, which grows as "
+            "p**3.5 * bound**3; the largest --maass-p that fits table bound 4 is 73\n"
+        )
+
+    @pytest.mark.parametrize("bound, p, want", [(12, 31, 29), (100, 7, 5), (100, 10**4000, 5)],
+                             ids=["bound12", "bound100", "bound100-huge-p"])
+    def test_largest_maass_p_named(self, table10, tmp_path, capsys, bound, p, want):
+        # the table file claims a larger bound; the refusal comes before any scan
+        data = json.loads(table10.read_text())
+        data["bound"] = bound
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps(data))
+        start = time.perf_counter()
+        assert main(["check", str(wide), "--maass-p", str(p)]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+        assert err.startswith("error: --maass-p ") and err.endswith(f"fits table bound {bound} is {want}\n")
+
+    def test_huge_maass_p_quoted_short(self, table10, capsys):
+        # 10**4000 was quoted whole, in a 4043-byte line
+        start = time.perf_counter()
+        assert main(["check", str(table10), "--maass-p", str(10**4000)]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --maass-p 10000000000000000000... is past the cap")
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+
+    def test_nonprime_maass_p_within_the_cap(self, table10, capsys):
+        for p in ("50", "1", "0", "-3"):
+            assert main(["check", str(table10), "--maass-p", p]) == 2
+            assert capsys.readouterr().err == f"error: --maass-p got {p}, which is not prime\n"
+
     def test_missing_file(self):
         assert main(["check", "/nonexistent/t.json"]) == 2
 
@@ -225,6 +272,27 @@ class TestEigen:
 
     def test_nonprime_rejected(self, table10):
         assert main(["eigen", str(table10), "--primes", "6"]) == 2
+
+    def test_nonprime_within_the_bound(self, table10, capsys):
+        # primality is tested after the bound, on primes whose square fits
+        for p in ("1", "-2", "2,1"):
+            assert main(["eigen", str(table10), "--primes", p]) == 2
+            assert capsys.readouterr().err == f"error: {p.split(',')[-1]} is not prime\n"
+
+    def test_huge_prime_refused_by_the_bound_first(self, table10, capsys):
+        # a 4001-digit odd composite took 6.25 s in the primality test and was
+        # quoted whole, with its square, in a 4022-byte line
+        p = 10**4000 + 11
+        assert p % 2 == 1 and p % 3 == 0
+        start = time.perf_counter()
+        assert main(["eigen", str(table10), "--primes", f"2,{p}"]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: table bound 6 too small for primes [2, 1000000000000000...; "
+            "prime-square extraction needs bound >= 10000000000000000000...\n"
+        )
+        assert len(err.encode()) < 300
 
     def test_bad_prime_list_quoted_short(self, table10, capsys):
         assert main(["eigen", str(table10), "--primes", "2," + "x" * 5000]) == 2
@@ -341,6 +409,17 @@ class TestClassify:
         rec_path.write_text(json.dumps({"weight": 10, "p": p, "mu_p": "1", "mu_p2": "1"}) + "\n")
         assert main(["classify", str(rec_path)]) == 2
         assert "is not prime" in capsys.readouterr().err
+
+    def test_huge_composite_p_quoted_short(self, tmp_path, capsys):
+        # p = 10**600 + 1 was quoted whole, in a 672-byte line
+        rec_path = tmp_path / "records.jsonl"
+        rec_path.write_text(json.dumps({"weight": 10, "p": 10**600 + 1, "mu_p": "1", "mu_p2": "1"}) + "\n")
+        start = time.perf_counter()
+        assert main(["classify", str(rec_path)]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err == f"error: {rec_path}:1: bad record (10000000000000000000... is not prime)\n"
+        assert len(err.encode()) < 300
 
     @pytest.mark.parametrize("rec", [
         record_with_discriminant(10, 2, 0, 2 * HOSTILE_P * HOSTILE_Q),

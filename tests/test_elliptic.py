@@ -1,10 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from sklift.elliptic import (
     EllipticEigenform,
-    cusp_basis,
     delta,
     dim_cusp_forms,
     dim_modular_forms,
@@ -16,7 +16,7 @@ from sklift.numeric import QuadExt, int_if_integral
 from sklift.qseries import QSeries
 
 import oracles
-from oracles import charpoly, divisors, hecke_matrix, hecke_Tp, matmul, split_pair
+from oracles import charpoly, cusp_basis_by_fractions, divisors, hecke_matrix, hecke_Tp, matmul, split_pair
 
 # level-one cusp dimensions, frozen from the classical formula
 KNOWN_CUSP_DIMS = {
@@ -67,22 +67,30 @@ class TestGenerators:
         for n in range(1, 31):
             assert d.a(n) == tau_oracle(n), n
 
+    def test_delta_matches_squaring_oracle(self):
+        # eight sparse rounds of the cube of eta against three series squarings
+        for prec in list(range(1, 130)) + [500, 1000]:
+            got = delta(prec).series
+            want = oracles.delta_by_squarings(prec)
+            assert (got.prec, got.coeffs) == (want.prec, want.coeffs), prec
+            assert {type(c) for c in got.coeffs} == {int}, prec
+
 
 class TestBases:
     def test_dimensions_against_frozen_table(self):
         for w, dim in KNOWN_CUSP_DIMS.items():
             assert dim_cusp_forms(w) == dim, w
-            assert len(cusp_basis(w, 24)) == dim, w
+            assert len(cusp_basis_by_fractions(w, 24)) == dim, w
         assert dim_cusp_forms(10) == 0
-        assert cusp_basis(10, 24) == []
+        assert cusp_basis_by_fractions(10, 24) == []
         assert dim_modular_forms(12) == 2
 
     def test_weight18_head(self):
-        f = cusp_basis(18, 10)[0]
+        f = cusp_basis_by_fractions(18, 10)[0]
         assert f.a(1) == 1 and f.a(2) == -528
 
     def test_weight30_echelon(self):
-        basis = cusp_basis(30, 12)
+        basis = cusp_basis_by_fractions(30, 12)
         assert basis[0].a(1) == 1 and basis[0].a(2) == 0
         assert basis[1].a(1) == 0 and basis[1].a(2) == 1
 
@@ -104,7 +112,7 @@ class TestHecke:
         assert not any(hecke_Tp(zero, 3).series.coeffs)
 
     def test_insufficient_truncation(self):
-        f = cusp_basis(18, 4)[0]
+        f = cusp_basis_by_fractions(18, 4)[0]
         with pytest.raises(TruncationError):
             hecke_Tp(f, 5)
 
@@ -130,8 +138,8 @@ class TestEigenforms:
 
     @staticmethod
     def weight30_pair():
-        # the library's cusp basis, split by the oracle's 2x2 eigen-split
-        basis = [f.series for f in cusp_basis(30, 24)]
+        # the oracle's cusp basis, split by its 2x2 eigen-split
+        basis = [f.series for f in cusp_basis_by_fractions(30, 24)]
         return [EllipticEigenform(30, s) for _, s in split_pair(basis, hecke_matrix(30, 2, 24))]
 
     def test_weight30_quadratic_pair(self):
@@ -168,6 +176,24 @@ class TestEigenforms:
 
     def test_empty_space(self):
         assert eigenforms(14, 16) == []
+        # an empty space is empty at any validity
+        assert eigenforms(14, 0) == [] and eigenforms(10, 1) == [] and eigenforms(13, 16) == []
+
+    def test_short_validity_refused(self):
+        for weight in (12, 18, 26):
+            for prec in (0, 1):
+                with pytest.raises(TruncationError) as info:
+                    eigenforms(weight, prec)
+                assert str(info.value) == f"weight {weight} needs validity to q**2"
+                assert info.value.required == 2
+
+    def test_large_space_refused_before_any_series(self):
+        # a 50-dimensional space is refused at once, whatever the validity
+        start = time.perf_counter()
+        for prec in (0, 1, 200, 10**6):
+            with pytest.raises(UnsupportedFieldError, match="^weight 600 has a 50-dimensional cusp space;"):
+                eigenforms(600, prec)
+        assert time.perf_counter() - start < 1
 
 
 def typed(forms):
@@ -203,7 +229,15 @@ class TestIntegerSeed:
     @pytest.mark.parametrize("prec", [16, 48])
     @pytest.mark.parametrize("weight", range(12, 42, 2))
     def test_cusp_basis_matches_fraction_oracle(self, weight, prec):
-        assert outcome(cusp_basis, weight, prec) == outcome(oracles.cusp_basis_by_fractions, weight, prec)
+        # the oracle's staircase basis has the classical dimension, and where
+        # it is one form, that form is the closed form Delta * E_(weight-12)
+        basis = cusp_basis_by_fractions(weight, prec)
+        assert len(basis) == dim_cusp_forms(weight)
+        assert [[f.a(n) for n in range(1, len(basis) + 1)] for f in basis] == [
+            [int(i == j) for j in range(len(basis))] for i in range(len(basis))
+        ]
+        if len(basis) == 1:
+            assert typed(basis) == typed(eigenforms(weight, prec))
 
     @pytest.mark.parametrize("prec", [16, 48])
     @pytest.mark.parametrize("weight", range(12, 42, 2))
@@ -218,7 +252,33 @@ class TestIntegerSeed:
             assert set(got[1][0][3]) == {int}
 
     def test_refusals_match_fraction_oracle(self):
-        for weight, prec in ((24, 2), (36, 3), (12, 0)):
-            got = outcome(cusp_basis, weight, prec)
-            assert got[0] == "raised"
-            assert got == outcome(oracles.cusp_basis_by_fractions, weight, prec)
+        # a one-dimensional space at too short a validity is refused as the
+        # oracle refuses it; a larger space is refused for its dimension
+        # first, where the oracle asks for more validity
+        for weight, prec in ((12, 0), (12, 1), (26, 1)):
+            got = outcome(eigenforms, weight, prec)
+            assert got[:2] == ("raised", TruncationError)
+            assert got == outcome(cusp_basis_by_fractions, weight, prec)
+        for weight, prec in ((24, 2), (36, 3)):
+            assert outcome(eigenforms, weight, prec)[:2] == ("raised", UnsupportedFieldError)
+            assert outcome(cusp_basis_by_fractions, weight, prec)[:2] == ("raised", TruncationError)
+
+
+class TestClosedForm:
+    """The eigenform Delta * E_(w-12) against the oracle's monomial basis, at every one-dimensional weight."""
+
+    @pytest.mark.parametrize("weight", [12, 16, 18, 20, 22, 26])
+    def test_matches_oracle_basis(self, weight):
+        # the oracle's normalized form does not depend on its validity, so
+        # one long oracle form, cut to each validity, stands in for the
+        # oracle at every validity; the cut is checked at a few of them
+        long = cusp_basis_by_fractions(weight, 1000)
+        for prec in [2, 3, 16, 200, 500]:
+            assert typed(cusp_basis_by_fractions(weight, prec)) == typed(
+                [type(f)(weight, QSeries(f.series.coeffs, prec)) for f in long]
+            ), prec
+        for prec in list(range(2, 201)) + [500, 1000]:
+            want = [EllipticEigenform(weight, QSeries(f.series.coeffs, prec)) for f in long]
+            got = eigenforms(weight, prec)
+            assert typed(got) == typed(want), prec
+            assert list(map(type, got)) == [EllipticEigenform], prec

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from sklift import qseries
 from sklift.elliptic import dim_cusp_forms, eigenforms
 from sklift.errors import (
-    DimensionMismatchError,
     NotAnEigenformError,
     TruncationError,
     UnsupportedFieldError,
@@ -27,6 +26,7 @@ from sklift.qseries import QSeries, RatMatrix
 
 import oracles
 from oracles import (
+    DimensionMismatchError,
     charpoly,
     eigenforms_by_fractions,
     f2_powers,
@@ -44,6 +44,7 @@ from oracles import (
     plus_space_basis_by_steps,
     primitive_row,
     rref,
+    series_power,
     theta_series,
 )
 
@@ -125,7 +126,7 @@ class TestGenerators:
         assert sorted(n for _, _, n in products) == [19] * 3 + [40] * 4
         monkeypatch.undo()
         theta, f2 = theta_series(40), odd_sigma_series(40)
-        assert gens == [theta ** (19 - 4 * b) * f2**b for b in range(5)]
+        assert gens == [series_power(theta, 19 - 4 * b) * series_power(f2, b) for b in range(5)]
 
     def test_half_length_f2_powers(self):
         for prec in list(range(0, 12)) + [57, 200]:
@@ -133,7 +134,7 @@ class TestGenerators:
             pows = f2_powers(prec, 7)
             assert len(pows) == 7
             for j, got in enumerate(pows, start=1):
-                assert got == (f2**j).coeffs, (prec, j)
+                assert got == series_power(f2, j).coeffs, (prec, j)
             assert pows == f2_powers_by_series(prec, 7)
 
     def test_half_length_odd_sigma_by_divisor_sums(self):

@@ -1,4 +1,5 @@
 import copy
+import decimal
 import math
 import pickle
 import random
@@ -20,6 +21,7 @@ from sklift.numeric import (
     int_if_integral,
     is_prime,
     kronecker_symbol,
+    short_repr,
     sqrt_if_square,
     sqrt_rational,
     squarefree_core,
@@ -182,6 +184,29 @@ def core_from_factorization(n):
         math.prod(q ** (e // 2) for q, e in f.items()),
         math.prod(q for q, e in f.items() if e % 2),
     )
+
+
+class TestShortRepr:
+    @given(st.integers(-(10**60), 10**60) | st.integers(-(2**400), 2**400))
+    @example(10**19)
+    @example(10**20)
+    @example(-(10**19))
+    @example(2**70)
+    @example(2**67 - 1)
+    @example(2**67)
+    @example(-(2**67))
+    # 60 digits, of which the one division leaves exactly 20
+    @example(803469022129495137770981046170581301261101496891396417650688)
+    @example(-803469022129495137770981046170581301261101496891396417650688)
+    def test_int_as_its_text_cut(self, n):
+        text = repr(n)
+        assert short_repr(n) == (text if len(text) <= 20 else f"{text[:20]}...")
+
+    def test_int_past_the_digit_limit(self):
+        # Python refuses to convert such an int to text; its start is still
+        # quoted, as the decimal module (which has no such limit) writes it
+        for n in (10**5000 + 7, -(7**9000), 3**40000, 2**100000 - 1):
+            assert short_repr(n) == str(decimal.Decimal(n))[:20] + "..."
 
 
 class TestSquarefreeCore:

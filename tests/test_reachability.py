@@ -29,6 +29,7 @@ UNREACHED = {
     "characterize._deepest_scan": "names the deepest scan that fits a refused --scan",
     "numeric.refuse_past_digit_limit": "refuses a digit string past Python's conversion limit",
     "numeric.short_repr": "quotes the start of a refused value",
+    "siegel.largest_maass_p": "names the largest prime that fits a refused --maass-p",
     # the characterization API: Satake-parameter records over Q(sqrt(d)),
     # which no record file carries
     "characterize.sk_record": "the Saito-Kurokawa record of an elliptic eigenvalue",
@@ -39,6 +40,7 @@ UNREACHED = {
     # wrapped by name by the benchmark's tracer
     "qseries.RatMatrix.kernel": "traced as qseries.kernel",
     "qseries.RatMatrix.rref": "traced as qseries.kernel",
+    "qseries.echelon": "called by RatMatrix.rref only, which only the tracer wraps",
     "siegel.SiegelFourierTable.to_json_dict": "traced as cli.table_dump",
     # a lift writes integral tables only
     "siegel._stored_parts": "the numerator and denominator of a fractional table entry",

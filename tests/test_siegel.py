@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,16 @@ from sklift.errors import TruncationError, UsageError
 from sklift.jacobi import JacobiForm, ez_lift
 from sklift.kohnen import plus_space_basis
 from sklift.numeric import QuadExt
+from sklift.numeric import is_prime
 from sklift.siegel import (
     BOUND_CAP,
+    MAASS_P_CAP,
     SiegelFourierTable,
     check_maass_p_space,
     check_maass_space,
+    largest_maass_p,
     maass_lift,
+    maass_p_instances,
     reduce_index,
     reduced_indices,
 )
@@ -275,6 +280,45 @@ class TestMaassSpaceCheck:
         rep = check_maass_space(lift10)
         assert rep.kind == "maass" and rep.p is None
         assert rep.checked + rep.skipped == sum(1 for _ in reduced_indices(lift10.bound))
+
+
+def counted_instances(p, bound):
+    """The instances ``check_maass_p_space`` enumerates: isqrt(4pnm) + 1 values of r per (n, m)."""
+    top = p * bound
+    return sum(math.isqrt(4 * p * n * m) + 1 for n in range(1, top + 1) for m in range(1, top + 1))
+
+
+class TestMaassPWork:
+    def test_bound_covers_the_enumeration(self, lift10):
+        # the estimate is at least the count, and the count is what the
+        # checker visits, checked and skipped together
+        for p in (2, 3, 5, 7, 11, 13):
+            for bound in range(0, 7):
+                assert counted_instances(p, bound) <= maass_p_instances(p, bound), (p, bound)
+        for p in (2, 3, 5):
+            rep = check_maass_p_space(lift10, p)
+            assert rep.checked + rep.skipped == counted_instances(p, lift10.bound)
+
+    def test_cap_values(self):
+        # check --all at the table cap fits exactly; --maass-p 101 at bound 4 is past it
+        assert MAASS_P_CAP == maass_p_instances(5, BOUND_CAP) == 250_195_693
+        assert maass_p_instances(101, 4) == 593_598_322
+        assert all(maass_p_instances(p, BOUND_CAP) <= MAASS_P_CAP for p in (2, 3, 5))
+
+    @pytest.mark.parametrize("bound, want", [(1, 257), (4, 73), (12, 29), (100, 5)])
+    def test_largest_maass_p(self, bound, want):
+        assert largest_maass_p(bound) == want
+        assert maass_p_instances(want, bound) <= MAASS_P_CAP
+        # the next prime is past the cap
+        past = next(q for q in range(want + 1, 2 * want + 2) if is_prime(q))
+        assert maass_p_instances(past, bound) > MAASS_P_CAP
+
+    def test_largest_maass_p_by_bisection(self):
+        # at bound 0 the fitting primes run to about 8 * 10**16: a scan down
+        # from a refused p could not finish, doubling and bisection do at once
+        p = largest_maass_p(0)
+        assert is_prime(p) and maass_p_instances(p, 0) <= MAASS_P_CAP
+        assert all(maass_p_instances(q, 0) > MAASS_P_CAP for q in range(p + 1, p + 200) if is_prime(q))
 
 
 class TestMaassPSpaceCheck:

@@ -131,17 +131,14 @@ def build_lift(config: RunConfig, weight: int, bound: int, log) -> SiegelFourier
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def _emit(config: RunConfig, payload: dict, human_lines: list[str], csv_rows=None, out=None):
-    out = out if out is not None else sys.stdout
+def _emit(config: RunConfig, payload: dict, human_lines: list[str], csv_rows: list[list]):
     if config.output == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+        print(json.dumps(payload, indent=2, sort_keys=True))
     elif config.output == "csv":
-        writer = csv.writer(out)
-        for row in csv_rows or []:
-            writer.writerow(row)
+        csv.writer(sys.stdout).writerows(csv_rows)
     else:
         for line in human_lines:
-            print(line, file=out)
+            print(line)
 
 
 def _load_table(path: str) -> SiegelFourierTable:

@@ -1,36 +1,16 @@
-"""Reference code that only the tests call.
+"""Reference code that only the tests call, one section per group of library functions it checks.
 
-Slow or independent implementations the tests compare the library against,
-the table edits the tests build bad input with, the lift, divisor-sum checker
-and key test that look coefficients up through binary form reduction where
-the library reads them by discriminant, the comparisons with multiples
-of sqrt(p) that the squared threshold and growth tests replaced, the
-Fraction prime-power recurrence, with the unscaled degree-4 local data it
-reads, and scans that the scaled-integer ones replaced, the general characteristic polynomial the 2x2 closed form
-replaced, the Smith-form coset algebra the Hecke operators' closed-form
-class sizes and character test replaced, the coset families and explicit
-coset matrices that pin the coset classes, the Gauss-Jordan over
-Fractions and the denominator clearing that the fraction-free ``echelon``
-replaced, the monomial cusp basis in the discriminant form (squared out of
-the cube of eta) and E4 and E6 that the closed eigenform Delta * E_(w-12)
-replaced, which also gives the staircase bases of the spaces the library
-refuses, the kernel construction of the plus-space basis that the
-Eichler-Zagier closed forms replaced (monomial generators at the constraint
-window, one fraction-free elimination and one packed Horner pass, which
-also gives the staircase bases of the spaces the library refuses), and the
-generators, theta products and Horner steps, each packed and read back
-apart, that the packed pass replaced, with the full-length odd-sigma sieve
-the half-length one replaced.  It also
-holds what only tests call: the schoolbook product of series with any exact
-coefficients, the prime Hecke operator on elliptic forms, the staircase
-matrix and the 2x2 eigen-split that split the two-dimensional spaces the
-library refuses, the theta series, the monomial generators at
-full validity, both Hecke matrices and the plus-space eigen-split, the
-Jacobi coefficient at (n, r), the ``SiegelIndex`` triple and the quadratic
-conjugate.  The oracle Hecke operator sums Fraction class weights, as the
-integer one did before.  Its exact-value helpers keep their own rational
-tests rather than trust the library's representation.
-None of it is on the lift chain.
+number theory: numeric.divisor_lists, numeric.squarefree_core, QuadExt arithmetic, one representation.
+series and matrices: QSeries products, qseries.sparse_times, qseries.echelon, RatMatrix.rref and kernel.
+the plus space: kohnen.plus_space_basis.
+elliptic forms and Hecke matrices: elliptic.delta, eisenstein, eigenforms; kohnen.plus_hecke, shimura_match.
+Jacobi forms: jacobi.ez_lift.
+Siegel tables: SiegelFourierTable.value, siegel.maass_lift, check_maass_space, check_maass_p_space;
+    and the table edits that make bad input.
+classification: characterize.mu_sequence, growth_check, positivity_scan, solve_satake, theorem41;
+    and hostile records.
+coset classes by Smith reduction: siegel.coset_classes, _character_trivial, hecke_operator.
+explicit coset matrices: siegel.coset_classes.
 """
 
 from __future__ import annotations
@@ -250,6 +230,24 @@ def series_inverse(s: QSeries) -> QSeries:
     return QSeries(out, s.prec)
 
 
+def sparse_times_by_terms(terms: list, coeffs: list, n: int, rounds: int) -> list:
+    """``sparse_times`` one shifted add per term, each list packed and read back per call.
+
+    The slot width holds max|coeffs| * (sum of |c| over all terms)**rounds.
+    """
+    coeffs = coeffs[: n + 1]
+    bound = max(map(abs, coeffs), default=0) * sum(abs(c) for _, c in terms) ** rounds
+    if bound == 0:
+        return [0] * (n + 1)
+    width = (bound.bit_length() + 8) // 8
+    mask = (1 << (8 * width * (n + 1))) - 1
+    shifts = [(8 * width * e, c) for e, c in terms if e <= n]
+    x = _pack(coeffs, width)
+    for _ in range(rounds):
+        x = sum(c * (x << s) for s, c in shifts) & mask
+    return _unpack(x, width, n)
+
+
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns, by Gauss-Jordan over Fractions."""
     rows = [row[:] for row in m.entries]
@@ -271,50 +269,6 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
         if r == m.rows:
             break
     return RatMatrix(rows), tuple(pivots)
-
-
-def kernel(m: RatMatrix) -> list[list[Fraction]]:
-    """Basis of the right kernel from ``rref``, one vector per free column."""
-    red, pivots = rref(m)
-    basis = []
-    for free in sorted(set(range(m.cols)) - set(pivots)):
-        v = [Fraction(0)] * m.cols
-        v[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.entries[r][free]
-        basis.append(v)
-    return basis
-
-
-def primitive_row(row) -> list[int]:
-    """Scale a rational vector to coprime integers with positive leading entry."""
-    den = 1
-    for x in row:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in row]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return ints
-
-
-def solve(m: RatMatrix, rhs: list) -> list[Fraction]:
-    """Solve ``m @ x = rhs`` exactly; raises if inconsistent or ambiguous."""
-    aug = RatMatrix([row + [rat(rhs[i])] for i, row in enumerate(m.entries)])
-    red, pivots = rref(aug)
-    if m.cols in pivots:
-        raise UsageError("inconsistent linear system")
-    if len(pivots) < m.cols:
-        raise UsageError("underdetermined linear system")
-    x = [Fraction(0)] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.entries[r][m.cols]
-    return x
 
 
 def identity(n: int) -> RatMatrix:
@@ -347,10 +301,6 @@ def rank(m: RatMatrix) -> int:
     return len(rref(m)[1])
 
 
-def is_zero(m: RatMatrix) -> bool:
-    return all(x == 0 for row in m.entries for x in row)
-
-
 def charpoly(m: RatMatrix) -> list[Fraction]:
     """Monic characteristic polynomial det(xI - M), coefficients low to high, by Faddeev-LeVerrier."""
     if m.rows != m.cols:
@@ -365,17 +315,6 @@ def charpoly(m: RatMatrix) -> list[Fraction]:
         coeffs[n - k] = ck
         power = add(power, scale(identity(n), ck))
     return coeffs
-
-
-def poly_eval_matrix(coeffs: list[Fraction], m: RatMatrix) -> RatMatrix:
-    """Evaluate a polynomial (low-to-high coefficients) at a square matrix."""
-    out = RatMatrix([[0] * m.cols for _ in range(m.rows)])
-    power = identity(m.rows)
-    for c in coeffs:
-        if c != 0:
-            out = add(out, scale(power, c))
-        power = matmul(power, m)
-    return out
 
 
 def staircase_matrix(basis: list[QSeries], images: list[QSeries], scale: int) -> RatMatrix:
@@ -463,9 +402,7 @@ def split_pair(basis: list[QSeries], m: RatMatrix) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# the plus space: the kernel construction the closed forms replaced, the
-# step-by-step products the packed Horner pass replaced, and the theta
-# series, Hecke matrix and eigen-split that only tests call
+# the plus space: the kernel construction the closed forms replaced
 # ---------------------------------------------------------------------------
 
 def theta_terms(prec: int) -> list[tuple[int, int]]:
@@ -571,19 +508,18 @@ def sparse_horner(terms: list, step: int, tail: int, parts: list, n: int) -> lis
     return _unpack(times_s(x, tail), width, n)
 
 
-def plus_space_basis_by_kernel(k: int, prec: int, constraint_bound: int | None = None):
+def plus_space_basis_by_kernel(k: int, prec: int):
     """The plus-space basis as the kernel of the support constraints in the monomial span.
 
     The kernel (constant term zero, nothing in the residue classes 1 and 2
-    mod 4 up to ``constraint_bound``, 4k by default) is found at that window
-    by one ``echelon`` call and must have the integral-weight cusp
+    mod 4 up to 4k) is found at that window by one ``echelon`` call and must have the integral-weight cusp
     dimension, or ``DimensionMismatchError`` is raised; each basis form is
     then evaluated at full validity by one packed Horner pass in theta**4.
     Any dimension is returned, as a staircase basis.
     """
     if k % 2:
         raise UsageError("odd weights do not occur on this lift chain")
-    bound = constraint_bound if constraint_bound is not None else 4 * k
+    bound = 4 * k
     if bound > prec:
         raise TruncationError(
             f"constraint bound {bound} exceeds series validity {prec}", required=bound
@@ -604,8 +540,7 @@ def plus_space_basis_by_kernel(k: int, prec: int, constraint_bound: int | None =
     expected = dim_cusp_forms(2 * k - 2)
     if len(kernel_rows) != expected:
         raise DimensionMismatchError(
-            f"plus space at k={k}: kernel dimension {len(kernel_rows)}, expected {expected} "
-            f"(constraint bound {bound} too small, or conventions wrong)"
+            f"plus space at k={k}: kernel dimension {len(kernel_rows)}, expected {expected}"
         )
     if any(c > bound for _, c in kernel_rows):
         raise DimensionMismatchError(
@@ -630,123 +565,10 @@ def plus_space_basis_by_kernel(k: int, prec: int, constraint_bound: int | None =
     return out
 
 
-def theta_series(prec: int) -> QSeries:
-    """The unary theta series 1 + 2*sum(q**(n*n))."""
-    coeffs = [0] * (prec + 1)
-    for e, c in theta_terms(prec):
-        coeffs[e] = c
-    return QSeries(coeffs, prec)
-
-
-def odd_sigma_series(prec: int) -> QSeries:
-    """The weight-2 generator: sum of sigma_1(n) q**n over odd n, at full length.
-
-    The divisors of an odd n are odd: each odd d adds itself at its odd multiples.
-    """
-    coeffs = [0] * (prec + 1)
-    for d in range(1, prec + 1, 2):
-        coeffs[d :: 2 * d] = [c + d for c in coeffs[d :: 2 * d]]
-    return QSeries(coeffs, prec)
-
-
-def sparse_times_by_terms(terms: list, coeffs: list, n: int, rounds: int) -> list:
-    """``sparse_times`` one shifted add per term, each list packed and read back per call.
-
-    The slot width holds max|coeffs| * (sum of |c| over all terms)**rounds.
-    """
-    coeffs = coeffs[: n + 1]
-    bound = max(map(abs, coeffs), default=0) * sum(abs(c) for _, c in terms) ** rounds
-    if bound == 0:
-        return [0] * (n + 1)
-    width = (bound.bit_length() + 8) // 8
-    mask = (1 << (8 * width * (n + 1))) - 1
-    shifts = [(8 * width * e, c) for e, c in terms if e <= n]
-    x = _pack(coeffs, width)
-    for _ in range(rounds):
-        x = sum(c * (x << s) for s, c in shifts) & mask
-    return _unpack(x, width, n)
-
-
-def sparse_horner_by_steps(terms: list, step: int, tail: int, parts: list, n: int) -> list:
-    """``sparse_horner`` as one ``sparse_times_by_terms`` call per step plus a list add."""
-    acc = [0] * (n + 1)
-    for j, (x, coeffs) in enumerate(parts):
-        if j:
-            acc = sparse_times_by_terms(terms, acc, n, step)
-        acc = [a + x * c for a, c in zip(acc, (coeffs + [0] * (n + 1))[: n + 1])]
-    return sparse_times_by_terms(terms, acc, n, tail)
-
-
-def f2_powers_by_series(prec: int, count: int) -> list[list]:
-    """f2, ..., f2**count as lists, each a ``QSeries`` product of g(q) with the power before."""
-    g = QSeries(odd_sigma_series(prec).coeffs[1::2], max((prec - 1) // 2, 0))
-    out = []
-    gj = None
-    for j in range(1, count + 1):
-        gj = g if gj is None else gj * g
-        c = [0] * (prec + 1)
-        c[j::2] = gj.coeffs[: len(range(j, prec + 1, 2))]
-        out.append(c)
-    return out
-
-
-def halfint_generators(k: int, prec: int) -> list[QSeries]:
-    """The library's monomial generators of weight (2k-1)/2 at validity ``prec``.
-
-    Generator b is theta**(2k-1-4b) * f2**b for b = 0..(2k-1)//4.
-    """
-    f2_pows = f2_powers(prec, (2 * k - 1) // 4)
-    return [QSeries(c, prec) for c in window_generators(k, prec, f2_pows)]
-
-
-def halfint_generators_by_rounds(k: int, prec: int) -> list[QSeries]:
-    """Generator b, theta**(2k-1-4b) * f2**b, as 2k-1-4b rounds of ``sparse_times_by_terms``."""
-    wnum = 2 * k - 1
-    squares = theta_terms(prec)
-    f2_pows = [[1]] + f2_powers_by_series(prec, wnum // 4)
-    return [
-        QSeries(sparse_times_by_terms(squares, f2_pow, prec, wnum - 4 * b), prec)
-        for b, f2_pow in enumerate(f2_pows)
-    ]
-
-
-def plus_space_basis_by_steps(k: int, prec: int, constraint_bound: int | None = None):
-    """``plus_space_basis_by_kernel`` with each generator built apart and Horner one call per step.
-
-    The window generators come from ``halfint_generators_by_rounds`` and each
-    Horner step from ``sparse_times_by_terms`` plus a list add.
-    """
-    bound = constraint_bound if constraint_bound is not None else 4 * k
-    if bound > prec:
-        raise TruncationError(f"constraint bound {bound} exceeds series validity {prec}", required=bound)
-    positions = [0] + [n for n in range(1, bound + 1) if n % 4 in (1, 2)]
-    order = positions + [n for n in range(1, bound + 1) if n % 4 in (0, 3)]
-    gens = halfint_generators_by_rounds(k, bound)
-    ident = [[int(i == j) for j in range(len(gens))] for i in range(len(gens))]
-    rows = [[g.coeffs[n] for n in order] + e for g, e in zip(gens, ident)]
-    red, pivots = echelon(rows)
-    kernel_rows = [(row, c) for row, c in zip(red, pivots) if c >= len(positions)]
-    if len(kernel_rows) != dim_cusp_forms(2 * k - 2):
-        raise DimensionMismatchError("kernel dimension")
-    if any(c > bound for _, c in kernel_rows):
-        raise DimensionMismatchError("pivots escape the window")
-    wnum = 2 * k - 1
-    squares = theta_terms(prec)
-    f2_pows = f2_powers_by_series(prec, wnum // 4)
-    out = []
-    for row, _ in kernel_rows:
-        coords = row[bound + 1 :]
-        acc = coords[:1]
-        for x, f2_pow in zip(coords[1:], f2_pows):
-            acc = sparse_times_by_terms(squares, acc, prec, 4)
-            if x:
-                acc = [a + x * c for a, c in zip(acc, f2_pow)]
-        series = QSeries(sparse_times_by_terms(squares, acc, prec, wnum % 4), prec)
-        if series.coefficient(series.valuation()) < 0:
-            series = -series
-        out.append(PlusSpaceForm(k, series))
-    return out
-
+# ---------------------------------------------------------------------------
+# elliptic forms: the Fraction Eisenstein series and monomial cusp basis the
+# closed form Delta * E_(w-12) replaced, and the Hecke matrices
+# ---------------------------------------------------------------------------
 
 def eisenstein_by_fractions(weight: int, prec: int) -> QSeries:
     """E_k as -2k/B_k times the divisor sums, every coefficient a Fraction."""
@@ -826,13 +648,7 @@ def eigenforms_by_fractions(weight: int, prec: int) -> list[EllipticEigenform]:
 
 def hecke_Tp(f: EllipticForm, p: int) -> EllipticForm:
     """Prime Hecke operator on coefficients; output valid to prec // p."""
-    if not is_prime(p):
-        raise UsageError(f"{p} is not prime")
     out_prec = f.series.prec // p
-    if out_prec < 1:
-        raise TruncationError(
-            f"applying T({p}) needs input validity >= {p}", required=p
-        )
     pk = p ** (f.weight - 1)
     coeffs = []
     for n in range(out_prec + 1):
@@ -855,13 +671,13 @@ def plus_hecke_matrix(basis: list[PlusSpaceForm], p: int) -> RatMatrix:
     return staircase_matrix([g.series for g in basis], images, p * p)
 
 
-def plus_eigenforms(k: int, prec: int, constraint_bound: int | None = None):
+def plus_eigenforms(k: int, prec: int):
     """Eigenbasis of the plus space under the index-4 operator.
 
     Returns a list of ``(form, eigenvalue)`` pairs; for two-dimensional
     spaces the eigenvalues are exact conjugate quadratic irrationals.
     """
-    basis = plus_space_basis_by_kernel(k, prec, constraint_bound)
+    basis = plus_space_basis_by_kernel(k, prec)
     if not basis:
         return []
     if len(basis) == 1:
@@ -1578,21 +1394,6 @@ def hecke_operator_oracle(table: SiegelFourierTable, m: int) -> SiegelFourierTab
 # ---------------------------------------------------------------------------
 # explicit coset matrices
 # ---------------------------------------------------------------------------
-
-class HeckeDoubleCoset:
-    """The complete family of right cosets of similitude p**e, by coset class."""
-
-    def __init__(self, p: int, e: int = 1):
-        self.classes = coset_classes(p, e)
-
-    def __len__(self) -> int:
-        return sum(c.size for c in self.classes)
-
-
-def coset_decomposition_Tp(p: int) -> HeckeDoubleCoset:
-    """Right-coset family of the prime double coset; p**3+p**2+p+1 members."""
-    return HeckeDoubleCoset(p, 1)
-
 
 def coset_representatives(p: int, e: int = 1) -> list:
     """Explicit 4x4 integer matrices, one per right coset of similitude p**e."""

@@ -11,7 +11,6 @@ from fractions import Fraction
 import pytest
 
 from sklift.characterize import (
-    COND_EIGENVALUE_IDENTITY,
     COND_PRIME_THRESHOLD,
     EigenvalueRecord,
     growth_check,
@@ -28,12 +27,12 @@ from sklift.numeric import QuadExt, value_sign
 from sklift.siegel import (
     check_maass_p_space,
     check_maass_space,
+    coset_classes,
     hecke_eigenvalue,
 )
 
 from oracles import (
     charpoly,
-    coset_decomposition_Tp,
     hecke_matrix,
     matmul,
     perturbed,
@@ -139,7 +138,7 @@ def test_criterion_6_growth_dichotomy():
 
 def test_criterion_7_structural_invariants():
     for p in (2, 3, 5):
-        assert len(coset_decomposition_Tp(p)) == p**3 + p**2 + p + 1
+        assert sum(c.size for c in coset_classes(p, 1)) == p**3 + p**2 + p + 1
     for w in (18, 22, 26, 30):
         m2 = hecke_matrix(w, 2, 36)
         m3 = hecke_matrix(w, 3, 36)

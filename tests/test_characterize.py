@@ -440,14 +440,6 @@ class TestMuSequence:
         assert seq[1] == 240
         assert seq[2] == 135424
 
-    def test_spin_data_shape(self):
-        ed = spin_euler_data(SK10)
-        k, p = 10, 2
-        assert ed.e1 == 240
-        assert ed.e2 == 240 * 240 - 135424 - p ** (2 * k - 4)
-        assert ed.e3 == p ** (2 * k - 3) * 240
-        assert ed.e4 == p ** (4 * k - 6)
-
     def test_random_pairs_reproduce_both_eigenvalue_formulas(self):
         # r = 1 and r = 2 must give back the defining symmetric expressions
         rng = random.Random(13)

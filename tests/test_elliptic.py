@@ -16,7 +16,7 @@ from sklift.numeric import QuadExt, int_if_integral
 from sklift.qseries import QSeries
 
 import oracles
-from oracles import charpoly, cusp_basis_by_fractions, divisors, hecke_matrix, hecke_Tp, matmul, split_pair
+from oracles import charpoly, cusp_basis_by_fractions, divisors, hecke_matrix, hecke_Tp, split_pair
 
 # level-one cusp dimensions, frozen from the classical formula
 KNOWN_CUSP_DIMS = {
@@ -77,6 +77,8 @@ class TestGenerators:
 
 
 class TestBases:
+    """The oracle cusp basis that ``TestIntegerSeed`` and ``TestClosedForm`` compare ``eigenforms`` with."""
+
     def test_dimensions_against_frozen_table(self):
         for w, dim in KNOWN_CUSP_DIMS.items():
             assert dim_cusp_forms(w) == dim, w
@@ -96,6 +98,7 @@ class TestBases:
 
 
 class TestHecke:
+    # the oracle operator on library forms: f18 and delta are eigenforms of T(2)
     def test_eigenform_scaling_weight18(self, f18):
         t2 = hecke_Tp(f18, 2)
         assert t2.series.coeffs == [-528 * c for c in f18.series.coeffs[: t2.series.prec + 1]]
@@ -104,23 +107,6 @@ class TestHecke:
         d = delta(24)
         t2 = hecke_Tp(d, 2)
         assert t2.series.coeffs == [-24 * c for c in d.series.coeffs[: t2.series.prec + 1]]
-
-    def test_zero_form(self):
-        from sklift.elliptic import EllipticForm
-
-        zero = EllipticForm(12, QSeries([0] * 13, 12))
-        assert not any(hecke_Tp(zero, 3).series.coeffs)
-
-    def test_insufficient_truncation(self):
-        f = cusp_basis_by_fractions(18, 4)[0]
-        with pytest.raises(TruncationError):
-            hecke_Tp(f, 5)
-
-    def test_commutation_t2_t3(self):
-        for w in (18, 22, 24, 26, 30):
-            m2 = hecke_matrix(w, 2, 36)
-            m3 = hecke_matrix(w, 3, 36)
-            assert matmul(m2, m3) == matmul(m3, m2), w
 
     def test_multiplicativity_prime_squares(self):
         # a(p^2) = a(p)^2 - p^(w-1) on eigenforms
@@ -138,7 +124,8 @@ class TestEigenforms:
 
     @staticmethod
     def weight30_pair():
-        # the oracle's cusp basis, split by its 2x2 eigen-split
+        # the oracle's cusp basis, split by its 2x2 eigen-split: the
+        # dimension-two input that test_kohnen checks shimura_match on
         basis = [f.series for f in cusp_basis_by_fractions(30, 24)]
         return [EllipticEigenform(30, s) for _, s in split_pair(basis, hecke_matrix(30, 2, 24))]
 

@@ -12,8 +12,6 @@ from sklift.siegel import (
 )
 
 from oracles import (
-    HeckeDoubleCoset,
-    coset_decomposition_Tp,
     coset_equivalent,
     coset_representatives,
     generator_classes,
@@ -61,11 +59,13 @@ class TestSmithForm:
 
 
 class TestCosets:
+    """``siegel.coset_classes``: the explicit matrices are built from its classes and sizes."""
+
     def test_counts(self):
         for p in (2, 3, 5):
-            fam = coset_decomposition_Tp(p)
-            assert len(fam) == p**3 + p**2 + p + 1, p
-            assert len(coset_representatives(p)) == len(fam)
+            size = sum(c.size for c in coset_classes(p, 1))
+            assert size == p**3 + p**2 + p + 1, p
+            assert len(coset_representatives(p)) == size
 
     def test_similitudes(self):
         for p in (2, 3):
@@ -81,9 +81,9 @@ class TestCosets:
             assert all(coset_equivalent(g, g) for g in reps[:5])
 
     def test_prime_square_family(self):
-        fam = HeckeDoubleCoset(2, 2)
         p = 2
-        assert len(fam) == p**6 + p**5 + 2 * p**4 + 2 * p**3 + p**2 + p + 1
+        size = sum(c.size for c in coset_classes(p, 2))
+        assert size == p**6 + p**5 + 2 * p**4 + 2 * p**3 + p**2 + p + 1
         for g in coset_representatives(p, 2):
             assert similitude_of(g) == 4
 
@@ -138,7 +138,7 @@ class TestCosets:
 
     def test_bad_inputs(self):
         with pytest.raises(UsageError):
-            coset_decomposition_Tp(4)
+            coset_classes(4, 1)
         with pytest.raises(UsageError):
             coset_classes(2, 3)
         with pytest.raises(UsageError):

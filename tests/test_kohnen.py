@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sklift import qseries
 from sklift.elliptic import dim_cusp_forms, eigenforms
 from sklift.errors import (
     NotAnEigenformError,
@@ -22,65 +21,18 @@ from sklift.kohnen import (
     shimura_match,
 )
 from sklift.numeric import QuadExt
-from sklift.qseries import QSeries, RatMatrix
+from sklift.qseries import QSeries
 
-import oracles
 from oracles import (
     DimensionMismatchError,
     charpoly,
     eigenforms_by_fractions,
-    f2_powers,
-    f2_powers_by_series,
-    halfint_generators,
-    halfint_generators_by_rounds,
     hecke_matrix,
-    kernel,
     matmul,
-    odd_sigma_half,
-    odd_sigma_series,
     plus_eigenforms,
     plus_hecke_matrix,
     plus_space_basis_by_kernel,
-    plus_space_basis_by_steps,
-    primitive_row,
-    rref,
-    series_power,
-    theta_series,
 )
-
-
-def _basis_by_generator_sum(k, prec, constraint_bound=None):
-    """Reference plus-space basis: every generator at full validity, summed.
-
-    The kernel oracle builds the generators only to the constraint window,
-    finds the kernel and its echelon form in one fraction-free elimination
-    and evaluates the basis forms by Horner; this is the direct construction
-    that oracle replaced, with two Gauss-Jordan passes over Fractions.
-    """
-    bound = constraint_bound if constraint_bound is not None else 4 * k
-    gens = halfint_generators(k, prec)
-    positions = [0] + [n for n in range(1, bound + 1) if n % 4 in (1, 2)]
-    vectors = kernel(RatMatrix([[g.coefficient(n) for g in gens] for n in positions]))
-    expected = dim_cusp_forms(2 * k - 2)
-    if len(vectors) != expected:
-        raise DimensionMismatchError("kernel dimension")
-    if not vectors:
-        return []
-    rows = []
-    for v in vectors:
-        head = [sum(x * g.coefficient(n) for x, g in zip(v, gens)) for n in range(bound + 1)]
-        rows.append(head + list(v))
-    red, pivots = rref(RatMatrix(rows))
-    if any(pc > bound for pc in pivots[:expected]):
-        raise DimensionMismatchError("pivots escape the window")
-    out = []
-    for r in range(expected):
-        coords = primitive_row(red.entries[r][bound + 1 :])
-        series = QSeries([sum(x * g.coeffs[n] for x, g in zip(coords, gens)) for n in range(prec + 1)], prec)
-        if series.coefficient(series.valuation()) < 0:
-            series = -series
-        out.append(PlusSpaceForm(k, series))
-    return out
 
 
 def _outcome(build, *args):
@@ -88,68 +40,6 @@ def _outcome(build, *args):
         return [(g.prec, g.series.coeffs) for g in build(*args)]
     except DimensionMismatchError:
         return DimensionMismatchError
-
-
-class TestGenerators:
-    def test_theta(self):
-        th = theta_series(10)
-        assert th.coefficient(0) == 1
-        assert th.coefficient(1) == 2
-        assert th.coefficient(4) == 2
-        assert th.coefficient(2) == 0
-        assert th.coefficient(9) == 2
-
-    def test_odd_sigma(self):
-        f2 = odd_sigma_series(10)
-        assert f2.coefficient(1) == 1
-        assert f2.coefficient(3) == 4
-        assert f2.coefficient(2) == 0
-        assert f2.coefficient(9) == 13
-
-    def test_monomials_without_products_by_one(self, monkeypatch):
-        products = []
-        kronecker = qseries._kronecker
-
-        def counted(a, b, n):
-            products.append((a, b, n))
-            return kronecker(a, b, n)
-
-        def is_one(c):
-            return c[0] == 1 and not any(c[1:])
-
-        monkeypatch.setattr(oracles, "_kronecker", counted)
-        gens = halfint_generators(10, 40)
-        # powers of theta are shifted adds, so the only series products are
-        # the half-length powers of f2, valid to 19, and one product of a
-        # theta power with each of f2, ..., f2**4 at full length; none is by one
-        assert not [n for a, b, n in products if is_one(a) or is_one(b)]
-        assert sorted(n for _, _, n in products) == [19] * 3 + [40] * 4
-        monkeypatch.undo()
-        theta, f2 = theta_series(40), odd_sigma_series(40)
-        assert gens == [series_power(theta, 19 - 4 * b) * series_power(f2, b) for b in range(5)]
-
-    def test_half_length_f2_powers(self):
-        for prec in list(range(0, 12)) + [57, 200]:
-            f2 = odd_sigma_series(prec)
-            pows = f2_powers(prec, 7)
-            assert len(pows) == 7
-            for j, got in enumerate(pows, start=1):
-                assert got == series_power(f2, j).coeffs, (prec, j)
-            assert pows == f2_powers_by_series(prec, 7)
-
-    def test_half_length_odd_sigma_by_divisor_sums(self):
-        # the divisor-pair sieve against divisor sums and the full-length sieve
-        for half in (0, 1, 2, 3, 4, 12, 24, 25, 40, 500):
-            want = [sum(d for d in range(1, 2 * i + 2, 2) if (2 * i + 1) % d == 0) for i in range(half + 1)]
-            assert odd_sigma_half(half) == want, half
-            assert odd_sigma_half(half) == odd_sigma_series(2 * half + 1).coeffs[1::2], half
-
-    def test_generators_match_per_generator_rounds(self):
-        # theta powers run up once and meet each f2 power in one product;
-        # the oracle builds each generator apart in 2k - 1 - 4b rounds
-        cases = [(k, prec) for k in range(2, 31, 2) for prec in (0, 1, 2, 7, 4 * k, 4 * k + 1)]
-        for k, prec in cases + [(10, 40), (14, 56), (30, 120)]:
-            assert halfint_generators(k, prec) == halfint_generators_by_rounds(k, prec), (k, prec)
 
 
 class TestClosedForms:
@@ -192,7 +82,7 @@ class TestPlusSpace:
         assert len(plus_space_basis(10, 80)) == 1
         assert len(plus_space_basis(12, 96)) == 1
         assert len(plus_space_basis(14, 112)) == 1
-        assert len(plus_space_basis_by_kernel(16, 128)) == 2
+        assert len(plus_space_basis_by_kernel(16, 128)) == dim_cusp_forms(30) == 2
 
     def test_known_leading_coefficients(self, plus10, plus12):
         # classical leading data of the two index-1 Jacobi cusp forms
@@ -212,42 +102,6 @@ class TestPlusSpace:
             short = build(k, 130)
             for a, b in zip(long, short):
                 assert a.series.coeffs[:131] == b.series.coeffs
-
-    def test_undersized_constraint_bound_detected(self):
-        with pytest.raises(DimensionMismatchError):
-            plus_space_basis_by_kernel(10, 80, constraint_bound=2)
-
-    def test_horner_basis_matches_generator_sum(self):
-        # dimensions 0 to 4; the windows 4k and 4k + 7 and two longer ones
-        cases = [(k, prec) for k in range(4, 31, 2) for prec in (4 * k, 4 * k + 7, 160, 400)]
-        # and the benchmark's largest sizes
-        for k, prec in cases + [(10, 1600), (14, 576)]:
-            expected = _outcome(_basis_by_generator_sum, k, prec)
-            assert expected is not DimensionMismatchError, (k, prec)
-            assert _outcome(plus_space_basis_by_kernel, k, prec) == expected, (k, prec)
-
-    def test_constraint_bounds_match_generator_sum(self):
-        # every window from empty to the default: the same refusals, and the
-        # same basis wherever one is returned, as the generator sum and as
-        # the step-by-step Horner evaluation give it
-        # dimensions 0, 1, 2 and 3
-        for k, prec in ((4, 20), (10, 80), (16, 90), (24, 100)):
-            refused = 0
-            for bound in range(4 * k + 1):
-                expected = _outcome(_basis_by_generator_sum, k, prec, bound)
-                assert _outcome(plus_space_basis_by_kernel, k, prec, bound) == expected, (k, bound)
-                assert _outcome(plus_space_basis_by_steps, k, prec, bound) == expected, (k, bound)
-                refused += expected is DimensionMismatchError
-            assert 0 < refused < 4 * k + 1
-
-    def test_packed_pass_matches_step_by_step_horner(self):
-        # one packed Horner pass per form against one product call per step:
-        # dimensions 0 to 4, at the window, one past it and the lift sizes
-        for k in range(4, 31, 2):
-            for prec in (4 * k, 4 * k + 1, 144, 576, 1600):
-                expected = _outcome(plus_space_basis_by_steps, k, prec)
-                assert expected is not DimensionMismatchError, (k, prec)
-                assert _outcome(plus_space_basis_by_kernel, k, prec) == expected, (k, prec)
 
     def test_odd_weight_rejected(self):
         for build in (plus_space_basis, plus_space_basis_by_kernel):

@@ -25,7 +25,6 @@ from sklift.numeric import (
     sqrt_if_square,
     sqrt_rational,
     squarefree_core,
-    value_sign,
 )
 
 from oracles import (
@@ -124,6 +123,8 @@ class TestElementary:
         assert len(passing) == len([m for m in range(43, 10**5, 2) if is_prime(m)]) + len(pseudoprimes)
 
     def test_factorize_and_divisors(self):
+        # factorize and divisors are the oracles of divisor_lists and squarefree_core;
+        # sigma builds the oracle of elliptic.eisenstein
         assert factorize(360) == {2: 3, 3: 2, 5: 1}
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
         assert sigma(1, 6) == 12
@@ -374,6 +375,8 @@ class TestOneRepresentation:
 
 
 class TestHalfPower:
+    """The sqrt(p) comparisons in the oracles of ``growth_check``, ``solve_satake`` and ``theorem41``."""
+
     def test_examples(self):
         assert cmp_halfpower(Fraction(3), 1, 2, 2) > 0
         assert cmp_halfpower(Fraction(240), 4, 2, 17) < 0

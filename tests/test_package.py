@@ -4,23 +4,10 @@ from collections import Counter
 from pathlib import Path
 
 import sklift
+import sklift.cache
 
 import oracles
 
-# the public names as they stood before test-only code left the package;
-# HeckeDoubleCoset and coset_decomposition_Tp, which only tests called, have
-# since moved to the test oracles, and the Hecke operators read coset_classes;
-# so have theta_series and plus_eigenforms (with kohnen.plus_hecke_matrix,
-# never re-exported), which nothing on the lift chain calls; so has
-# SiegelIndex, which nothing in the package produces since tables key by
-# plain (n, r, m) tuples, with the never re-exported elliptic.hecke_matrix,
-# kohnen.halfint_generators, JacobiForm.coeff and QuadExt.conjugate, which
-# only tests called; so has SpinEulerData, with characterize.spin_euler_data,
-# as the scans read the record's scaled integers; so has the numeric.Rational
-# alias of Fraction, which nothing in the package named; and so has
-# hecke_Tp, with the staircase matrix and the 2x2 eigen-split, as eigenforms
-# refuses every cusp space past dimension one; and so has cusp_basis, with
-# its monomial exponents, as eigenforms builds Delta * E_(w-12) directly
 PUBLIC_NAMES = [
     "EigenvalueRecord", "EllipticEigenform", "EllipticForm",
     "JacobiForm", "PlusSpaceForm", "QSeries", "QuadExt",
@@ -118,6 +105,23 @@ def test_no_definition_only_tests_call():
             used |= names
     unused = [(module, name) for module, name in defined if name not in used and name not in sklift.__all__]
     assert unused == []
+
+
+def test_no_oracle_nothing_names():
+    # every module-level function or class of the oracles is named by a test
+    # module, by conftest.py or by another oracle; one nothing names guards nothing
+    tests = Path(oracles.__file__).parent
+    used = set()
+    for path in sorted(tests.glob("test_*.py")) + [tests / "conftest.py"]:
+        used |= _names_in(ast.parse(path.read_text(encoding="utf-8")))
+    defined = []
+    for node in ast.parse(Path(oracles.__file__).read_text(encoding="utf-8")).body:
+        names = _names_in(node)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+            names.discard(node.name)
+        used |= names
+    assert [name for name in defined if name not in used] == []
 
 
 # methods the benchmark's tracer wraps by name, so a traced run fails on a

@@ -9,9 +9,8 @@ and the growth bounds and sign behavior of that sequence are scanned.  All
 of it reads one integer form of a record, the local data scaled by the lcm L
 of its denominators (``_scaled_record``): each criterion is the sign of an
 integer, and the sequence runs scaled by powers of L.  A record file is
-read by one loader, ``load_records``, which refuses a record up front when
-its scan would pass a fixed size or work budget, or when its report could
-not be printed.
+read by one loader, ``load_records``, which holds each record to the work
+budgets of ``work`` before any work.
 
 No floating point: every inequality involving sqrt(p) is settled by sign
 splitting and squaring.
@@ -21,10 +20,10 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import work
 from .errors import InconsistencyError, UsageError
 from .numeric import (
     PRIME_TEST_BITS,
@@ -49,14 +48,6 @@ NEITHER_TYPE = "neither"
 COND_PRIME_THRESHOLD = "prime-threshold"
 COND_PRIME_SQUARE_THRESHOLD = "prime-square-threshold"
 COND_EIGENVALUE_IDENTITY = "eigenvalue-identity"
-
-# ``classify`` refuses a record whose scaled prime-power sequence s_0..s_scan
-# may hold more bits together (16 MiB), or cost more bit operations, than
-# these budgets (see ``_scan_cost``); both admit a scan of a weight-500
-# record at p = 101 to depth 200
-_SCAN_BITS = 1 << 27
-_SCAN_WORK = 1 << 40
-
 
 @dataclass(frozen=True)
 class EigenvalueRecord:
@@ -113,22 +104,11 @@ def load_records(path, scan: int) -> list[EigenvalueRecord]:
     """Read newline-delimited JSON records; errors carry the line number and the field.
 
     ``weight`` and ``p`` are JSON integers or strings of one; ``mu_p`` and
-    ``mu_p2`` are JSON integers or exact decimal/fraction strings.  Two kinds
-    of record are refused up front, before any work:
-
-    - for ``scan`` > 0, one whose prime-power scan to that depth is past the
-      budgets ``_SCAN_BITS`` and ``_SCAN_WORK``, with the deepest scan that fits;
-    - one whose report could not be printed.  File values are below 10**D
-      in numerator and denominator, with D = ``sys.get_int_max_str_digits()``
-      (0 lifts the limit, and nothing is refused); a report value with a
-      denominator of 10**D or more cannot be printed.  With mu(p) = a/b and
-      mu(p**2) = c/e in lowest terms, that holds for trace_over_sqrt_p =
-      a / (b p**(k-1)) when a != 0 and p**(k-1) >= 10**D |a|, as it reduces
-      by gcd(a, p**(k-1)) <= |a|; and for pair_product = -N / (e p**(2k-3)),
-      N = c + (2p + 1) e p**(2k-4), when a = 0, c != 0 and
-      p**(2k-4) >= 10**D |c|.  N = c mod e is prime to e, and
-      v_p(N) = v_p(c) as |c| < p**(2k-4), so it reduces by p**v_p(c) <= |c|
-      at most, to a denominator of at least p 10**D.
+    ``mu_p2`` are JSON integers or exact decimal/fraction strings.  Before
+    any work, a record is refused when its weight is past the cap on the
+    integers ``classify`` builds, when ``scan`` > 0 and the prime-power scan
+    to that depth is past the scan budgets, or when its report could not be
+    printed (see ``work``).
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -137,8 +117,6 @@ def load_records(path, scan: int) -> list[EigenvalueRecord]:
         raise UsageError(f"cannot read records file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise UsageError(f"records file {path} is not UTF-8: {exc}") from exc
-    digits = sys.get_int_max_str_digits()
-    limit = 10**digits
     records = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -153,38 +131,16 @@ def load_records(path, scan: int) -> list[EigenvalueRecord]:
             rec = EigenvalueRecord(**fields)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, UsageError) as exc:
             raise UsageError(f"{path}:{lineno}: bad record ({exc})") from exc
-        if scan > 0:
-            sizes = _scan_sizes(rec)
-            if not _within_budget(sizes, scan):
-                bits, work = _scan_cost(sizes, scan)
-                raise UsageError(
-                    f"{path}:{lineno}: a scan to depth {scan} may hold {bits} bits and cost {work} "
-                    f"bit operations, past the budgets of 2**{_SCAN_BITS.bit_length() - 1} and "
-                    f"2**{_SCAN_WORK.bit_length() - 1}; the largest --scan that fits is "
-                    f"{_deepest_scan(sizes, scan)}"
-                )
-        a, c = rec.mu_p.numerator, rec.mu_p2.numerator
-        # trace_over_sqrt_p when a != 0, else pair_product
-        e, num = (rec.weight - 1, a) if a else (2 * rec.weight - 4, c)
-        if digits and num and _power_at_least(rec.p, e, limit * abs(num)):
-            raise UsageError(
-                f"{path}:{lineno}: the report of this record would hold a value with more digits "
-                f"than Python converts to text ({digits}); refused before any work"
-            )
+        try:
+            work.record_weight(rec)
+            if scan > 0:
+                scale, coefficients, _ = _scaled_data(rec)
+                work.scan(work.scan_sizes(scale, coefficients), scan)
+            work.printable(rec)
+        except UsageError as exc:
+            raise UsageError(f"{path}:{lineno}: {exc}") from exc
         records.append(rec)
     return records
-
-
-def _power_at_least(p: int, e: int, x: int) -> bool:
-    """Whether p**e >= x, for p >= 2, e >= 1 and x >= 1, from bit lengths where they settle it.
-
-    As 2**(e (bitlen(p) - 1)) <= p**e < 2**(e bitlen(p)), p**e > x when
-    e (bitlen(p) - 1) >= bitlen(x), and p**e < x when e bitlen(p) < bitlen(x).
-    Otherwise p**e has fewer than e bitlen(p) < 2 bitlen(x) bits, and is computed.
-    """
-    if e * (p.bit_length() - 1) >= x.bit_length():
-        return True
-    return e * p.bit_length() >= x.bit_length() and p**e >= x
 
 
 # ---------------------------------------------------------------------------
@@ -430,56 +386,6 @@ def _scaled_data(rec: EigenvalueRecord):
     scale, c1, c2, tail = _scaled_record(rec)
     s = tail * rec.p
     return scale, (c1, c2, c1 * s, s * s), tail
-
-
-def _scan_sizes(rec: EigenvalueRecord) -> tuple[int, int]:
-    """``(rho, lam)`` of a rational record: s_r has at most rho r + bitlen(2 C(r+3,3)) bits.
-
-    Every root z of X**4 - c1 X**3 + c2 X**2 - c3 X + c4 has
-    |z| <= 2 max |c_i|**(1/i) (Fujiwara's bound), so |z| < 2**rho with
-    rho = 1 + max ceil(bitlen(c_i) / i).  As s_r = h_r - tail h_(r-2) in the
-    complete symmetric polynomials h of the four roots, and
-    tail < |c4|**(1/2) < 2**(2 rho), |s_r| <= 2 C(r+3,3) 2**(rho r).  lam is
-    bitlen(L) when L > 1, else 0, so L**r has at most lam r bits.
-    """
-    scale, coefficients, _ = _scaled_data(rec)
-    rho = 1 + max(-(-c.bit_length() // i) for i, c in enumerate(coefficients, start=1))
-    return rho, 0 if scale == 1 else scale.bit_length()
-
-
-def _scan_cost(sizes: tuple[int, int], scan: int) -> tuple[int, int]:
-    """Upper bounds on the bits s_0, ..., s_scan hold together and on the bit operations they cost.
-
-    With b_r = rho r + bitlen(2 C(scan+3,3)) bits bounding each s_r (see
-    ``_scan_sizes``), the bits are the sum of the b_r, and the work is the
-    sum of b_r (rho + lam r): the products of s_r with the coefficients,
-    and the gcd that reduces s_r / L**r.
-    """
-    rho, lam = sizes
-    beta = (2 * math.comb(scan + 3, 3)).bit_length()
-    n = scan + 1
-    s1 = scan * n // 2  # the sum of r for r <= scan
-    s2 = scan * n * (2 * scan + 1) // 6  # the sum of r**2
-    bits = rho * s1 + beta * n
-    work = rho * rho * s1 + rho * lam * s2 + beta * rho * n + beta * lam * s1
-    return bits, work
-
-
-def _within_budget(sizes: tuple[int, int], scan: int) -> bool:
-    bits, work = _scan_cost(sizes, scan)
-    return bits <= _SCAN_BITS and work <= _SCAN_WORK
-
-
-def _deepest_scan(sizes: tuple[int, int], scan: int) -> int:
-    """The largest depth up to ``scan`` within both budgets; both costs grow with the depth."""
-    lo, hi = 0, scan
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _within_budget(sizes, mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 def mu_sequence(rec: EigenvalueRecord, rmax: int) -> list:

@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import characterize, siegel
+from . import characterize, work
 from .cache import ExpansionCache, TextEncoder
 from .characterize import (
     EigenvalueRecord,
@@ -40,7 +40,6 @@ from .characterize import (
 from .elliptic import dim_cusp_forms, eigenforms
 from .errors import (
     EXIT_OK,
-    EXIT_USAGE,
     EXIT_VIOLATION,
     NotAnEigenformError,
     SkliftError,
@@ -50,7 +49,6 @@ from .jacobi import ez_lift
 from .kohnen import PlusSpaceForm, plus_space_basis, shimura_match
 from .numeric import format_value, is_prime, short_repr
 from .siegel import (
-    BOUND_CAP,
     SiegelFourierTable,
     check_maass_p_space,
     check_maass_space,
@@ -181,11 +179,7 @@ def _open_out(path: str):
 def cmd_lift(config: RunConfig, args) -> int:
     if args.bound < 1:
         raise UsageError("--bound must be at least 1")
-    if args.bound > BOUND_CAP:
-        raise UsageError(
-            f"--bound {args.bound} is past the cap on a lift's work, which grows as bound**4; "
-            f"the largest --bound that fits is {BOUND_CAP}"
-        )
+    work.lift_bound(args.bound)
     out_path = args.out or f"sk_lift_w{args.weight}_b{args.bound}.json"
     _check_out_dir(out_path)
     log = (lambda s: None) if config.output != "human" else lambda s: print(s)
@@ -212,25 +206,23 @@ def cmd_lift(config: RunConfig, args) -> int:
 
 def cmd_check(config: RunConfig, args) -> int:
     table = _load_table(args.table)
-    reports = []
-    if args.all or args.maass:
-        reports.append(check_maass_space(table))
+    maass = args.all or args.maass
     primes = list(args.maass_p or [])
     if args.all:
         primes = sorted(set(primes) | {2, 3, 5})
+    if not (maass or primes):
+        raise UsageError("nothing to do: pass --maass, --maass-p P, or --all")
+    # every request is held to its cap before any checker runs
+    if maass:
+        work.table_weight(table, "check --maass")
     for p in primes:
         # the work first, so that a huge p is refused before any primality test
-        if p > 1 and siegel.maass_p_instances(p, table.bound) > siegel.MAASS_P_CAP:
-            raise UsageError(
-                f"--maass-p {short_repr(p)} is past the cap on the checker's work, which grows as "
-                f"p**3.5 * bound**3; the largest --maass-p that fits table bound {table.bound} "
-                f"is {siegel.largest_maass_p(table.bound)}"
-            )
+        work.maass_p(p, table.bound)
         if not is_prime(p):
             raise UsageError(f"--maass-p got {short_repr(p)}, which is not prime")
+        work.table_weight(table, "check --maass-p", p)
+    reports = [check_maass_space(table)] if maass else []
     reports += [check_maass_p_space(table, p) for p in primes]
-    if not reports:
-        raise UsageError("nothing to do: pass --maass, --maass-p P, or --all")
     payload = {"table": args.table, "reports": []}
     lines = []
     csv_rows = [["check", "p", "checked", "skipped", "violations"]]
@@ -286,6 +278,7 @@ def cmd_eigen(config: RunConfig, args) -> int:
     for p in primes:
         if not is_prime(p):
             raise UsageError(f"{short_repr(p)} is not prime")
+        work.table_weight(table, "eigen", p)
     records = []
     for p in primes:
         mu_p = hecke_eigenvalue(table, p)
@@ -363,10 +356,17 @@ def cmd_classify(config: RunConfig, args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line, as every other error is."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sklift",
         description="Exact Saito-Kurokawa lifts and eigenvalue characterizations.",
     )

@@ -7,7 +7,7 @@ whenever it is integral, so a table read from a file equals the lifted one
 type for type.  Keys are checked once, where they come in from outside: the
 public constructor refuses keys that are not int triples, unreduced keys
 and out-of-bound keys, and ``from_json_dict`` also an index listed twice
-and a bound past ``BOUND_CAP``.  The lift and the Hecke operators produce
+and a bound past ``work.BOUND_CAP``.  The lift and the Hecke operators produce
 reduced keys by construction and build their tables through the trusted
 ``SiegelFourierTable._trusted``.
 
@@ -30,6 +30,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import work
 from .errors import (
     InconsistencyError,
     NotAnEigenformError,
@@ -40,14 +41,6 @@ from .jacobi import JacobiForm
 from .numeric import QuadExt, divisor_lists, exact_div, int_if_integral, is_prime, json_int, rat, short_repr
 
 SCHEMA_VERSION = 1
-
-# the largest index bound a table may have, read from a file or built by
-# ``lift``: ``check --maass`` and ``eigen`` visit about bound**3 / 6 reduced
-# indices, and a cold lift's work grows about as bound**4 (a half-integral
-# truncation of 4 * bound**2, series products of that length, and the table
-# entries); at bound 100 a cold weight-14 lift takes 1.1-1.3 s and 74 MB, at
-# 150 it takes 2.7 s and 201 MB (2 cores, Python 3.11)
-BOUND_CAP = 100
 
 
 def reduce_index(n: int, r: int, m: int) -> tuple[int, int, int]:
@@ -227,11 +220,7 @@ class SiegelFourierTable:
         try:
             weight = json_int(data["weight"], "weight")
             bound = json_int(data["bound"], "bound")
-            if bound > BOUND_CAP:
-                raise UsageError(
-                    f"table bound {bound} is past the cap on the work a table can demand; "
-                    f"the largest bound that fits is {BOUND_CAP}"
-                )
+            work.table_bound(bound)
             entries = {}
             for n, r, m, num, den in data["entries"]:
                 index = tuple(json_int(x, "an entry index") for x in (n, r, m))
@@ -322,8 +311,8 @@ def check_maass_space(table: SiegelFourierTable) -> CheckReport:
     k = table.weight
     bound = table.bound
     divs = divisor_lists(bound)
-    # a checked index has D <= 4 * bound, and d**2 divides D
-    powers = {d: d ** (k - 1) for d in range(1, math.isqrt(4 * max(bound, 0)) + 1)}
+    # a checked index has D <= 4 * bound, and d**2 divides D with D / d**2 >= 3
+    powers = {d: d ** (k - 1) for d in range(1, math.isqrt(4 * max(bound, 0) // 3) + 1)}
     get = table.entries.get
     checked = skipped = 0
     violations = []
@@ -351,38 +340,6 @@ def check_maass_space(table: SiegelFourierTable) -> CheckReport:
                 if lhs != rhs:
                     violations.append(((n, r, m), lhs, rhs))
     return CheckReport("maass", None, table.bound, checked, skipped, tuple(violations))
-
-
-def maass_p_instances(p: int, bound: int) -> int:
-    """An upper bound on the instances ``check_maass_p_space`` enumerates at p >= 2.
-
-    With T = p * bound it visits isqrt(4pnm) + 1 <= 2 sqrt(pnm) + 1 values of r
-    at each n, m <= T, and sum(sqrt(n) for n <= T) <= (2/3) (T + 1)**(3/2); so
-    it is T**2 + (8/9) sqrt(p) (T + 1)**3 at most, the least y with
-    81 y**2 >= 64 p (T + 1)**6 in place of the second term.
-    """
-    t = p * bound
-    return t * t + math.isqrt((64 * p * (t + 1) ** 6 - 1) // 81) + 1
-
-
-# check --all (p = 2, 3 and 5) fits on every table that lift can write
-MAASS_P_CAP = maass_p_instances(5, BOUND_CAP)
-
-
-def largest_maass_p(bound: int) -> int:
-    """The largest prime within ``MAASS_P_CAP`` at a ``bound`` <= ``BOUND_CAP``.
-
-    Bisection finds the largest integer that fits, below 4 * MAASS_P_CAP**2,
-    where (8/9) sqrt(p) alone passes the cap; the prime is the first at or
-    below it.
-    """
-    fits, past = 2, 4 * MAASS_P_CAP**2
-    while past - fits > 1:
-        mid = (fits + past) // 2
-        fits, past = (mid, past) if maass_p_instances(mid, bound) <= MAASS_P_CAP else (fits, mid)
-    while not is_prime(fits):
-        fits -= 1
-    return fits
 
 
 def check_maass_p_space(table: SiegelFourierTable, p: int) -> CheckReport:

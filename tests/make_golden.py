@@ -114,8 +114,13 @@ def collect(work: Path) -> dict:
         run("check", "wide.json", "--maass")
         run("check", "k10_b4.json", "--maass-p", 101)
         run("eigen", "k10_b4.json", "--primes", 3)
+        (work / "heavy.json").write_text(json.dumps({**data, "weight": 200000000}))
+        run("check", "heavy.json", "--maass")
+        run("check", "heavy.json", "--maass-p", 2)
+        run("eigen", "heavy.json", "--primes", 2)
         for name, weight, mu, scan in (("deep", 200000, 1, 50), ("unprintable", 2000000, 1, 0),
-                                       ("heavy", 200000000, 1, 0)):
+                                       ("heavy", 200000000, 1, 0), ("heavy", 200000000, 1, 50),
+                                       ("heavy0", 200000000, 0, 0), ("heavy0", 200000000, 0, 50)):
             (work / f"{name}.jsonl").write_text(
                 json.dumps({"weight": weight, "p": 2, "mu_p": str(mu), "mu_p2": str(mu)}) + "\n")
             run("classify", f"{name}.jsonl", "--scan", scan)

@@ -28,19 +28,11 @@ from sklift.characterize import (
     solve_satake,
     theorem41,
 )
-from sklift.characterize import (
-    _SCAN_BITS,
-    _SCAN_WORK,
-    _deepest_scan,
-    _power_at_least,
-    _scaled_data,
-    _scan_cost,
-    _scan_sizes,
-    _within_budget,
-)
+from sklift.characterize import _scaled_data
 from sklift.errors import UsageError
 from sklift.numeric import QuadExt, value_sign
 from sklift.qseries import QSeries
+from sklift.work import BITS_CAP, SCAN_WORK_CAP, _power_at_least, record_bits, scan, scan_cost, scan_sizes
 
 from oracles import (
     HOSTILE_P,
@@ -192,22 +184,53 @@ class TestScaledIntegerScan:
             den = rng.choice([1, 6, 10**30 + 7])
             rec = EigenvalueRecord(k, p, Fraction(rng.randint(-4, 4) * p ** (k - 1), den),
                                    Fraction(rng.randint(-10**6, 10**6) * p ** (2 * k - 4), den))
-            scale, sizes = _scaled_data(rec)[0], _scan_sizes(rec)
+            scale, sizes = _scaled_data(rec)[0], sizes_of(rec)
             bits = 0
             for r, mu in enumerate(mu_sequence(rec, 60)):
                 bits += abs(mu * scale**r).numerator.bit_length()
-                assert bits <= _scan_cost(sizes, r)[0], (rec, r)
+                assert bits <= scan_cost(sizes, r)[0], (rec, r)
+
+    def test_record_bits_bound_the_integers(self):
+        # the integers of _scaled_data, theorem41 and solve_satake, the largest
+        # of which record_bits names, against its bound
+        rng = random.Random(31)
+        for _ in range(60):
+            k, p = rng.choice([10, 14, 100, 1000]), rng.choice([2, 3, 101, 2**61 - 1])
+            b, e = rng.choice([1, 6, 10**30 + 7]), rng.choice([1, 9, 2**100])
+            rec = EigenvalueRecord(k, p, Fraction(rng.randint(-4, 4) * p ** rng.randint(0, k), b),
+                                   Fraction(rng.randint(-10**6, 10**6) * p ** rng.randint(0, 2 * k), e))
+            scale, (c1, c2, c3, c4), tail = _scaled_data(rec)
+            s = tail * p
+            built = [c1, c2, c3, c4, tail, (c2 + 2 * s) ** 2, 4 * s * c1 * c1,
+                     (p + 1) * p ** (k - 2) * scale * c1, tail * p * p, (p + 1) ** 2 * tail]
+            assert max(abs(x).bit_length() for x in built) <= record_bits(rec, k), rec
 
     def test_deepest_scan_is_the_budget_edge(self):
+        def within(sizes, depth):
+            bits, work = scan_cost(sizes, depth)
+            return bits <= BITS_CAP and work <= SCAN_WORK_CAP
+
         for rec in (EigenvalueRecord(200000, 2, 1, 1), EigenvalueRecord(500, 101, 1, 1),
                     EigenvalueRecord(10, 2, Fraction(1, 3), Fraction(-7, 2)), SK10):
-            sizes = _scan_sizes(rec)
-            depth = _deepest_scan(sizes, 10**9)
-            assert _within_budget(sizes, depth) and not _within_budget(sizes, depth + 1)
-            bits, work = _scan_cost(sizes, depth + 1)
-            assert bits > _SCAN_BITS or work > _SCAN_WORK
-        assert _deepest_scan(_scan_sizes(EigenvalueRecord(200000, 2, 1, 1)), 50) == 6
-        assert _deepest_scan(_scan_sizes(SK10), 200) == 200
+            sizes = sizes_of(rec)
+            depth = deepest_scan(sizes, 10**9)
+            assert within(sizes, depth) and not within(sizes, depth + 1)
+            scan(sizes, depth)
+        assert deepest_scan(sizes_of(EigenvalueRecord(200000, 2, 1, 1)), 50) == 6
+        # a scan that fits is not refused
+        scan(sizes_of(SK10), 200)
+
+
+def sizes_of(rec):
+    scale, coefficients, _ = _scaled_data(rec)
+    return scan_sizes(scale, coefficients)
+
+
+def deepest_scan(sizes, depth):
+    """The largest --scan that fits, as the refusal of ``depth`` names it."""
+    with pytest.raises(UsageError) as err:
+        scan(sizes, depth)
+    return int(str(err.value).rsplit(" ", 1)[1])
 
 
 class TestReportRefusal:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -504,7 +505,7 @@ class TestClassify:
         )
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.count("\n") == 1
-        assert proc.stderr.startswith(f"error: {rec_path}:2: a scan to depth 50 ")
+        assert proc.stderr.startswith(f"error: {rec_path}:2: --scan 50 is past the cap ")
         assert proc.stderr.endswith("the largest --scan that fits is 6\n")
 
     @pytest.mark.parametrize("weight, p, mu_p, scan", [
@@ -663,7 +664,7 @@ class TestUnreadableFiles:
             assert proc.returncode == 2 and proc.stdout == ""
             assert proc.stderr == (
                 f"error: table file {bad}: table bound 100000 is past the cap on the work a "
-                "table can demand; the largest bound that fits is 100\n"
+                "table can demand, which grows as bound**3; the largest table bound that fits is 100\n"
             )
 
     def test_table_not_utf8(self, tmp_path, capsys):
@@ -824,3 +825,71 @@ class TestTableWeight:
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert captured.err.count("\n") == 1 and "more digits than Python converts" in captured.err
+
+
+class TestWeightCap:
+    """A weight past the cap on the integers a command builds is refused from the header alone."""
+
+    @pytest.fixture(scope="class")
+    def table4(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("weight") / "t4.json"
+        assert main(["--no-cache", "lift", "--weight", "10", "--bound", "4", "--out", str(path)]) == 0
+        return path
+
+    @staticmethod
+    def refused(argv) -> str:
+        # each once ran for 4-60 s and took up to 753 MB, building powers of the weight
+        err = io.StringIO()
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            seconds, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = err.getvalue()
+        assert rc == 2 and err.count("\n") == 1 and len(err.encode()) < 300, err
+        assert seconds < 1 and peak < 5 * 2**20, (seconds, peak)
+        return err
+
+    def write(self, table4, weight):
+        data = json.loads(table4.read_text())
+        path = table4.parent / f"w{weight}.json"
+        path.write_text(json.dumps({**data, "weight": weight}))
+        return path
+
+    @pytest.mark.parametrize("args, context, largest", [
+        (["check", "--maass"], "table bound 4", 67108864),
+        (["check", "--maass-p", "2"], "--maass-p 2", 67108864),
+        (["eigen", "--primes", "2"], "--primes 2", 26843545),
+    ], ids=["maass", "maass-p", "eigen"])
+    def test_table_weight_past_the_cap(self, table4, args, context, largest):
+        heavy = self.write(table4, 200000000)
+        err = self.refused([args[0], str(heavy), *args[1:]])
+        assert err.startswith("error: table weight 200000000 is past the cap on the integers ")
+        assert err.endswith(f"the largest table weight that fits {context} is {largest}\n")
+        # one past the largest is refused too
+        self.refused([args[0], str(self.write(table4, largest + 1)), *args[1:]])
+        # and the largest runs to its end within 10 s, in a child process
+        proc = subprocess.run([sys.executable, "-m", "sklift.cli", args[0], str(self.write(table4, largest)), *args[1:]],
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode in (1, 2) and proc.stderr.count("\n") == 1 and "past the cap" not in proc.stderr
+
+    @pytest.mark.parametrize("mu, scan", [("0", "0"), ("0", "50"), ("1", "0"), ("1", "50")])
+    def test_record_weight_past_the_cap(self, tmp_path, mu, scan):
+        rec_path = tmp_path / "records.jsonl"
+        rec_path.write_text(json.dumps({"weight": 200000000, "p": 2, "mu_p": mu, "mu_p2": mu}) + "\n")
+        err = self.refused(["classify", str(rec_path), "--scan", scan])
+        assert err == (f"error: {rec_path}:1: weight 200000000 is past the cap on the integers classify builds, "
+                       "which grows as weight * log(p); the largest weight that fits this record is 16777214\n")
+
+    def test_largest_record_weight_classifies(self, tmp_path):
+        # mu(p) = mu(p**2) = 0 prints at any weight; the next even weight is refused
+        rec_path = tmp_path / "records.jsonl"
+        rec_path.write_text(json.dumps({"weight": 16777216, "p": 2, "mu_p": "0", "mu_p2": "0"}) + "\n")
+        assert "fits this record is 16777214" in self.refused(["classify", str(rec_path), "--scan", "0"])
+        rec_path.write_text(json.dumps({"weight": 16777214, "p": 2, "mu_p": "0", "mu_p2": "0"}) + "\n")
+        proc = subprocess.run([sys.executable, "-m", "sklift.cli", "classify", str(rec_path), "--scan", "0"],
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0 and proc.stderr == ""

@@ -107,6 +107,22 @@ def test_no_definition_only_tests_call():
     assert unused == []
 
 
+def test_no_import_left_unread():
+    # every name a module imports is read in it; the re-exports of __init__
+    # are the one exception, as importing them is their use
+    unread = []
+    for path in sorted(Path(sklift.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                unread += [(path.name, a.asname or a.name) for a in node.names
+                           if (a.asname or a.name).split(".")[0] not in read]
+    assert unread == []
+
+
 def test_no_oracle_nothing_names():
     # every module-level function or class of the oracles is named by a test
     # module, by conftest.py or by another oracle; one nothing names guards nothing

@@ -52,13 +52,11 @@ big_or_small = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
 sparse_terms = st.lists(st.tuples(st.integers(0, 35), big_or_small), max_size=6)
 
 
-# (S, step, tail, parts, slot width) where S**tail leaves the top bit of the slot free
+# (S, step, tail, parts, slot width) where S**tail leaves the top bit of the slot
+# free; one part each, which sparse_times takes as the oracle does
 _EDGE_CASES = [
-    (base, step, tail, count, width)
-    for base, step, tail, count in [
-        (3, 1, 1, 2), (1000, 1, 1, 3), (1000, 2, 3, 2), (2**20 - 3, 1, 2, 4), (2**20 - 3, 3, 1, 2),
-        (1000, 1, 2, 1), (2**20 - 3, 1, 3, 1),
-    ]
+    (base, step, tail, 1, width)
+    for base, step, tail in [(1000, 1, 2), (2**20 - 3, 1, 3)]
     for width in (1, 2, 8, 9, 40)
     if base**tail <= 1 << (8 * width - 2)
 ]
@@ -220,27 +218,19 @@ class TestQSeries:
 
     @pytest.mark.parametrize("base, step, tail, count, width", _EDGE_CASES)
     def test_results_at_the_edge_of_the_width(self, base, step, tail, count, width):
-        # a constant S = base makes the width bound exact: the parts are the
-        # base-S**step digits of the largest multiple of S**tail that fits a
-        # signed slot of ``width`` bytes, so the first result coefficient is
-        # the bound itself and sits within S**tail of the slot's edge; at the
-        # larger bases, one factor of S less in the bound picks a narrower slot
+        # a constant S = base makes the width bound exact: the one part is the
+        # largest multiple of S**tail that fits a signed slot of ``width``
+        # bytes, divided by S**tail, so the first result coefficient is the
+        # bound itself and sits within S**tail of the slot's edge
         edge = (1 << (8 * width - 1)) - 1
-        target = edge // base**tail
-        digits = []
-        for _ in range(count - 1):
-            target, d = divmod(target, base**step)
-            digits.append(d)
-        digits.append(target)
+        d = edge // base**tail
         terms = [(0, base - 1), (0, 1), (7, 5)]
-        top = base**tail * (edge // base**tail)
+        top = base**tail * d
         assert top.bit_length() == 8 * width - 1
         for sign in (1, -1):
-            parts = [(sign, [d, -d, 0, d]) for d in reversed(digits)]
             want = [sign * top, -sign * top, 0, sign * top]
-            assert sparse_horner(terms, step, tail, parts, 3) == want
-            if count == 1:
-                assert sparse_times(terms, parts[0][1], 3, tail) == [top, -top, 0, top]
+            assert sparse_horner(terms, step, tail, [(sign, [d, -d, 0, d])], 3) == want
+        assert sparse_times(terms, [d, -d, 0, d], 3, tail) == [top, -top, 0, top]
 
     @given(int_series, int_series, int_series)
     @settings(max_examples=80, deadline=None)

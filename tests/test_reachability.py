@@ -26,10 +26,11 @@ PAST_PSI_13 = 3317044064679887385962123
 
 UNREACHED = {
     # refusal paths: the walk feeds only input that the commands accept
-    "characterize._deepest_scan": "names the deepest scan that fits a refused --scan",
+    "cli._Parser.error": "puts an argument parser's usage error on one line",
     "numeric.refuse_past_digit_limit": "refuses a digit string past Python's conversion limit",
     "numeric.short_repr": "quotes the start of a refused value",
-    "siegel.largest_maass_p": "names the largest prime that fits a refused --maass-p",
+    "work.largest_fitting": "names the largest value that fits a refused request",
+    "work.refuse": "builds the line of a refused request",
     # the characterization API: Satake-parameter records over Q(sqrt(d)),
     # which no record file carries
     "characterize.sk_record": "the Saito-Kurokawa record of an elliptic eigenvalue",

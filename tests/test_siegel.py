@@ -10,19 +10,16 @@ from sklift.errors import TruncationError, UsageError
 from sklift.jacobi import JacobiForm, ez_lift
 from sklift.kohnen import plus_space_basis
 from sklift.numeric import QuadExt
-from sklift.numeric import is_prime
+from sklift.numeric import is_prime, short_repr
 from sklift.siegel import (
-    BOUND_CAP,
-    MAASS_P_CAP,
     SiegelFourierTable,
     check_maass_p_space,
     check_maass_space,
-    largest_maass_p,
     maass_lift,
-    maass_p_instances,
     reduce_index,
     reduced_indices,
 )
+from sklift.work import BOUND_CAP, MAASS_P_CAP, maass_p, maass_p_instances
 
 import oracles
 from oracles import jacobi_coeff, misstored, perturbed, scaled
@@ -159,8 +156,8 @@ class TestTable:
             with pytest.raises(UsageError) as err:
                 SiegelFourierTable.from_json_dict(data)
             assert str(err.value) == (
-                f"table bound {bound} is past the cap on the work a table can demand; "
-                "the largest bound that fits is 100"
+                f"table bound {short_repr(bound)} is past the cap on the work a table can demand, "
+                "which grows as bound**3; the largest table bound that fits is 100"
             )
 
     def test_weight_below_one_rejected(self):
@@ -286,6 +283,13 @@ def counted_instances(p, bound):
     """The instances ``check_maass_p_space`` enumerates: isqrt(4pnm) + 1 values of r per (n, m)."""
     top = p * bound
     return sum(math.isqrt(4 * p * n * m) + 1 for n in range(1, top + 1) for m in range(1, top + 1))
+
+
+def largest_maass_p(bound):
+    """The largest prime the refusal of a --maass-p past the cap names at ``bound``."""
+    with pytest.raises(UsageError) as err:
+        maass_p(4 * MAASS_P_CAP**2, bound)
+    return int(str(err.value).rsplit(" ", 1)[1])
 
 
 class TestMaassPWork:

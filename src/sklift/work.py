@@ -17,8 +17,9 @@ from .numeric import is_prime, short_repr
 
 # the largest index bound of a lift or a table file: check --maass and eigen
 # visit about bound**3 / 6 reduced indices, and a cold lift's work grows about
-# as bound**4; at bound 100 a cold weight-14 lift takes 1.1-1.3 s and 74 MB,
-# at 150 it takes 2.7 s and 201 MB (2 cores, Python 3.11)
+# as bound**4 (a half-integral truncation of 4 * bound**2, series products of
+# that length, and the table entries); at bound 100 a cold weight-14 lift takes
+# 1.1-1.3 s and 74 MB, at 150 it takes 2.7 s and 201 MB (2 cores, Python 3.11)
 BOUND_CAP = 100
 # bits in one integer a command builds, or in a record's whole scan (16 MiB),
 # and the scan's bit operations: a weight-500 record at p = 101 fits to depth 200

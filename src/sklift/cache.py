@@ -1,14 +1,11 @@
-"""Persistent on-disk cache for exact expansion data.
+"""Opt-in on-disk cache of a lift's plus-space form, one entry per (weight, truncation).
 
-Entries are keyed by (module, name, weight, truncation) plus a schema
-version; values are lists of ints, each written as its decimal string and
-read back only from the strings ``-?[0-9]+``.  Because the data is exact,
-a repeated write to an existing key must agree bit for bit; disagreement is
-an error, never a silent overwrite.  A request may be served from any
-cached entry of the same object at a larger truncation.  A lift stores only
-its plus-space form, whose coefficients are integers; its elliptic seed is
-rebuilt in integers each time, faster than a read, and elliptic entries
-earlier versions wrote are never read.
+Nothing is read or written without a directory.  Values are ints, each
+written as its decimal string and read back only from the strings
+``-?[0-9]+``.  As the data is exact, a repeated write to an existing key
+must agree bit for bit; disagreement is an error, never a silent overwrite.
+Nothing checks that an entry holds the form its name says: an edited entry
+can give a wrong table.
 """
 
 from __future__ import annotations
@@ -24,11 +21,10 @@ from .numeric import short_repr
 from .qseries import QSeries
 
 CACHE_SCHEMA = 1
-CACHE_ENV_VAR = "SKLIFT_CACHE_DIR"
+# the object the entries hold, named in each entry's file name and fields
+MODULE, NAME = "kohnen", "plus_basis_0"
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
-
-# the integer strings ``_encode`` writes
+# the integer strings ``store`` writes
 _INT_RE = re.compile(r"-?[0-9]+")
 
 
@@ -39,39 +35,18 @@ class TextEncoder(json.JSONEncoder):
         return (o,)
 
 
-def default_cache_dir() -> Path:
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "sklift"
-
-
 class ExpansionCache:
-    """File-backed store of exact coefficient lists."""
+    """The plus-space forms under one directory, keyed by (weight, truncation)."""
 
-    def __init__(self, root: Path | str | None = None):
-        self.root = Path(root) if root is not None else default_cache_dir()
+    def __init__(self, root: Path | str):
+        self.root = Path(root)
 
-    def _key(self, module: str, name: str, weight: int, truncation: int) -> str:
-        for part in (module, name):
-            if not _NAME_RE.match(part):
-                raise UsageError(f"bad cache key component {part!r}")
-        return f"{module}__{name}__w{weight}__n{truncation}__s{CACHE_SCHEMA}.json"
-
-    def _path(self, module, name, weight, truncation) -> Path:
-        return self.root / self._key(module, name, weight, truncation)
-
-    @staticmethod
-    def _encode(coeffs) -> list[str]:
-        """The decimal strings of int coefficients; any other value is a ``UsageError``."""
-        for c in coeffs:
-            if type(c) is not int:
-                raise UsageError(f"cache entries hold ints only, got {short_repr(c)}")
-        return list(map(str, coeffs))
+    def _path(self, weight: int, truncation: int) -> Path:
+        return self.root / f"{MODULE}__{NAME}__w{weight}__n{truncation}__s{CACHE_SCHEMA}.json"
 
     @staticmethod
     def _decode(data) -> list:
-        """The values of the strings ``_encode`` writes; anything else is a ValueError."""
+        """The values of the strings ``store`` writes; anything else is a ValueError."""
         if type(data) is not list:
             raise ValueError(f"coeffs is a JSON {type(data).__name__}, not a list")
         out = []
@@ -94,39 +69,20 @@ class ExpansionCache:
         except (OSError, ValueError, KeyError) as exc:
             raise UsageError(f"unreadable cache entry {path}: {exc}") from exc
 
-    def fetch(self, module: str, name: str, weight: int, truncation: int):
-        """Coefficients 0..truncation, reusing any entry at larger truncation."""
-        best = None
-        pattern = re.compile(
-            re.escape(f"{module}__{name}__w{weight}__n")
-            + r"(\d+)"
-            + re.escape(f"__s{CACHE_SCHEMA}.json")
-            + "$"
-        )
-        if not self.root.is_dir():
+    def fetch(self, weight: int, truncation: int):
+        """Coefficients 0..truncation from the entry at exactly this key, or None when there is none."""
+        path = self._path(weight, truncation)
+        if not path.exists():
             return None
-        for entry in self.root.iterdir():
-            match = pattern.match(entry.name)
-            if not match:
-                continue
-            n = int(match.group(1))
-            if n >= truncation and (best is None or n < best):
-                best = n
-        if best is None:
-            return None
-        path = self._path(module, name, weight, best)
         _, coeffs = self._read(path)
         if len(coeffs) < truncation + 1:
             raise UsageError(f"cache entry {path} shorter than its key claims")
         return coeffs[: truncation + 1]
 
-    def store(self, module: str, name: str, weight: int, truncation: int, coeffs) -> None:
-        """Write an entry; an existing entry must match exactly or we fail."""
-        coeffs = list(coeffs)
-        if len(coeffs) != truncation + 1:
-            raise UsageError("coefficient list length must be truncation + 1")
-        path = self._path(module, name, weight, truncation)
-        encoded = self._encode(coeffs)
+    def store(self, weight: int, truncation: int, coeffs) -> None:
+        """Write the int coefficients 0..truncation; an existing entry must match exactly or we fail."""
+        path = self._path(weight, truncation)
+        encoded = list(map(str, coeffs))
         if path.exists():
             existing, _ = self._read(path)
             if existing != encoded:
@@ -136,8 +92,8 @@ class ExpansionCache:
             return
         text = json.dumps({
             "schema_version": CACHE_SCHEMA,
-            "module": module,
-            "name": name,
+            "module": MODULE,
+            "name": NAME,
             "weight": weight,
             "truncation": truncation,
             "coeffs": encoded,
@@ -155,14 +111,10 @@ class ExpansionCache:
             if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
 
-    def series(self, module: str, name: str, weight: int, truncation: int, builder) -> QSeries:
-        """Fetch a cached expansion or build, store, and return it."""
-        cached = self.fetch(module, name, weight, truncation)
-        if cached is not None:
-            return QSeries(cached, truncation)
-        built = builder(truncation)
-        if built.prec < truncation:
-            raise UsageError("builder returned a series shorter than requested")
-        coeffs = built.coeffs[: truncation + 1]
-        self.store(module, name, weight, truncation, coeffs)
+    def series(self, weight: int, truncation: int, builder) -> QSeries:
+        """Fetch the cached form or build it with ``builder(truncation)``, store, and return it."""
+        coeffs = self.fetch(weight, truncation)
+        if coeffs is None:
+            coeffs = builder(truncation).coeffs[: truncation + 1]
+            self.store(weight, truncation, coeffs)
         return QSeries(coeffs, truncation)

@@ -232,8 +232,9 @@ def solve_satake(rec: EigenvalueRecord) -> SatakeParams:
     c1_sq = c1 * c1
     pk = p ** (k - 2)
 
-    # q(z0) S for z0 = sqrt(p) + 1/sqrt(p) and q(Z) = Z**2 - u Z + c: L**2
-    # times the identity gap, by another formula, which theorem41 checks
+    # q(z0) S for z0 = sqrt(p) + 1/sqrt(p) and q(Z) = Z**2 - u Z + c, which is
+    # L**2 times the identity gap c2 + tail - t L c1 + p**2 tail of theorem41,
+    # as (p+1)**2 tail - 2 s = (p**2 + 1) tail and (p+1) p**(k-2) = t
     q_at_z0 = (p + 1) ** 2 * tail - (p + 1) * pk * scale * c1 + c2 - 2 * s
     if value_sign(q_at_z0) == 0:
         classification = SK_TYPE
@@ -318,9 +319,8 @@ def theorem41(rec: EigenvalueRecord) -> Theorem41Certificate:
     mu(p**2) = mu(p)**2 - (p**(k-1)+p**(k-2)) mu(p) + p**(2k-2).  Each is
     decided on L**2 times it, in the record's integer form (``_scaled_record``).
     """
-    k, p = rec.weight, rec.p
-    scale, c1, c2, tail = _scaled_record(rec)
-    s = tail * p
+    _, c1, c2, tail = _scaled_record(rec)
+    s = tail * rec.p
     c1_sq = c1 * c1
     fired = []
     # mu(p) > 4 p**(k-2) sqrt(p), that is, mu(p) > 0 and mu(p)**2 > 16 p**(2k-3)
@@ -332,16 +332,11 @@ def theorem41(rec: EigenvalueRecord) -> Theorem41Certificate:
     if cond_iv:
         fired.append(COND_PRIME_SQUARE_THRESHOLD)
     # L**2 (mu(p)**2 - t mu(p) + p**(2k-2) - mu(p**2)) with t = p**(k-1) + p**(k-2)
-    t = (p + 1) * p ** (k - 2)
-    cond_vii = value_sign(c2 + tail - t * scale * c1 + tail * p * p) == 0
+    # is solve_satake's q(z0) S, zero exactly when the pair is of lifted type
+    satake = solve_satake(rec)
+    cond_vii = satake.classification == SK_TYPE
     if cond_vii:
         fired.append(COND_EIGENVALUE_IDENTITY)
-    satake = solve_satake(rec)
-    if cond_vii != (satake.classification == SK_TYPE):
-        raise InconsistencyError(
-            "eigenvalue identity and spectral membership disagree; "
-            "this is an internal error"
-        )
     verdict = SK_TYPE if cond_vii else f"not-{SK_TYPE}"
     inconsistent = (cond_ii or cond_iv) and not cond_vii
     return Theorem41Certificate(rec, verdict, tuple(fired), inconsistent, satake)

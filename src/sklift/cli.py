@@ -24,7 +24,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import characterize, work
@@ -61,22 +60,8 @@ from .siegel import (
 ELLIPTIC_PREC = 16
 
 
-@dataclass
-class RunConfig:
-    """Validated knobs shared by the commands."""
-
-    cache_dir: Path | None = None
-    output: str = "human"
-    use_cache: bool = True
-
-    def cache(self) -> ExpansionCache | None:
-        if not self.use_cache:
-            return None
-        return ExpansionCache(self.cache_dir)
-
-
-def build_lift(config: RunConfig, weight: int, bound: int, log) -> SiegelFourierTable:
-    """The full chain with cross-checks; raises on any failure."""
+def build_lift(cache_dir: Path | None, weight: int, bound: int, log) -> SiegelFourierTable:
+    """The full chain with cross-checks, its plus-space form cached under ``cache_dir`` if one is given."""
     k = weight
     if k % 2:
         raise UsageError(f"weight must be even, got {k}")
@@ -96,7 +81,6 @@ def build_lift(config: RunConfig, weight: int, bound: int, log) -> SiegelFourier
     log(f"plan: degree-2 index bound {bound} (discriminants to {jacobi_disc})")
     log(f"plan: half-integral truncation {halfint_prec}")
     log(f"plan: elliptic truncation {ELLIPTIC_PREC}")
-    cache = config.cache()
 
     def build_plus(n):
         return plus_space_basis(k, n)[0].series
@@ -104,10 +88,10 @@ def build_lift(config: RunConfig, weight: int, bound: int, log) -> SiegelFourier
     # both spaces are one-dimensional here, so each side has exactly one form;
     # only the plus-space form is cached, as the elliptic one is cheaper to
     # build in integers than to read back
-    if cache is None:
+    if cache_dir is None:
         g_series = build_plus(halfint_prec)
     else:
-        g_series = cache.series("kohnen", "plus_basis_0", k, halfint_prec, build_plus)
+        g_series = ExpansionCache(cache_dir).series(k, halfint_prec, build_plus)
     g = PlusSpaceForm(k, g_series)
     f = shimura_match(g, eigenforms(2 * k - 2, ELLIPTIC_PREC))
     log(f"matched eigenform of weight {f.weight} with a(2) = {f.a(2)}")
@@ -129,10 +113,10 @@ def build_lift(config: RunConfig, weight: int, bound: int, log) -> SiegelFourier
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def _emit(config: RunConfig, payload: dict, human_lines: list[str], csv_rows: list[list]):
-    if config.output == "json":
+def _emit(args, payload: dict, human_lines: list[str], csv_rows: list[list]):
+    if args.output == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif config.output == "csv":
+    elif args.output == "csv":
         csv.writer(sys.stdout).writerows(csv_rows)
     else:
         for line in human_lines:
@@ -176,14 +160,15 @@ def _open_out(path: str):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_lift(config: RunConfig, args) -> int:
+def cmd_lift(args) -> int:
     if args.bound < 1:
         raise UsageError("--bound must be at least 1")
     work.lift_bound(args.bound)
     out_path = args.out or f"sk_lift_w{args.weight}_b{args.bound}.json"
     _check_out_dir(out_path)
-    log = (lambda s: None) if config.output != "human" else lambda s: print(s)
-    table = build_lift(config, args.weight, args.bound, log)
+    log = (lambda s: None) if args.output != "human" else lambda s: print(s)
+    # --no-cache overrides --cache-dir
+    table = build_lift(None if args.no_cache else args.cache_dir, args.weight, args.bound, log)
     # rendered before the file is opened, so a table that cannot be written leaves no file
     text = table.to_json_text()
     with _open_out(out_path) as handle:
@@ -196,7 +181,7 @@ def cmd_lift(config: RunConfig, args) -> int:
         "first_coefficient": str(table.value(1, 1, 1)),
     }
     _emit(
-        config,
+        args,
         payload,
         [f"wrote {out_path} ({len(table.entries)} nonzero entries)"],
         [["table", out_path], ["nonzero_entries", len(table.entries)]],
@@ -204,7 +189,7 @@ def cmd_lift(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_check(config: RunConfig, args) -> int:
+def cmd_check(args) -> int:
     table = _load_table(args.table)
     maass = args.all or args.maass
     primes = list(args.maass_p or [])
@@ -249,7 +234,7 @@ def cmd_check(config: RunConfig, args) -> int:
         )
         csv_rows.append([rep.kind, rep.p or "", rep.checked, rep.skipped, len(rep.violations)])
         bad = bad or not rep.ok
-    _emit(config, payload, lines, csv_rows)
+    _emit(args, payload, lines, csv_rows)
     return EXIT_VIOLATION if bad else EXIT_OK
 
 
@@ -263,7 +248,7 @@ def _parse_primes(text: str) -> tuple:
     return primes
 
 
-def cmd_eigen(config: RunConfig, args) -> int:
+def cmd_eigen(args) -> int:
     table = _load_table(args.table)
     primes = _parse_primes(args.primes)
     if args.out:
@@ -297,11 +282,11 @@ def cmd_eigen(config: RunConfig, args) -> int:
                 handle.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
         lines.append(f"wrote {args.out}")
     payload = {"records": [rec.to_json_dict() for rec in records]}
-    _emit(config, payload, lines, csv_rows)
+    _emit(args, payload, lines, csv_rows)
     return EXIT_OK
 
 
-def cmd_classify(config: RunConfig, args) -> int:
+def cmd_classify(args) -> int:
     records = load_records(args.records, args.scan)
     if not records:
         raise UsageError(f"{args.records}: no records found")
@@ -348,7 +333,7 @@ def cmd_classify(config: RunConfig, args) -> int:
              "|".join(cert.conditions_fired), weak, signs.all_positive]
         )
     payload = {"records": results}
-    _emit(config, payload, lines, csv_rows)
+    _emit(args, payload, lines, csv_rows)
     return EXIT_VIOLATION if any_inconsistent else EXIT_OK
 
 
@@ -376,10 +361,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-dir", type=Path, default=None,
-        help="expansion cache directory (default: $SKLIFT_CACHE_DIR or ~/.cache/sklift)",
+        help="cache lift's plus-space form in this directory (default: no cache)",
     )
     parser.add_argument(
-        "--no-cache", action="store_true", help="disable the expansion cache"
+        "--no-cache", action="store_true", help="use no cache, even with --cache-dir"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -417,13 +402,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
-    config = RunConfig(
-        cache_dir=args.cache_dir,
-        output=args.output,
-        use_cache=not args.no_cache,
-    )
     try:
-        code = args.func(config, args)
+        code = args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -48,7 +48,7 @@ def refuse(name: str, shown: str, work: str, growth: str, largest: int, context:
 
 def lift_bound(bound: int) -> None:
     if bound > BOUND_CAP:
-        refuse("--bound", str(bound), "a lift's work", "bound**4", BOUND_CAP)
+        refuse("--bound", short_repr(bound), "a lift's work", "bound**4", BOUND_CAP)
 
 
 def table_bound(bound: int) -> None:
@@ -193,13 +193,21 @@ def printable(rec) -> None:
     pair_product = -N / (e p**(2k-3)), N = c + (2p + 1) e p**(2k-4), when
     a = 0, c != 0 and p**(2k-4) >= 10**D |c|.  N = c mod e is prime to e, and
     v_p(N) = v_p(c) as |c| < p**(2k-4), so it reduces by p**v_p(c) <= |c| at
-    most, to a denominator of at least p 10**D.
+    most, to a denominator of at least p 10**D.  As 8**D <= 10**D < 16**D,
+    10**D |num| lies in [2**(3D + bitlen(num) - 1), 2**(4D + bitlen(num))),
+    and 10**D is built only when p**e may meet that range.
     """
     digits = sys.get_int_max_str_digits()
     a, c = rec.mu_p.numerator, rec.mu_p2.numerator
     # trace_over_sqrt_p when a != 0, else pair_product
     e, num = (rec.weight - 1, a) if a else (2 * rec.weight - 4, c)
-    if digits and num and _power_at_least(rec.p, e, 10**digits * abs(num)):
+    if not (digits and num):
+        return
+    low, high = 3 * digits + num.bit_length() - 1, 4 * digits + num.bit_length()
+    # 2**(e (bitlen(p) - 1)) <= p**e < 2**(e bitlen(p))
+    if e * (rec.p.bit_length() - 1) >= high or (
+        e * rec.p.bit_length() > low and _power_at_least(rec.p, e, 10**digits * abs(num))
+    ):
         raise UsageError(
             f"the report of this record would hold a value with more digits than Python converts "
             f"to text ({digits}); refused before any work"

@@ -317,32 +317,19 @@ def charpoly(m: RatMatrix) -> list[Fraction]:
     return coeffs
 
 
-def staircase_matrix(basis: list[QSeries], images: list[QSeries], scale: int) -> RatMatrix:
+def staircase_matrix(basis: list[QSeries], images: list[QSeries]) -> RatMatrix:
     """Matrix of a linear map on a staircase basis, verified against every image.
 
     Each basis series has its own pivot, its valuation, and vanishes at the
     pivots of the others; ``images[j]`` is the image of ``basis[j]``, valid
-    to 1/``scale`` of the input validity.  The coordinate of an image along
-    a basis series is the ratio of their coefficients at that series' pivot,
-    and each image must equal the recombination of the basis with its
-    coordinates.  Column j of the result holds the coordinates of image j.
+    at every pivot.  The coordinate of an image along a basis series is the
+    ratio of their coefficients at that series' pivot, and each image must
+    equal the recombination of the basis with its coordinates.  Column j of
+    the result holds the coordinates of image j.
     """
-    pivots = []
-    for b in basis:
-        val = b.valuation()
-        if val is None:
-            raise UsageError("zero series in a staircase basis")
-        pivots.append(val)
-    if len(set(pivots)) != len(pivots):
-        raise InconsistencyError("basis is not in staircase form")
-    last = max(pivots, default=0)
+    pivots = [b.valuation() for b in basis]
     cols = []
     for image in images:
-        if image.prec < last:
-            raise TruncationError(
-                f"an image valid to {image.prec} cannot be read at pivot {last}",
-                required=scale * last,
-            )
         coords = [exact_div(image.coeffs[pos], b.coeffs[pos]) for pos, b in zip(pivots, basis)]
         recombined = [sum(x * b.coefficient(i) for x, b in zip(coords, basis)) for i in range(image.prec + 1)]
         if recombined != image.coeffs:
@@ -352,34 +339,16 @@ def staircase_matrix(basis: list[QSeries], images: list[QSeries], scale: int) ->
 
 
 def eigen_split_2x2(m: RatMatrix) -> list[tuple]:
-    """Eigenvalues and eigenvectors ``[(lam, (v0, v1))]`` of a 2x2 rational matrix.
+    """Eigenvalues and eigenvectors ``[(lam, (v0, v1))]`` of a 2x2 rational matrix with distinct real roots.
 
     The eigenvalues are the roots ``(-c1 +- sqrt(c1**2 - 4*c0)) / 2`` of the
     characteristic polynomial, + root first: rational, or a conjugate pair in
-    a real quadratic field.  A diagonal matrix keeps the unit vectors, a
-    scalar one both of them.  Complex roots, and a discriminant whose
-    squarefree part trial division cannot certify, raise
-    ``UnsupportedFieldError``; a repeated eigenvalue of a non-diagonal matrix
-    has one eigenvector only, and raises ``InconsistencyError`` (the Hecke
-    matrices split here are diagonalizable, so that is an internal fault).
+    a real quadratic field whose discriminant ``sqrt_rational`` certifies.
+    The Hecke matrices split here all have such roots.
     """
     (a, b), (c, d) = m.entries
     c0, c1 = a * d - b * c, -(a + d)
-    disc = c1 * c1 - 4 * c0
-    if disc < 0:
-        raise UnsupportedFieldError("complex eigenvalues cannot occur for these operators")
-    if b == 0 and c == 0:
-        # diagonal: the larger entry is the + root; a scalar matrix keeps both unit vectors
-        return [(a, (1, 0)), (d, (0, 1))] if a >= d else [(d, (0, 1)), (a, (1, 0))]
-    if disc == 0:
-        raise InconsistencyError(
-            f"defective matrix: the repeated eigenvalue {-c1 / 2} has a single eigenvector"
-        )
-    root = sqrt_rational(disc)
-    if root is None:
-        raise UnsupportedFieldError(
-            "cannot certify the squarefree part of the discriminant by trial division"
-        )
+    root = sqrt_rational(c1 * c1 - 4 * c0)
     out = []
     for lam in ((-c1 + root) / 2, (-c1 - root) / 2):
         out.append((lam, (b, lam - a) if b != 0 else (lam - d, c)))
@@ -642,7 +611,7 @@ def eigenforms_by_fractions(weight: int, prec: int) -> list[EllipticEigenform]:
             f"weight {weight} has a {len(basis)}-dimensional cusp space; "
             "eigenvalue fields beyond degree 2 are not supported"
         )
-    t2 = staircase_matrix([f.series for f in basis], [hecke_Tp(f, 2).series for f in basis], 2)
+    t2 = staircase_matrix([f.series for f in basis], [hecke_Tp(f, 2).series for f in basis])
     return [EllipticEigenform(weight, series) for _, series in split_pair([f.series for f in basis], t2)]
 
 
@@ -662,13 +631,13 @@ def hecke_Tp(f: EllipticForm, p: int) -> EllipticForm:
 def hecke_matrix(weight: int, p: int, prec: int) -> RatMatrix:
     """Matrix of T(p) on the echelonized level-one cusp basis, verified."""
     basis = cusp_basis_by_fractions(weight, prec)
-    return staircase_matrix([f.series for f in basis], [hecke_Tp(f, p).series for f in basis], p)
+    return staircase_matrix([f.series for f in basis], [hecke_Tp(f, p).series for f in basis])
 
 
 def plus_hecke_matrix(basis: list[PlusSpaceForm], p: int) -> RatMatrix:
     """Matrix of the square-index operator at p on a staircase basis, verified."""
     images = [plus_hecke(g, p).series for g in basis]
-    return staircase_matrix([g.series for g in basis], images, p * p)
+    return staircase_matrix([g.series for g in basis], images)
 
 
 def plus_eigenforms(k: int, prec: int):

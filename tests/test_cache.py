@@ -1,10 +1,10 @@
 import json
-from fractions import Fraction
 
 import pytest
 
 from sklift.cache import ExpansionCache
 from sklift.errors import CacheMismatchError, UsageError
+from sklift.kohnen import plus_space_basis
 from sklift.qseries import QSeries
 
 
@@ -13,44 +13,42 @@ def cache(tmp_path):
     return ExpansionCache(tmp_path / "cache")
 
 
+def entry(cache, weight, truncation):
+    return cache.root / f"kohnen__plus_basis_0__w{weight}__n{truncation}__s1.json"
+
+
 class TestExpansionCache:
     def test_store_and_fetch(self, cache):
-        cache.store("elliptic", "delta", 12, 4, [0, 1, -24, 252, -1472])
-        got = cache.fetch("elliptic", "delta", 12, 4)
+        cache.store(12, 4, [0, 1, -24, 252, -1472])
+        got = cache.fetch(12, 4)
         assert got == [0, 1, -24, 252, -1472]
 
     def test_fetch_missing(self, cache):
-        assert cache.fetch("elliptic", "delta", 12, 4) is None
-
-    def test_reuse_from_larger_truncation(self, cache):
-        cache.store("elliptic", "delta", 12, 5, [0, 1, -24, 252, -1472, 4830])
-        got = cache.fetch("elliptic", "delta", 12, 3)
-        assert got == [0, 1, -24, 252]
-
-    def test_rational_values_refused(self, cache):
-        # entries hold ints only: any other value, an integral Fraction or a
-        # bool among them, is refused before anything is written
-        for value in (Fraction(-3, 7), Fraction(4, 2), True, 1.5, "1"):
-            with pytest.raises(UsageError, match="^cache entries hold ints only, got "):
-                cache.store("kohnen", "probe", 10, 2, [0, 1, value])
+        assert cache.fetch(12, 4) is None
         assert not cache.root.exists()
+
+    def test_only_the_exact_key_is_read(self, cache):
+        # an entry at a larger truncation, or at another weight, is not read
+        cache.store(12, 5, [0, 1, -24, 252, -1472, 4830])
+        assert cache.fetch(12, 3) is None and cache.fetch(14, 5) is None
+        assert cache.fetch(12, 5) == [0, 1, -24, 252, -1472, 4830]
 
     def test_written_bytes_and_roundtrip(self, cache):
         coeffs = [0, 1, -24, 2**200, -(3**150), 2, 1, -7]
-        cache.store("kohnen", "mixed", 10, 7, coeffs)
+        cache.store(10, 7, coeffs)
         encoded = ["0", "1", "-24", str(2**200), str(-(3**150)), "2", "1", "-7"]
         expected = {
-            "schema_version": 1, "module": "kohnen", "name": "mixed", "weight": 10,
+            "schema_version": 1, "module": "kohnen", "name": "plus_basis_0", "weight": 10,
             "truncation": 7, "coeffs": encoded,
         }
-        path = cache.root / "kohnen__mixed__w10__n7__s1.json"
-        assert path.read_text(encoding="utf-8") == json.dumps(expected)
-        got = cache.fetch("kohnen", "mixed", 10, 7)
+        assert entry(cache, 10, 7).read_text(encoding="utf-8") == json.dumps(expected)
+        assert [p.name for p in cache.root.iterdir()] == [entry(cache, 10, 7).name]
+        got = cache.fetch(10, 7)
         assert got == coeffs
         assert [type(c) for c in got] == [int] * 8
 
     def test_decode_matches_int_parse(self):
-        # only the ASCII digit strings _encode writes are read, as int reads
+        # only the ASCII digit strings store writes are read, as int reads
         # them; a fraction, a non-ASCII digit and anything else is refused
         texts = ["0", "-0", "007", "-12", str(7**300)]
         for text in texts:
@@ -71,11 +69,10 @@ class TestExpansionCache:
     ], ids=["list", "null", "float", "string", "bad-json", "no-coeffs"])
     def test_malformed_entry_is_unreadable(self, cache, body):
         # fetch and the existing-entry read of store refuse the entry alike
-        path = cache.root / "kohnen__probe__w10__n1__s1.json"
+        path = entry(cache, 10, 1)
         cache.root.mkdir()
         path.write_text(body)
-        for call in (lambda: cache.fetch("kohnen", "probe", 10, 1),
-                     lambda: cache.store("kohnen", "probe", 10, 1, [1, 2])):
+        for call in (lambda: cache.fetch(10, 1), lambda: cache.store(10, 1, [1, 2])):
             with pytest.raises(UsageError, match="unreadable cache entry") as err:
                 call()
             assert "\n" not in str(err.value) and len(str(err.value)) < 300
@@ -84,27 +81,31 @@ class TestExpansionCache:
     def test_short_entry_is_a_usage_error(self, cache):
         # an entry with fewer coefficients than its key claims is a bad input file
         cache.root.mkdir()
-        (cache.root / "kohnen__probe__w10__n5__s1.json").write_text('{"coeffs": ["0", "1"]}')
+        entry(cache, 10, 5).write_text('{"coeffs": ["0", "1"]}')
         with pytest.raises(UsageError, match="shorter than its key claims"):
-            cache.fetch("kohnen", "probe", 10, 5)
+            cache.fetch(10, 5)
 
     def test_rewrite_same_data_ok(self, cache):
-        cache.store("elliptic", "e4", 4, 2, [1, 240, 2160])
-        cache.store("elliptic", "e4", 4, 2, [1, 240, 2160])
+        cache.store(4, 2, [1, 240, 2160])
+        cache.store(4, 2, [1, 240, 2160])
 
     def test_rewrite_different_data_fails(self, cache):
-        cache.store("elliptic", "e4", 4, 2, [1, 240, 2160])
+        cache.store(4, 2, [1, 240, 2160])
         with pytest.raises(CacheMismatchError):
-            cache.store("elliptic", "e4", 4, 2, [1, 240, 2161])
+            cache.store(4, 2, [1, 240, 2161])
+        assert cache.fetch(4, 2) == [1, 240, 2160]
+
+    def test_no_temporary_file_left(self, cache):
+        cache.store(4, 2, [1, 240, 2160])
+        cache.store(4, 3, [1, 240, 2160, 6720])
+        assert sorted(p.name for p in cache.root.iterdir()) == [entry(cache, 4, 2).name, entry(cache, 4, 3).name]
 
     def test_cached_equals_rederived(self, cache):
         # the cache-correctness contract: cached data is exactly what a fresh
         # derivation produces
-        from sklift.elliptic import delta
-
-        fresh = delta(20).series.coeffs
-        cache.store("elliptic", "delta", 12, 20, fresh)
-        assert cache.fetch("elliptic", "delta", 12, 20) == delta(20).series.coeffs
+        fresh = plus_space_basis(10, 64)[0].series.coeffs
+        cache.store(10, 64, fresh)
+        assert cache.fetch(10, 64) == plus_space_basis(10, 64)[0].series.coeffs
 
     def test_series_helper_builds_once(self, cache):
         calls = []
@@ -113,23 +114,6 @@ class TestExpansionCache:
             calls.append(prec)
             return QSeries([1] * (prec + 1), prec)
 
-        s1 = cache.series("m", "ones", 0, 3, builder)
-        s2 = cache.series("m", "ones", 0, 3, builder)
+        s1 = cache.series(0, 3, builder)
+        s2 = cache.series(0, 3, builder)
         assert s1 == s2 and calls == [3]
-
-    def test_bad_key_component(self, cache):
-        with pytest.raises(UsageError):
-            cache.store("el/liptic", "x", 0, 0, [1])
-
-    def test_length_validation(self, cache):
-        with pytest.raises(UsageError):
-            cache.store("m", "x", 0, 3, [1, 2])
-
-    def test_env_var_override(self, tmp_path, monkeypatch):
-        from sklift.cache import CACHE_ENV_VAR, default_cache_dir
-
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "env_cache"))
-        assert default_cache_dir() == tmp_path / "env_cache"
-        cache = ExpansionCache()
-        cache.store("m", "x", 0, 1, [1, 2])
-        assert (tmp_path / "env_cache").is_dir()

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from sklift.characterize import _scaled_data
 from sklift.errors import UsageError
 from sklift.numeric import QuadExt, value_sign
 from sklift.qseries import QSeries
+from sklift import work
 from sklift.work import BITS_CAP, SCAN_WORK_CAP, _power_at_least, record_bits, scan, scan_cost, scan_sizes
 
 from oracles import (
@@ -241,6 +243,64 @@ class TestReportRefusal:
         # x near p**e, near a power of two, or far off either way
         x = max(1, [p**e + shift, 2 ** (p**e).bit_length() + shift, abs(shift) + 1, p ** (2 * e) + shift][which])
         assert _power_at_least(p, e, x) == (p**e >= x)
+
+    @pytest.fixture
+    def digit_limit(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield 4300
+        sys.set_int_max_str_digits(saved)
+
+    @staticmethod
+    def refused(weight, p, field, value):
+        rec = EigenvalueRecord(**{"weight": weight, "p": p, "mu_p": 0, "mu_p2": 1, field: value})
+        try:
+            work.printable(rec)
+        except UsageError as exc:
+            assert "more digits than Python converts to text" in str(exc)
+            return True
+        return False
+
+    @pytest.mark.parametrize("p", [2, 3, 101])
+    @pytest.mark.parametrize("field", ["mu_p", "mu_p2"])
+    def test_printable_at_the_edge(self, digit_limit, p, field):
+        # the least even weight whose power p**e passes 10**(D + 3): then
+        # |v| = p**e // 10**D is refused and |v| + 1 is not, for v = mu(p)
+        # with e = k - 1, and v = mu(p**2) with mu(p) = 0 and e = 2k - 4
+        exponent = (lambda k: k - 1) if field == "mu_p" else (lambda k: 2 * k - 4)
+        k = 10
+        while p ** exponent(k) < 10 ** (digit_limit + 3):
+            k += 2
+        edge = p ** exponent(k) // 10**digit_limit
+        for value, refused in ((edge, True), (-edge, True), (edge + 1, False), (-edge - 1, False)):
+            assert self.refused(k, p, field, value) == refused, value
+
+    @pytest.mark.parametrize("p", [2, 3, 101])
+    @pytest.mark.parametrize("field", ["mu_p", "mu_p2"])
+    def test_printable_far_from_the_edge_by_bit_lengths(self, digit_limit, p, field, monkeypatch):
+        # p**e past 16**D |v|, or below 8**D |v| / 2, is settled without building 10**D
+        def unused(*args):
+            raise AssertionError("the bit lengths settle this record")
+
+        monkeypatch.setattr(work, "_power_at_least", unused)
+        exponent = (lambda k: k - 1) if field == "mu_p" else (lambda k: 2 * k - 4)
+        for value in (1, -7, 3**50):
+            bits = 4 * digit_limit + value.bit_length()
+            k = 10
+            while exponent(k) * (p.bit_length() - 1) < bits:
+                k += 2
+            assert self.refused(k, p, field, value)
+            assert not self.refused(10, p, field, value)
+
+    def test_printable_without_a_digit_limit(self):
+        # D = 0 lifts the limit: nothing is refused, however far past the edge
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for field in ("mu_p", "mu_p2"):
+                assert not self.refused(2000000, 2, field, 1)
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestSolveSatake:

@@ -18,6 +18,7 @@ from sklift.characterize import EigenvalueRecord, load_records, theorem41
 from sklift.cli import main
 from sklift.elliptic import eigenforms
 from sklift.errors import UsageError
+from sklift.numeric import short_repr
 
 from oracles import HOSTILE_P, HOSTILE_Q, record_with_discriminant, scaled
 
@@ -93,17 +94,19 @@ class TestLift:
         # entry written by earlier versions is neither read nor touched, a
         # cold lift writes the plus-space form alone and a warm one nothing
         cache_dir = tmp_path / "old_cache"
-        ExpansionCache(cache_dir).store(
-            "elliptic", "eigenform_0", 18, 48, eigenforms(18, 48)[0].series.coeffs
-        )
+        cache_dir.mkdir()
         old = "elliptic__eigenform_0__w18__n48__s1.json"
+        (cache_dir / old).write_text(json.dumps({
+            "schema_version": 1, "module": "elliptic", "name": "eigenform_0", "weight": 18,
+            "truncation": 48, "coeffs": [str(c) for c in eigenforms(18, 48)[0].series.coeffs],
+        }))
         before = ((cache_dir / old).read_bytes(), (cache_dir / old).stat().st_mtime_ns)
         calls = []
 
         def recorded(name, method):
-            def wrapper(self, module, *args):
-                calls.append((name, module))
-                return method(self, module, *args)
+            def wrapper(self, weight, truncation, *args):
+                calls.append((name, weight, truncation))
+                return method(self, weight, truncation, *args)
 
             return wrapper
 
@@ -119,12 +122,31 @@ class TestLift:
             return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in cache_dir.iterdir()}
 
         cold = lift()
-        assert calls == [("fetch", "kohnen"), ("store", "kohnen")]
+        assert calls == [("fetch", 10, 144), ("store", 10, 144)]
         assert sorted(cold) == [old, "kohnen__plus_basis_0__w10__n144__s1.json"]
         assert cold[old] == before
         warm = lift()
-        assert calls == [("fetch", "kohnen")]
+        assert calls == [("fetch", 10, 144)]
         assert warm == cold
+
+    def test_lift_writes_only_its_out_file(self, tmp_path, monkeypatch, capsys):
+        # without --cache-dir, and with --no-cache over one, a lift reads no
+        # environment variable and writes nothing but --out, in the working
+        # directory when --out is left to its default
+        home, env_cache, cwd, unused = (tmp_path / name for name in ("home", "env", "cwd", "unused"))
+        for path in (home, env_cache, cwd):
+            path.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setenv("SKLIFT_CACHE_DIR", str(env_cache))
+        monkeypatch.chdir(cwd)
+        assert main(["lift", "--weight", "10", "--bound", "2"]) == 0
+        assert [p.name for p in cwd.iterdir()] == ["sk_lift_w10_b2.json"]
+        out = tmp_path / "t.json"
+        assert main(["--cache-dir", str(unused), "--no-cache", "lift", "--weight", "10", "--bound", "2",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (cwd / "sk_lift_w10_b2.json").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cwd", "env", "home", "t.json"]
+        assert not any(home.iterdir()) and not any(env_cache.iterdir())
 
     def test_unwritable_table_leaves_no_file(self, tmp_path, capsys, monkeypatch):
         # the table text is rendered before --out is opened
@@ -157,6 +179,7 @@ class TestLift:
     @settings(max_examples=25, deadline=None)
     @example(101)
     @example(100000)
+    @example(10**4000)
     def test_bound_past_the_cap_refused_up_front(self, bound):
         # refused before any series is built: --bound 100000 once ran out of
         # memory in the odd-sigma series, and 400 ran past 20 s
@@ -169,9 +192,11 @@ class TestLift:
             assert not os.path.exists(out)
         assert rc == 2
         assert err.getvalue() == (
-            f"error: --bound {bound} is past the cap on a lift's work, which grows as "
+            f"error: --bound {short_repr(bound)} is past the cap on a lift's work, which grows as "
             "bound**4; the largest --bound that fits is 100\n"
         )
+        # a 4001-digit bound is quoted by its start, as every refused value is
+        assert err.getvalue().count("\n") == 1 and len(err.getvalue().encode()) < 300
 
 
 class TestCheck:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import sklift
 import sklift.cache
+import sklift.cli
 
 import oracles
 
@@ -40,6 +41,7 @@ def test_public_names_stay_importable():
         (sklift.elliptic, "cusp_basis"), (sklift.elliptic, "_monomial_exponents"),
         (sklift.elliptic, "_eta_power24"), (sklift.QSeries, "__pow__"),
         (sklift.errors, "DimensionMismatchError"), (sklift.cache, "_FRACTION_RE"),
+        (sklift.cache, "default_cache_dir"), (sklift.cache, "CACHE_ENV_VAR"), (sklift.cli, "RunConfig"),
     ]:
         assert not hasattr(owner, name), name
     for name in PUBLIC_NAMES:

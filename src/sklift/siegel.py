@@ -237,6 +237,37 @@ class SiegelFourierTable:
 # the divisor-sum lift and the coefficient-relation checkers
 # ---------------------------------------------------------------------------
 
+def _maass_sums(k: int, bound: int, c: dict, disc_cap: int):
+    """``((n, r, m), sum of d**(k-1) * c[(4nm - r**2) / d**2] over d | gcd(n, r, m))``.
+
+    One pair for every reduced index with m <= ``bound`` whose discriminant
+    is at most ``disc_cap``, by n, then r, then m: the order of the table
+    file.  ``c`` maps a discriminant to the coefficient of the index-1 form
+    there, absent meaning zero.  A term's discriminant (4nm - r**2) / d**2
+    is positive and 0 or 3 mod 4, so at least 3, which bounds d.
+    """
+    _check_weight(k)
+    divs = divisor_lists(bound)
+    top = min(bound, math.isqrt(max(disc_cap, 0) // 3))
+    powers = {d: d ** (k - 1) for d in range(1, top + 1)}
+    get = c.get
+    for n in range(1, bound + 1):
+        for r in range(n + 1):
+            g = math.gcd(n, r)
+            # the discriminant grows with m, and is at most disc_cap up to here
+            for m in range(n, min(bound, (disc_cap + r * r) // (4 * n)) + 1):
+                disc = 4 * n * m - r * r
+                e = math.gcd(g, m)
+                if e == 1:
+                    # the d = 1 term alone
+                    yield (n, r, m), get(disc, 0)
+                else:
+                    acc = 0
+                    for d in divs[e]:
+                        acc += powers[d] * get(disc // (d * d), 0)
+                    yield (n, r, m), acc
+
+
 def maass_lift(phi: JacobiForm, bound: int) -> SiegelFourierTable:
     """Lift an index-1 Jacobi form to a degree-2 table out to ``bound``.
 
@@ -251,30 +282,9 @@ def maass_lift(phi: JacobiForm, bound: int) -> SiegelFourierTable:
             f"table stops at {phi.max_disc}",
             required=needed,
         )
-    k = phi.weight
-    # gcd(n, r, m) <= n <= bound on reduced indices, and every discriminant
-    # is at most 4 * bound**2, so within the Jacobi table
-    divs = divisor_lists(bound)
-    powers = {d: d ** (k - 1) for d in range(1, bound + 1)}
-    get = phi.by_disc.get
-    entries = {}
-    # n, then r, then m: the order of the table file, so the entries come out sorted
-    for n in range(1, bound + 1):
-        for r in range(n + 1):
-            g = math.gcd(n, r)
-            for m in range(n, bound + 1):
-                disc = 4 * n * m - r * r
-                e = math.gcd(g, m)
-                if e == 1:
-                    # the d = 1 term alone
-                    acc = get(disc, 0)
-                else:
-                    acc = 0
-                    for d in divs[e]:
-                        acc += powers[d] * get(disc // (d * d), 0)
-                if acc != 0:
-                    entries[(n, r, m)] = acc
-    return SiegelFourierTable._trusted(k, bound, entries)
+    # every reduced index to bound has discriminant at most 4 * bound**2
+    entries = {idx: v for idx, v in _maass_sums(phi.weight, bound, phi.by_disc, needed) if v}
+    return SiegelFourierTable._trusted(phi.weight, bound, entries)
 
 
 class CheckReport(NamedTuple):
@@ -300,46 +310,27 @@ def check_maass_space(table: SiegelFourierTable) -> CheckReport:
     """Verify the divisor-sum relation at every reduced index within bound.
 
     The relation constrains positive definite indices only (coefficients off
-    the cusp support vanish on both sides).  A right-hand index (N, R, 1) of
-    discriminant D = 4N - R**2 reduces to (1, rho, (D + rho) / 4) with
-    rho = D mod 2; the largest D, at d = 1, decides whether all of them lie
-    within the bound, and it does exactly when D <= 4 * bound.  For each
-    (m, n) the indices beyond that are the r below sqrt(4nm - 4 * bound),
-    counted as skipped without being visited.  Indices run by m, then n,
-    then r, the order in which violations are reported.
+    the cusp support vanish on both sides).  Its right-hand side is the
+    divisor sum of the table's own first Fourier-Jacobi coefficient
+    A(1, rho, (D + rho) / 4), rho = D mod 2, the reduced index of
+    discriminant D; that lies within the bound exactly when D <= 4 * bound.
+    The indices past that are counted as skipped without being visited.
+    Violations are reported by m, then n, then r.
     """
-    k = table.weight
     bound = table.bound
-    divs = divisor_lists(bound)
-    # a checked index has D <= 4 * bound, and d**2 divides D with D / d**2 >= 3
-    powers = {d: d ** (k - 1) for d in range(1, math.isqrt(4 * max(bound, 0) // 3) + 1)}
     get = table.entries.get
-    checked = skipped = 0
+    first = {4 * m - r: get((1, r, m), 0) for m in range(1, bound + 1) for r in (0, 1)}
+    checked = 0
     violations = []
-    for m in range(1, bound + 1):
-        for n in range(1, m + 1):
-            excess = 4 * (n * m - bound)
-            # the least r with r**2 >= excess, that is with D <= 4 * bound
-            low = min(math.isqrt(excess - 1) + 1, n + 1) if excess > 0 else 0
-            skipped += low
-            for r in range(low, n + 1):
-                disc = 4 * n * m - r * r
-                e = math.gcd(n, r, m)
-                if e == 1:
-                    # the d = 1 term alone
-                    rho = disc & 1
-                    rhs = get((1, rho, (disc + rho) // 4), 0)
-                else:
-                    rhs = 0
-                    for d in divs[e]:
-                        dd = disc // (d * d)
-                        rho = dd & 1
-                        rhs += powers[d] * get((1, rho, (dd + rho) // 4), 0)
-                lhs = get((n, r, m), 0)
-                checked += 1
-                if lhs != rhs:
-                    violations.append(((n, r, m), lhs, rhs))
-    return CheckReport("maass", None, table.bound, checked, skipped, tuple(violations))
+    for idx, rhs in _maass_sums(table.weight, bound, first, 4 * bound):
+        checked += 1
+        lhs = get(idx, 0)
+        if lhs != rhs:
+            violations.append((idx, lhs, rhs))
+    violations.sort(key=lambda v: (v[0][2], v[0][0], v[0][1]))
+    # bound * (bound + 1) * (bound + 5) / 6 reduced indices have m <= bound
+    skipped = bound * (bound + 1) * (bound + 5) // 6 - checked if bound > 0 else 0
+    return CheckReport("maass", None, bound, checked, skipped, tuple(violations))
 
 
 def check_maass_p_space(table: SiegelFourierTable, p: int) -> CheckReport:
@@ -404,11 +395,15 @@ class CosetClass(NamedTuple):
         return self.d_a * self.d_d
 
 
-def _coset_classes(p: int, e: int) -> tuple[CosetClass, ...]:
+def coset_classes(p: int, e: int = 1) -> tuple[CosetClass, ...]:
     """Normal-form classes for similitude p**e, e in {1, 2}.
 
     A class has d_a * d_d * gcd(d_a, d_b, d_d) cosets (see ``_character_trivial``).
     """
+    if not is_prime(p):
+        raise UsageError(f"{short_repr(p)} is not prime")
+    if e not in (1, 2):
+        raise UsageError("only similitudes p and p**2 are implemented")
     s = p**e
     classes = []
     for i in range(e + 1):
@@ -420,15 +415,6 @@ def _coset_classes(p: int, e: int) -> tuple[CosetClass, ...]:
                     continue
                 size = d_a * d_d * math.gcd(d_a, d_b, d_d)
                 classes.append(CosetClass(d_a, d_b, d_d, size))
-    return tuple(classes)
-
-
-def coset_classes(p: int, e: int = 1) -> tuple[CosetClass, ...]:
-    if not is_prime(p):
-        raise UsageError(f"{short_repr(p)} is not prime")
-    if e not in (1, 2):
-        raise UsageError("only similitudes p and p**2 are implemented")
-    classes = _coset_classes(p, e)
     total = sum(c.size for c in classes)
     expected = (
         p**3 + p**2 + p + 1
@@ -439,7 +425,7 @@ def coset_classes(p: int, e: int = 1) -> tuple[CosetClass, ...]:
         raise InconsistencyError(
             f"coset family for p={p}, e={e} has {total} members, expected {expected}"
         )
-    return classes
+    return tuple(classes)
 
 
 # ---------------------------------------------------------------------------
@@ -536,15 +522,12 @@ def hecke_eigenvalue(table: SiegelFourierTable, m: int):
     witness index.
     """
     transformed = hecke_operator(table, m)
-    probe = None
-    by_disc = sorted(
-        reduced_indices(transformed.bound),
+    # stored values are nonzero, and (discriminant, n, r) determines m
+    probe = min(
+        (idx for idx in table.entries if idx[2] <= transformed.bound),
         key=lambda i: (4 * i[0] * i[2] - i[1] * i[1], i[0], i[1]),
+        default=None,
     )
-    for idx in by_disc:
-        if table.entries.get(idx, 0) != 0:
-            probe = idx
-            break
     if probe is None:
         raise NotAnEigenformError(
             "no nonzero coefficient available as a probe", witness=None

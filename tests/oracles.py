@@ -5,8 +5,8 @@ series and matrices: QSeries products, qseries.sparse_times, qseries.echelon, Ra
 the plus space: kohnen.plus_space_basis.
 elliptic forms and Hecke matrices: elliptic.delta, eisenstein, eigenforms; kohnen.plus_hecke, shimura_match.
 Jacobi forms: jacobi.ez_lift.
-Siegel tables: SiegelFourierTable.value, siegel.maass_lift, check_maass_space, check_maass_p_space;
-    and the table edits that make bad input.
+Siegel tables: SiegelFourierTable.value, siegel.maass_lift, check_maass_space, check_maass_p_space,
+    the probe of hecke_eigenvalue; and the table edits that make bad input.
 classification: characterize.mu_sequence, growth_check, positivity_scan, solve_satake, theorem41;
     and hostile records.
 coset classes by Smith reduction: siegel.coset_classes, _character_trivial, hecke_operator.
@@ -44,6 +44,7 @@ from sklift.elliptic import (
 )
 from sklift.errors import (
     InconsistencyError,
+    NotAnEigenformError,
     TruncationError,
     UnsupportedFieldError,
     UsageError,
@@ -79,6 +80,7 @@ from sklift.siegel import (
     SiegelFourierTable,
     _prime_power,
     coset_classes,
+    hecke_operator,
     reduce_index,
     reduced_indices,
 )
@@ -906,6 +908,40 @@ def check_maass_p_space(table: SiegelFourierTable, p: int) -> CheckReport:
                 if lhs != rhs:
                     violations.append(((n, r, m), lhs, rhs))
     return CheckReport("maass-p", p, table.bound, checked, skipped, tuple(violations))
+
+
+def hecke_probe(table: SiegelFourierTable, bound: int):
+    """The reduced index to ``bound`` with least (discriminant, n, r) and a nonzero entry, or None.
+
+    Every reduced index is sorted by that key, stored or not.
+    """
+    by_disc = sorted(
+        reduced_indices(bound),
+        key=lambda i: (4 * i[0] * i[2] - i[1] * i[1], i[0], i[1]),
+    )
+    for idx in by_disc:
+        if table.entries.get(idx, 0) != 0:
+            return idx
+    return None
+
+
+def hecke_eigenvalue(table: SiegelFourierTable, m: int):
+    """The similitude-m eigenvalue, read at ``hecke_probe`` above."""
+    transformed = hecke_operator(table, m)
+    probe = hecke_probe(table, transformed.bound)
+    if probe is None:
+        raise NotAnEigenformError(
+            "no nonzero coefficient available as a probe", witness=None
+        )
+    mu = exact_div(transformed.entries.get(probe, 0), table.entries[probe])
+    factor = int_if_integral(mu)
+    for idx in reduced_indices(transformed.bound):
+        if transformed.entries.get(idx, 0) != factor * table.entries.get(idx, 0):
+            raise NotAnEigenformError(
+                f"table is not an eigenform of the similitude-{m} operator",
+                witness=idx,
+            )
+    return mu
 
 
 # ---------------------------------------------------------------------------

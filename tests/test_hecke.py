@@ -1,16 +1,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sklift.errors import NotAnEigenformError, TruncationError, UsageError
 from sklift.siegel import (
+    SiegelFourierTable,
     _character_trivial,
     coset_classes,
     hecke_eigenvalue,
     hecke_operator,
     maass_lift,
+    reduced_indices,
 )
 
+import oracles
 from oracles import (
     coset_equivalent,
     coset_representatives,
@@ -277,6 +282,63 @@ class TestHeckeAction:
             )
             for table in (lift10, perturbed(lift10, (1, 1, 1), 5), random_table):
                 assert hecke_operator(table, p) == closed_form(table, p), p
+
+
+def eigenvalue_outcome(eigenvalue, table, m):
+    """The eigenvalue and its type, or the error's class, message and witness."""
+    try:
+        mu = eigenvalue(table, m)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc), getattr(exc, "witness", None))
+    return ("returned", type(mu), mu)
+
+
+small_values = st.one_of(st.integers(-3, 3), st.fractions(min_value=-9, max_value=9, max_denominator=7))
+
+arbitrary_tables = st.integers(min_value=1, max_value=12).flatmap(
+    lambda bound: st.builds(
+        SiegelFourierTable,
+        st.integers(min_value=1, max_value=24),
+        st.just(bound),
+        st.dictionaries(st.sampled_from(list(reduced_indices(bound))), small_values, max_size=12),
+    )
+)
+
+
+class TestProbeAgainstOracle:
+    """The eigenvalue read at the least stored (discriminant, n, r), against sorting every reduced index."""
+
+    @given(
+        st.sampled_from((2, 3, 4)),
+        st.booleans(),
+        st.dictionaries(st.sampled_from(list(reduced_indices(4))), small_values, max_size=4),
+        small_values,
+    )
+    @example(2, False, {}, 0)
+    @example(3, True, {}, 0)
+    @settings(max_examples=100, deadline=None)
+    def test_edited_lifts(self, lift10, m, drop_first, edits, at_probe):
+        entries = dict(lift10.entries)
+        if drop_first:
+            # A(1, 1, 1) = 0 moves the probe past the least discriminant
+            del entries[(1, 1, 1)]
+        for idx, delta in edits.items():
+            entries[idx] = entries.get(idx, 0) + delta
+        table = SiegelFourierTable(lift10.weight, lift10.bound, entries)
+        probe = oracles.hecke_probe(table, table.bound // m)
+        if probe is not None:
+            table = perturbed(table, probe, at_probe)
+        got = eigenvalue_outcome(hecke_eigenvalue, table, m)
+        assert got == eigenvalue_outcome(oracles.hecke_eigenvalue, table, m)
+
+    @given(arbitrary_tables, st.sampled_from((2, 3, 4)))
+    # the least discriminant is shared: n, not r, breaks the tie
+    @example(SiegelFourierTable(10, 10, {(3, 0, 3): 1, (2, 2, 5): 2}), 2)
+    @example(SiegelFourierTable(10, 12, {(4, 1, 4): 1, (3, 3, 6): 1}), 2)
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_tables(self, table, m):
+        got = eigenvalue_outcome(hecke_eigenvalue, table, m)
+        assert got == eigenvalue_outcome(oracles.hecke_eigenvalue, table, m)
 
 
 class TestClosedFormsAgainstSmithOracle:

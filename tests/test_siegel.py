@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sklift import siegel
 from sklift.errors import TruncationError, UsageError
 from sklift.jacobi import JacobiForm, ez_lift
 from sklift.kohnen import plus_space_basis
@@ -244,6 +245,18 @@ class TestMaassLift:
             maass_lift(jacobi10, 50)
         assert err.value.required == 4 * 50 * 50
 
+    def test_weight_refused_before_the_divisor_sum(self, monkeypatch):
+        # at weight 0, d**(k-1) is a float; the refusal comes before any term is built
+        def built(*args):
+            raise AssertionError("the divisor sum ran")
+
+        monkeypatch.setattr(siegel, "divisor_lists", built)
+        with pytest.raises(UsageError, match=r"^table weight 0 is below 1$"):
+            maass_lift(JacobiForm(0, {3: 1, 4: -2, 12: 5, 16: 7}, 100), 4)
+        # a short Jacobi table is still refused first
+        with pytest.raises(TruncationError):
+            maass_lift(JacobiForm(0, {3: 1}, 10), 4)
+
 
 class TestMaassSpaceCheck:
     def test_lift_is_clean(self, lift10, lift12):
@@ -273,10 +286,12 @@ class TestMaassSpaceCheck:
             bad = perturbed(bad, idx, 1)
         assert [v[0] for v in check_maass_space(bad).violations] == order
 
-    def test_report_shape(self, lift10):
-        rep = check_maass_space(lift10)
-        assert rep.kind == "maass" and rep.p is None
-        assert rep.checked + rep.skipped == sum(1 for _ in reduced_indices(lift10.bound))
+    def test_report_shape(self, jacobi10_b12):
+        for bound in (-1, 0, *range(1, 13)):
+            for table in (maass_lift(jacobi10_b12, bound), SiegelFourierTable(10, bound, {})):
+                rep = check_maass_space(table)
+                assert rep.kind == "maass" and rep.p is None and rep.bound == bound
+                assert rep.checked + rep.skipped == sum(1 for _ in reduced_indices(bound)), bound
 
 
 def counted_instances(p, bound):

@@ -56,8 +56,8 @@ from .siegel import (
 )
 
 
-# build_lift reads only a(2) of the elliptic eigenform
-ELLIPTIC_PREC = 16
+# build_lift reads only a(2) of the elliptic eigenform, so it builds it to q**2
+ELLIPTIC_PREC = 2
 
 
 def build_lift(cache_dir: Path | None, weight: int, bound: int, log) -> SiegelFourierTable:

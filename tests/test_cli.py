@@ -86,7 +86,7 @@ class TestLift:
         assert lines[:3] == [
             "plan: degree-2 index bound 2 (discriminants to 16)",
             "plan: half-integral truncation 64",
-            "plan: elliptic truncation 16",
+            "plan: elliptic truncation 2",
         ]
 
     def test_lift_caches_only_the_plus_space_form(self, tmp_path, table10, monkeypatch):

@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 from fractions import Fraction
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sklift import siegel
-from sklift.errors import TruncationError, UsageError
+from sklift.errors import InconsistencyError, TruncationError, UsageError
 from sklift.jacobi import JacobiForm, ez_lift
 from sklift.kohnen import plus_space_basis
 from sklift.numeric import QuadExt
@@ -188,6 +189,15 @@ class TestLookupOracle:
     EXAMPLES = [
         (1, 1, 1), (2, 1, 1), (1, -1, 1), (1, 5, 1), (-1, 0, -1), (0, 0, 3), (1, 2, 1),
         (1, 0, 7), (7, 0, 7), (3, 7, 6), (6, -6, 6), (6, 0, 7), (10, 3, -4),
+        # one to six swap-and-translate steps
+        (1, 41, 421), (3, -100, 834), (1000, 1999, 1000), (1000, -1999, 1000), (7, 23, 19),
+        (6051, 19581, 15841),
+        # r = -n, which translates to r = n, and a negative r within (-n, n]
+        (2, -2, 5), (5, -5, 6), (5, -5, 7), (2, -1, 3),
+        # the reduced m at the bound 6 and one past it, reduced or not
+        (1, 0, 6), (6, 6, 6), (6, 1, 1), (1, 2, 7), (1, 2, 8), (8, 2, 1), (6, -13, 8),
+        # 4nm = r**2, off the cusp support
+        (3, 6, 3), (1, -2, 1), (4, 4, 1), (9, -6, 1), (2, 4, 2),
     ]
 
     @staticmethod
@@ -202,6 +212,21 @@ class TestLookupOracle:
             lift10_b6.value(7, 0, 7)
         assert str(err.value) == "index (7, 0, 7) reduces to (7, 0, 7) beyond bound 6"
         assert err.value.required == 7
+
+    def test_guard_counts_the_same_steps(self, monkeypatch, lift10_b6):
+        # both reductions stop after 10 000 translations; shrunk to 2, the
+        # guard admits one translation and refuses two
+        def guard(stop):
+            assert stop == 10_000
+            return builtins.range(2)
+
+        monkeypatch.setattr(siegel, "range", guard, raising=False)
+        for t in [(1, 41, 421), (2, -2, 5), (7, 0, 1)]:
+            self.assert_agree(lift10_b6, t)
+        for t in [(3, -100, 834), (1000, 1999, 1000), (7, 23, 19)]:
+            self.assert_agree(lift10_b6, t)
+            with pytest.raises(InconsistencyError, match="failed to terminate"):
+                lift10_b6.try_value(*t)
 
     @given(any_triples, st.sampled_from([Fraction(1), Fraction(-7, 3)]))
     @settings(max_examples=400, deadline=None)
@@ -223,6 +248,30 @@ class TestLookupOracle:
             assert got.violations == want.violations, p
             violations += got.violations
         assert bool(violations) == bad
+
+    @pytest.mark.parametrize("bound", [4, 8])
+    @pytest.mark.parametrize("bad", [False, True], ids=["clean", "perturbed"])
+    def test_p_space_makes_the_oracles_lookups(self, monkeypatch, jacobi10, bound, bad):
+        # the benchmark counts these lookups as siegel.check_lookups; a checker
+        # that prunes instances makes fewer of them, and changes this test
+        table = maass_lift(jacobi10, bound)
+        if bad:
+            table = perturbed(perturbed(table, (1, 1, 1), 1), (2, 1, bound), Fraction(1, 3))
+        counts = {"checker": 0, "oracle": 0}
+
+        def counted(name, lookup):
+            def counting(*args):
+                counts[name] += 1
+                return lookup(*args)
+            return counting
+
+        monkeypatch.setattr(SiegelFourierTable, "try_value", counted("checker", SiegelFourierTable.try_value))
+        monkeypatch.setattr(oracles, "try_value", counted("oracle", oracles.try_value))
+        for p in (2, 3, 5):
+            counts.update(checker=0, oracle=0)
+            check_maass_p_space(table, p)
+            oracles.check_maass_p_space(table, p)
+            assert counts["checker"] == counts["oracle"] > 0, p
 
 
 class TestMaassLift:

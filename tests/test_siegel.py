@@ -1,4 +1,3 @@
-import builtins
 import json
 import math
 from fractions import Fraction
@@ -214,13 +213,11 @@ class TestLookupOracle:
         assert err.value.required == 7
 
     def test_guard_counts_the_same_steps(self, monkeypatch, lift10_b6):
-        # both reductions stop after 10 000 translations; shrunk to 2, the
-        # guard admits one translation and refuses two
-        def guard(stop):
-            assert stop == 10_000
-            return builtins.range(2)
-
-        monkeypatch.setattr(siegel, "range", guard, raising=False)
+        # both reductions stop after REDUCTION_STEPS steps, and the oracles
+        # reduce through siegel.reduce_index; shrunk to 2, the guard admits
+        # one translation and refuses two
+        assert siegel.REDUCTION_STEPS == 10_000
+        monkeypatch.setattr(siegel, "REDUCTION_STEPS", 2)
         for t in [(1, 41, 421), (2, -2, 5), (7, 0, 1)]:
             self.assert_agree(lift10_b6, t)
         for t in [(3, -100, 834), (1000, 1999, 1000), (7, 23, 19)]:
@@ -248,6 +245,23 @@ class TestLookupOracle:
             assert got.violations == want.violations, p
             violations += got.violations
         assert bool(violations) == bad
+
+    @pytest.mark.parametrize("bound", [4, 5])
+    @pytest.mark.parametrize("bad", [False, True], ids=["clean", "perturbed"])
+    def test_p7_space_reports(self, jacobi10, bound, bad):
+        # at bound 4 no resolved p = 7 instance can fail: each reads one
+        # reduced index on both sides, or only indices off the cusp support;
+        # at bound 5 instances pair (1, 0, 5) with (2, 2, 3), both of
+        # discriminant 20
+        table = maass_lift(jacobi10, bound)
+        if bad:
+            table = perturbed(perturbed(table, (1, 1, 1), 1), (1, 0, bound), Fraction(1, 3))
+        got, want = check_maass_p_space(table, 7), oracles.check_maass_p_space(table, 7)
+        assert (got.kind, got.p, got.bound) == (want.kind, want.p, want.bound)
+        assert got.checked == want.checked > 0
+        assert got.skipped == want.skipped
+        assert got.violations == want.violations
+        assert bool(got.violations) == (bad and bound == 5)
 
     @pytest.mark.parametrize("bound", [4, 8])
     @pytest.mark.parametrize("bad", [False, True], ids=["clean", "perturbed"])

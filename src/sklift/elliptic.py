@@ -51,17 +51,6 @@ class EllipticForm:
         """Fourier coefficient at q**n."""
         return self.series.coefficient(n)
 
-    def __eq__(self, other):
-        if not isinstance(other, EllipticForm):
-            return NotImplemented
-        return self.weight == other.weight and self.series == other.series
-
-    def __hash__(self):
-        return hash((self.weight, self.series))
-
-    def __repr__(self):
-        return f"{type(self).__name__}(weight={self.weight}, prec={self.series.prec})"
-
 
 class EllipticEigenform(EllipticForm):
     """A normalized Hecke eigenform; ``eigenforms`` builds rational ones only."""
@@ -125,6 +114,6 @@ def eigenforms(weight: int, prec: int) -> list[EllipticEigenform]:
     if dim == 0:
         return []
     if prec < 2:
-        raise TruncationError(f"weight {weight} needs validity to q**2", required=2)
+        raise TruncationError(f"weight {weight} needs validity to q**2")
     e = eisenstein(weight - 12, prec).series if weight > 12 else QSeries([1], prec)
     return [EllipticEigenform(weight, delta(prec).series * e)]

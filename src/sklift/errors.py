@@ -21,14 +21,10 @@ class UsageError(SkliftError):
 class TruncationError(SkliftError):
     """A series or coefficient table is too short for the requested operation.
 
-    ``required`` carries the minimal truncation/bound that would suffice.
+    The message names the truncation or bound that would suffice.
     """
 
     exit_code = EXIT_USAGE
-
-    def __init__(self, message, required=None):
-        super().__init__(message)
-        self.required = required
 
 
 class UnsupportedFieldError(SkliftError):

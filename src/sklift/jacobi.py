@@ -34,24 +34,6 @@ class JacobiForm:
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("JacobiForm values are immutable")
 
-    def __eq__(self, other):
-        if not isinstance(other, JacobiForm):
-            return NotImplemented
-        return (
-            self.weight == other.weight
-            and self.max_disc == other.max_disc
-            and self.by_disc == other.by_disc
-        )
-
-    def __hash__(self):
-        return hash((self.weight, self.max_disc, tuple(sorted(self.by_disc.items()))))
-
-    def __repr__(self):
-        return (
-            f"JacobiForm(weight={self.weight}, index=1, "
-            f"discs<={self.max_disc}, nonzero={len(self.by_disc)})"
-        )
-
 
 def ez_lift(g: PlusSpaceForm) -> JacobiForm:
     """Index-1 Jacobi form with c(n, r) equal to the plus-space coefficient at 4n - r*r.

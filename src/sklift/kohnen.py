@@ -62,17 +62,6 @@ class PlusSpaceForm:
         """Coefficient at q**n."""
         return self.series.coefficient(n)
 
-    def __eq__(self, other):
-        if not isinstance(other, PlusSpaceForm):
-            return NotImplemented
-        return self.k == other.k and self.series == other.series
-
-    def __hash__(self):
-        return hash((self.k, self.series))
-
-    def __repr__(self):
-        return f"PlusSpaceForm(k={self.k}, prec={self.prec})"
-
 
 def _plus_supported(n: int) -> bool:
     # cuspidal plus condition for even k: nothing at n = 0 or n = 1, 2 mod 4
@@ -137,10 +126,7 @@ def plus_hecke(g: PlusSpaceForm, p: int) -> PlusSpaceForm:
         raise UsageError(f"{short_repr(p)} is not prime")
     out_prec = g.prec // (p * p)
     if out_prec < 1:
-        raise TruncationError(
-            f"applying the square-index operator at {p} needs validity >= {p * p}",
-            required=p * p,
-        )
+        raise TruncationError(f"applying the square-index operator at {p} needs validity >= {p * p}")
     k = g.k
     mid = p ** (k - 2)
     big = p ** (2 * k - 3)

@@ -408,23 +408,11 @@ class QuadExt:
             return NotImplemented
         return s < 0
 
-    def __le__(self, other):
-        s = self._diff_sign(other)
-        if s is NotImplemented:
-            return NotImplemented
-        return s <= 0
-
     def __gt__(self, other):
         s = self._diff_sign(other)
         if s is NotImplemented:
             return NotImplemented
         return s > 0
-
-    def __ge__(self, other):
-        s = self._diff_sign(other)
-        if s is NotImplemented:
-            return NotImplemented
-        return s >= 0
 
     def __hash__(self):
         return hash((self.a, self.b, self.d))

@@ -49,10 +49,7 @@ class QSeries:
         if n < 0:
             return 0
         if n > self.prec:
-            raise TruncationError(
-                f"coefficient {n} requested from a series valid to {self.prec}",
-                required=n,
-            )
+            raise TruncationError(f"coefficient {n} requested from a series valid to {self.prec}")
         return self.coeffs[n]
 
     def valuation(self) -> int | None:
@@ -69,9 +66,6 @@ class QSeries:
         return QSeries([0] * j + self.coeffs, self.prec + j)
 
     # -- arithmetic -----------------------------------------------------
-
-    def __neg__(self):
-        return QSeries([-c for c in self.coeffs], self.prec)
 
     def __mul__(self, other):
         if not isinstance(other, QSeries):
@@ -90,9 +84,6 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         return self.prec == other.prec and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.prec, tuple(self.coeffs)))
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:6])
@@ -231,12 +222,6 @@ class RatMatrix:
         if not isinstance(other, RatMatrix):
             return NotImplemented
         return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.entries))
-
-    def __repr__(self):
-        return f"RatMatrix({self.entries!r})"
 
     # -- elimination -----------------------------------------------------
 

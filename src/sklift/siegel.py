@@ -152,10 +152,7 @@ class SiegelFourierTable:
         """A(n, r, m); zero outside the cusp support, error beyond the bound."""
         val, key = self._lookup(n, r, m)
         if val is None:
-            raise TruncationError(
-                f"index {(n, r, m)} reduces to {key} beyond bound {self.bound}",
-                required=key[2],
-            )
+            raise TruncationError(f"index {(n, r, m)} reduces to {key} beyond bound {self.bound}")
         return val
 
     def try_value(self, n: int, r: int, m: int):
@@ -194,9 +191,6 @@ class SiegelFourierTable:
             and self.bound == other.bound
             and self.entries == other.entries
         )
-
-    def __hash__(self):
-        return hash((self.weight, self.bound, tuple(sorted(self.entries.items()))))
 
     def __repr__(self):
         return (
@@ -307,8 +301,7 @@ def maass_lift(phi: JacobiForm, bound: int) -> SiegelFourierTable:
     if phi.max_disc < needed:
         raise TruncationError(
             f"lift to bound {bound} needs Jacobi discriminants up to {needed}, "
-            f"table stops at {phi.max_disc}",
-            required=needed,
+            f"table stops at {phi.max_disc}"
         )
     # every reduced index to bound has discriminant at most 4 * bound**2
     entries = {idx: v for idx, v in _maass_sums(phi.weight, bound, phi.by_disc, needed) if v}
@@ -509,9 +502,7 @@ def hecke_operator(table: SiegelFourierTable, m: int) -> SiegelFourierTable:
     s = m
     out_bound = table.bound // s
     if out_bound < 1:
-        raise TruncationError(
-            f"similitude-{m} operator needs table bound >= {m}", required=m
-        )
+        raise TruncationError(f"similitude-{m} operator needs table bound >= {m}")
     k = table.weight
     classes = coset_classes(p, e)
     # s**(2k-3) * size / det**k is size * (s*s // det)**k / s**3, as det
@@ -529,9 +520,8 @@ def hecke_operator(table: SiegelFourierTable, m: int) -> SiegelFourierTable:
             q2 = mm * dd * dd
             if q1 % s or q12 % s or q2 % s:
                 continue
+            # tn > 0 and 4 tn tm - tr**2 = (det / s)**2 (4 n mm - r**2) > 0: positive definite
             tn, tr, tm = q1 // s, q12 // s, q2 // s
-            if tn <= 0 or 4 * tn * tm - tr * tr <= 0:
-                continue
             if not _character_trivial(cls, tn, tr, tm):
                 continue
             val = table.value(tn, tr, tm)

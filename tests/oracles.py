@@ -492,9 +492,7 @@ def plus_space_basis_by_kernel(k: int, prec: int):
         raise UsageError("odd weights do not occur on this lift chain")
     bound = 4 * k
     if bound > prec:
-        raise TruncationError(
-            f"constraint bound {bound} exceeds series validity {prec}", required=bound
-        )
+        raise TruncationError(f"constraint bound {bound} exceeds series validity {prec}")
     # one elimination over the constraint positions, the other exponents to
     # the window, then the monomial coordinates: the rows with a pivot past
     # the constraints span the kernel, echelonized over a window that does
@@ -581,9 +579,7 @@ def cusp_basis_by_fractions(weight: int, prec: int) -> list[EllipticForm]:
     if expected == 0:
         return []
     if prec < expected + 1:
-        raise TruncationError(
-            f"weight {weight} needs validity to q**{expected + 1}", required=expected + 1
-        )
+        raise TruncationError(f"weight {weight} needs validity to q**{expected + 1}")
     d = delta_by_squarings(prec)
     e4, e6 = (QSeries(map(int_if_integral, eisenstein_by_fractions(w, prec).coeffs), prec) for w in (4, 6))
     rows = []
@@ -678,9 +674,7 @@ def jacobi_coeff(phi: JacobiForm, n: int, r: int):
         return 0
     if disc > phi.max_disc:
         raise TruncationError(
-            f"coefficient at discriminant {disc} beyond tabulated range "
-            f"{phi.max_disc}",
-            required=disc,
+            f"coefficient at discriminant {disc} beyond tabulated range {phi.max_disc}"
         )
     return phi.by_disc.get(disc, 0)
 
@@ -742,10 +736,7 @@ def value(table: SiegelFourierTable, n: int, r: int, m: int):
         return 0
     idx = SiegelIndex(*reduce_index(n, r, m))
     if idx.m > table.bound:
-        raise TruncationError(
-            f"index {(n, r, m)} reduces to {tuple(idx)} beyond bound {table.bound}",
-            required=idx.m,
-        )
+        raise TruncationError(f"index {(n, r, m)} reduces to {tuple(idx)} beyond bound {table.bound}")
     return table.entries.get(idx, 0)
 
 
@@ -781,8 +772,7 @@ def maass_lift(phi: JacobiForm, bound: int) -> SiegelFourierTable:
     if phi.max_disc < needed:
         raise TruncationError(
             f"lift to bound {bound} needs Jacobi discriminants up to {needed}, "
-            f"table stops at {phi.max_disc}",
-            required=needed,
+            f"table stops at {phi.max_disc}"
         )
     k = phi.weight
     divs = divisor_lists(bound)
@@ -829,8 +819,7 @@ def maass_lift_by_all_divisors(phi: JacobiForm, bound: int) -> SiegelFourierTabl
     if phi.max_disc < needed:
         raise TruncationError(
             f"lift to bound {bound} needs Jacobi discriminants up to {needed}, "
-            f"table stops at {phi.max_disc}",
-            required=needed,
+            f"table stops at {phi.max_disc}"
         )
     k = phi.weight
     divs = divisor_lists(bound)
@@ -1366,9 +1355,7 @@ def hecke_operator_oracle(table: SiegelFourierTable, m: int) -> SiegelFourierTab
     s = m
     out_bound = table.bound // s
     if out_bound < 1:
-        raise TruncationError(
-            f"similitude-{m} operator needs table bound >= {m}", required=m
-        )
+        raise TruncationError(f"similitude-{m} operator needs table bound >= {m}")
     k = table.weight
     classes = generator_classes(p, e)
     gamma = Fraction(s) ** (2 * k - 3)

@@ -385,7 +385,7 @@ def operator_outcome(operator, table, m):
     try:
         return operator(table, m)
     except TruncationError as exc:
-        return ("raised", str(exc), exc.required)
+        return ("raised", str(exc))
 
 
 @pytest.fixture(scope="module")

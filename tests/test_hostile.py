@@ -107,9 +107,13 @@ def test_hostile_classify(work_dir, records, scan, fmt):
     run(["--output", fmt, "classify", path, "--scan", scan])
 
 
-# each was a hostile-input step of CI's console-script job: the input, the
-# exit code, the one stderr line, a byte cap where it had one, and its time
-# bound (10 s; a refusal's is the 1 s every run above is held to)
+SK_RECORD = json.dumps({"weight": 10, "p": 2, "mu_p": "240", "mu_p2": "135424"})
+
+# the first eleven were each a hostile-input step of CI's console-script job,
+# the rest are refusals that no draw above reaches: the input (a classify
+# file's one record, or its text), the exit code, the one stderr line, a byte
+# cap where it had one, and the time bound (10 s; a refusal's is the 1 s
+# every run above is held to)
 CI_CASES = [
     ("float", "classify", {"weight": 10.9, "p": 2, "mu_p": "240", "mu_p2": "135424"}, [], 2),
     ("pseudoprime", "classify", {"weight": 10, "p": 318665857834031151167461, "mu_p": "1", "mu_p2": "1"}, [], 2),
@@ -122,6 +126,10 @@ CI_CASES = [
     ("huge-prime", "eigen", {}, ["--primes", 10**4000 + 11], 2),
     ("lift-bound", "lift", None, ["--weight", 10, "--bound", 100000], 2),
     ("dev-full", "lift", None, ["--weight", 10, "--bound", 4, "--out", "/dev/full"], 2),
+    ("two-eigenforms", "lift", None, ["--weight", 16, "--bound", 4], 2),
+    ("no-primes", "eigen", {}, ["--primes", ","], 2),
+    ("blank-file", "classify", "\n  \n\n", [], 2),
+    ("blank-between", "classify", f"{SK_RECORD}\n\n \n{SK_RECORD}\n", [], 0),
 ]
 
 
@@ -131,7 +139,7 @@ def test_former_ci_inputs(work_dir, name, command, fields, flags, code):
         pytest.skip("needs /dev/full")
     if command == "classify":
         path = work_dir / f"{name}.jsonl"
-        path.write_text(json.dumps(fields) + "\n")
+        path.write_text(fields if isinstance(fields, str) else json.dumps(fields) + "\n")
         argv = ["classify", path, *flags]
     elif command in ("eigen", "check"):
         data = json.loads((work_dir / "t4.json").read_text())

@@ -43,7 +43,7 @@ class TestCoefficientAccess:
         big_n = jacobi10.max_disc
         with pytest.raises(TruncationError) as err:
             jacobi_coeff(jacobi10, big_n, 1)
-        assert err.value.required == 4 * big_n - 1
+        assert str(err.value) == f"coefficient at discriminant {4 * big_n - 1} beyond tabulated range {big_n}"
 
     def test_bad_table_keys_rejected(self):
         with pytest.raises(UsageError):

@@ -142,6 +142,10 @@ class TestPlusHecke:
         with pytest.raises(TruncationError):
             plus_hecke(short, 2)
 
+    def test_nonprime_index_refused(self, plus10):
+        with pytest.raises(UsageError, match="4 is not prime"):
+            plus_hecke(plus10, 4)
+
     def test_operators_commute(self):
         for k in (10, 12):
             basis = plus_space_basis(k, 360)

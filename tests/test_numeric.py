@@ -21,6 +21,7 @@ from sklift.numeric import (
     int_if_integral,
     is_prime,
     kronecker_symbol,
+    rat,
     short_repr,
     sqrt_if_square,
     sqrt_rational,
@@ -145,6 +146,11 @@ class TestElementary:
         with pytest.raises(ZeroDivisionError):
             exact_div(1, 0)
 
+    def test_rat_refuses_floats(self):
+        assert rat("3/6") == Fraction(1, 2) and rat(7) == 7
+        with pytest.raises(TypeError, match="floating point input is not accepted"):
+            rat(1.5)
+
     def test_int_if_integral(self):
         # a stored value is an int when integral; a quotient stays a Fraction
         for x, want in [(Fraction(6, 3), 2), (Fraction(-10**40), -10**40), (Fraction(0), 0), (7, 7)]:
@@ -158,6 +164,8 @@ class TestElementary:
         assert squarefree_core(18) == (3, 2)
         assert squarefree_core(1) == (1, 1)
         assert squarefree_core(49) == (7, 1)
+        with pytest.raises(ValueError, match="positive integer"):
+            squarefree_core(0)
 
     def test_bernoulli(self):
         assert bernoulli_number(4) == Fraction(-1, 30)
@@ -313,6 +321,8 @@ class TestQuadExt:
     def test_non_squarefree_radicand_rejected(self):
         with pytest.raises(ValueError):
             QuadExt(0, 1, 12)
+        with pytest.raises(ValueError, match="squarefree integer >= 2"):
+            QuadExt(1, 1, 1)
 
 
 class TestOneRepresentation:

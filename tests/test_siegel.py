@@ -168,11 +168,11 @@ class TestTable:
 
 
 def outcome(lookup, *args):
-    """What a lookup did: its value and type, or its exception's type, text and ``required``."""
+    """What a lookup did: its value and type, or its exception's type and text."""
     try:
         got = lookup(*args)
     except Exception as exc:
-        return ("raised", type(exc), str(exc), getattr(exc, "required", None))
+        return ("raised", type(exc), str(exc))
     return ("returned", type(got), got)
 
 
@@ -210,7 +210,6 @@ class TestLookupOracle:
         with pytest.raises(TruncationError) as err:
             lift10_b6.value(7, 0, 7)
         assert str(err.value) == "index (7, 0, 7) reduces to (7, 0, 7) beyond bound 6"
-        assert err.value.required == 7
 
     def test_guard_counts_the_same_steps(self, monkeypatch, lift10_b6):
         # both reductions stop after REDUCTION_STEPS steps, and the oracles
@@ -306,7 +305,9 @@ class TestMaassLift:
     def test_insufficient_disc_range(self, jacobi10):
         with pytest.raises(TruncationError) as err:
             maass_lift(jacobi10, 50)
-        assert err.value.required == 4 * 50 * 50
+        assert str(err.value) == (
+            f"lift to bound 50 needs Jacobi discriminants up to {4 * 50 * 50}, table stops at {jacobi10.max_disc}"
+        )
 
     def test_weight_refused_before_the_divisor_sum(self, monkeypatch):
         # at weight 0, d**(k-1) is a float; the refusal comes before any term is built
@@ -409,6 +410,10 @@ class TestMaassPSpaceCheck:
             rep = check_maass_p_space(lift10_b6, p)
             assert rep.ok, p
             assert rep.checked > 100
+
+    def test_nonprime_refused(self, lift10_b6):
+        with pytest.raises(UsageError, match="4 is not prime"):
+            check_maass_p_space(lift10_b6, 4)
 
     def test_lift12_clean(self, lift12):
         rep = check_maass_p_space(lift12, 2)

@@ -314,10 +314,11 @@ def cmd_classify(args) -> int:
             + (" [INCONSISTENT DATA]" if cert.inconsistent else "")
         )
         lines.append(f"  conditions fired: {', '.join(cert.conditions_fired) or 'none'}")
+        satake = entry["satake"]
         lines.append(
-            f"  spectral pair: {cert.satake.classification}"
-            + (f", x = {cert.satake.to_json_dict()['x']}" if cert.satake.x is not None else "")
-            + (f", y = {cert.satake.to_json_dict()['y']}" if cert.satake.y is not None else "")
+            f"  spectral pair: {satake['classification']}"
+            + (f", x = {satake['x']}" if satake["x"] is not None else "")
+            + (f", y = {satake['y']}" if satake["y"] is not None else "")
         )
         weak = growth.first_weak_violation
         lines.append(

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .errors import TruncationError, UnsupportedFieldError, UsageError
-from .numeric import bernoulli_number, int_if_integral
+from .numeric import bernoulli_number, divisor_lists, int_if_integral
 from .qseries import QSeries, sparse_times
 
 
@@ -63,23 +63,13 @@ class EllipticEigenform(EllipticForm):
         super().__init__(weight, series)
 
 
-def _divisor_power_sums(power: int, prec: int) -> list[int]:
-    """sigma_power(n) at index n = 1..prec, 0 at index 0, by a divisor sieve."""
-    sums = [0] * (prec + 1)
-    for d in range(1, prec + 1):
-        term = d**power
-        for multiple in range(d, prec + 1, d):
-            sums[multiple] += term
-    return sums
-
-
 def eisenstein(weight: int, prec: int) -> EllipticForm:
     """Normalized Eisenstein series of even weight >= 4."""
     if weight % 2 or weight < 4:
         raise UsageError(f"no Eisenstein series of weight {weight} here")
     factor = int_if_integral(Fraction(-2 * weight) / bernoulli_number(weight))
-    sums = _divisor_power_sums(weight - 1, prec)
-    return EllipticForm(weight, QSeries([1] + [int_if_integral(factor * s) for s in sums[1:]], prec))
+    sums = (sum(d ** (weight - 1) for d in ds) for ds in divisor_lists(prec)[1:])
+    return EllipticForm(weight, QSeries([1] + [int_if_integral(factor * s) for s in sums], prec))
 
 
 def _eta_cube_terms(prec: int) -> list[tuple[int, int]]:

@@ -19,7 +19,6 @@ from operator import mul
 
 from .elliptic import (
     EllipticEigenform,
-    _divisor_power_sums,
     _eta_cube_terms,
     dim_cusp_forms,
     eisenstein,
@@ -31,7 +30,7 @@ from .errors import (
     UnsupportedFieldError,
     UsageError,
 )
-from .numeric import exact_div, int_if_integral, is_prime, kronecker_symbol, short_repr
+from .numeric import divisor_lists, exact_div, int_if_integral, is_prime, kronecker_symbol, short_repr
 from .qseries import QSeries, _kronecker, sparse_times
 
 
@@ -101,7 +100,7 @@ def plus_space_basis(k: int, prec: int) -> list[PlusSpaceForm]:
     a, b = sparse_times(squares, e, m, 1), sparse_times(pronic, e, m, 1)
     if k == 12:
         # q * d/dq scales the coefficient at q**(4i + 3) by 4i + 3, at q**(4i) by 4i
-        e2 = [1] + [-24 * s for s in _divisor_power_sums(1, m)[1:]]
+        e2 = [1] + [-24 * sum(ds) for ds in divisor_lists(m)[1:]]
         a = [19 * c - 6 * (4 * i + 3) * x for i, (c, x) in enumerate(zip(_kronecker(e2, a, m), a))]
         b = [19 * c - 24 * i * x for i, (c, x) in enumerate(zip(_kronecker(e2, b, m), b))]
     coeffs = [0] * (prec + 1)

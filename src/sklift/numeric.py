@@ -293,7 +293,9 @@ class QuadExt:
     is the Fraction ``a``, and every operation builds its result through the
     class, so a rational value is never a QuadExt.  a and b are ints when
     integral, and are divided as Fractions.  QuadExt values mix freely with
-    ints and Fractions; values of two different fields refuse to combine.
+    ints and Fractions; values of two different fields refuse to combine.  A
+    QuadExt divides by an int or a Fraction only, and takes non-negative
+    powers only.
     """
 
     __slots__ = ("a", "b", "d")
@@ -358,22 +360,14 @@ class QuadExt:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, QuadExt):
-            return self * (1 / other)
         if isinstance(other, (int, Fraction)):
             return QuadExt(Fraction(self.a, other), Fraction(self.b, other), self.d)
         return NotImplemented
 
-    def __rtruediv__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        # the norm a**2 - b**2 d is nonzero: d is not a rational square
-        nrm = self.a * self.a - self.b * self.b * self.d
-        return QuadExt(Fraction(self.a, nrm), Fraction(-self.b, nrm), self.d) * other
-
     def __pow__(self, e: int):
         if e < 0:
-            return 1 / self**(-e)
+            # non-negative powers only: e >>= 1 below never ends at e = -1
+            return NotImplemented
         out = Fraction(1)
         base = self
         while e:
@@ -464,7 +458,7 @@ def value_sign(x) -> int:
 
 
 def exact_div(a, b):
-    """``a / b`` exactly: a QuadExt when the quotient is irrational, else a Fraction."""
+    """``a / b`` exactly, for a rational ``b``: a QuadExt when ``a`` is one, else a Fraction."""
     return (a if isinstance(a, QuadExt) else Fraction(a)) / b
 
 

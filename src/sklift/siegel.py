@@ -136,24 +136,14 @@ class SiegelFourierTable:
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("tables are immutable; build a new one")
 
-    def _lookup(self, n: int, r: int, m: int):
-        """``(A(n, r, m), reduced key)``; the value is None beyond the bound.
-
-        Off the cusp support the value is 0 and the key None.
-        """
-        if n <= 0 or m <= 0 or 4 * n * m - r * r <= 0:
-            return 0, None
-        key = reduce_index(n, r, m)
-        if key[2] > self.bound:
-            return None, key
-        return self.entries.get(key, 0), key
-
     def value(self, n: int, r: int, m: int):
         """A(n, r, m); zero outside the cusp support, error beyond the bound."""
-        val, key = self._lookup(n, r, m)
-        if val is None:
+        if n <= 0 or m <= 0 or 4 * n * m - r * r <= 0:
+            return 0
+        key = reduce_index(n, r, m)
+        if key[2] > self.bound:
             raise TruncationError(f"index {(n, r, m)} reduces to {key} beyond bound {self.bound}")
-        return val
+        return self.entries.get(key, 0)
 
     def try_value(self, n: int, r: int, m: int):
         """Like ``value`` but returns None when the index is beyond the bound.

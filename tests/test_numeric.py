@@ -142,7 +142,6 @@ class TestElementary:
         assert type(exact_div(4, 2)) is Fraction
         root = QuadExt(1, 1, 5)
         assert exact_div(root, 2) == QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
-        assert exact_div(4, root) == QuadExt(-1, 1, 5)  # 4 / (1 + sqrt5) = sqrt5 - 1
         with pytest.raises(ZeroDivisionError):
             exact_div(1, 0)
 
@@ -290,12 +289,23 @@ class TestQuadExt:
         assert x * conjugate(x) == norm(x)
 
     def test_division(self):
+        # a QuadExt divides by ints and Fractions only; an irrational divisor
+        # or a negative power refuses at once
         x = QuadExt(1, 2, 3)
-        y = QuadExt(-5, Fraction(1, 2), 3)
-        assert (x / y) * y == x
-        assert (1 / x) * x == 1
+        assert x / 2 == QuadExt(Fraction(1, 2), 1, 3)
+        assert x / Fraction(2, 3) == QuadExt(Fraction(3, 2), 3, 3)
         with pytest.raises(ZeroDivisionError):
             x / QuadExt(0, 0, 3)
+        refused = [
+            lambda: 1 / x,
+            lambda: Fraction(1, 2) / x,
+            lambda: x / x,
+            lambda: x**-1,
+            lambda: exact_div(4, x),
+        ]
+        for divide in refused:
+            with pytest.raises(TypeError):
+                divide()
 
     def test_sign_and_order(self):
         assert QuadExt(0, 1, 2) > Fraction(7, 5)
@@ -334,50 +344,26 @@ class TestOneRepresentation:
         x, y = (QuadExt(a, b, d) for a, b in parts)
         values = [x, y, -x, conjugate(x), x + y, x - y, x * y, x * conjugate(x), x + r, r - x, x * r]
         values += [x**e for e in range(4)]
-        values += [x / y, r / y, y**-2] if y != 0 else []
-        values += [x / r, r / x] if r != 0 and x != 0 else []
+        values += [x / r] if r != 0 else []
         values.append(sqrt_rational(abs(r)))
         assert noncanonical(values) == []
 
     @given(
         radicands,
-        st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50).filter(bool)), min_size=2, max_size=2),
+        st.tuples(st.integers(-50, 50), st.integers(-50, 50).filter(bool)),
         st.one_of(st.integers(-50, 50), rationals).filter(bool),
-        st.integers(1, 3),
     )
     @settings(max_examples=150, deadline=None)
-    def test_int_parts_divide_as_fractions(self, d, parts, r, e):
-        # int parts never meet a float division: each quotient equals the one
+    def test_int_parts_divide_as_fractions(self, d, parts, r):
+        # int parts never meet a float division: the quotient equals the one
         # worked out on Fraction parts, and its parts are canonical
-        (a, b), (c, f) = parts
-        x, y = QuadExt(a, b, d), QuadExt(c, f, d)
+        a, b = parts
+        x = QuadExt(a, b, d)
         assert (type(x.a), type(x.b)) == (int, int)
-
-        def inverse(u, v):
-            nrm = Fraction(u * u - v * v * d)
-            return u / nrm, -v / nrm
-
-        def times(u, v, s, t):
-            return u * s + v * t * d, u * t + v * s
-
-        def power(u, v, n):
-            out = (Fraction(1), Fraction(0))
-            for _ in range(n):
-                out = times(*out, u, v)
-            return out
-
-        quotients = {
-            "x / r": (x / r, (Fraction(a) / r, Fraction(b) / r)),
-            "r / x": (r / x, tuple(r * z for z in inverse(a, b))),
-            "1 / x": (1 / x, inverse(a, b)),
-            "x / y": (x / y, times(a, b, *inverse(c, f))),
-            "x ** -e": (x**-e, inverse(*power(a, b, e))),
-        }
-        for name, (got, (want_a, want_b)) in quotients.items():
-            assert noncanonical([got]) == [], name
-            assert got == QuadExt(want_a, want_b, d), name
-            got_a, got_b = (got.a, got.b) if isinstance(got, QuadExt) else (got, 0)
-            assert (Fraction(got_a), Fraction(got_b)) == (want_a, want_b), name
+        got, want_a, want_b = x / r, Fraction(a) / r, Fraction(b) / r
+        assert noncanonical([got]) == []
+        assert got == QuadExt(want_a, want_b, d)
+        assert (Fraction(got.a), Fraction(got.b)) == (want_a, want_b)
 
     def test_rational_is_a_fraction(self):
         assert type(QuadExt(3, 0, 7)) is Fraction and QuadExt(3, 0, 7) == 3
